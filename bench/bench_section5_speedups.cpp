@@ -9,11 +9,82 @@
 // ARM1176 timing model (vc4/timing.h). CPU counts are the analytic formulas
 // of cpuref, validated by tests. Machine constants were calibrated once
 // against the paper's four published speedups — see EXPERIMENTS.md.
+//
+// A last row times the simulator itself on one paper-style dispatch: a
+// single-tile n=48 sgemm (one draw into one 64x64 tile) on the serial path
+// and on the shading pool, where the draw splits into row bands. The output
+// hash and the split count go to BENCH_section5_speedups.json as
+// deterministic, baseline-gated metrics.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <thread>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "compute/device.h"
+#include "compute/ops.h"
 #include "vc4/profiles.h"
+
+namespace {
+
+std::uint32_t Fnv1a(const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  std::uint32_t h = 2166136261u;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 16777619u;
+  }
+  return h;
+}
+
+struct GemmLeg {
+  double seconds = 1e30;  // best of the repeats
+  std::vector<float> out;
+  mgpu::vc4::GpuWork work;
+  std::uint64_t band_split_draws = 0;  // of one dispatch
+};
+
+// One SgemmF32 dispatch per repeat on a fresh device, so every repeat pays
+// the same kernel build and worker-state setup a real job does.
+GemmLeg RunGemmLeg(int n, int threads, const std::vector<float>& a,
+                   const std::vector<float>& b) {
+  constexpr int kRepeats = 3;
+  GemmLeg leg;
+  for (int r = 0; r < kRepeats; ++r) {
+    mgpu::compute::DeviceOptions o;
+    o.shader_threads = threads;
+    mgpu::compute::Device d(o);
+    std::vector<float> out(static_cast<std::size_t>(n) * n);
+    (void)d.ConsumeWork();
+    const auto t0 = std::chrono::steady_clock::now();
+    mgpu::compute::ops::SgemmF32(d, n, a, b, out);
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    leg.seconds = std::min(leg.seconds, s);
+    leg.out = std::move(out);
+    leg.work = d.ConsumeWork();
+    leg.band_split_draws = d.gl().band_split_draws();
+  }
+  return leg;
+}
+
+bool SameWork(const mgpu::vc4::GpuWork& x, const mgpu::vc4::GpuWork& y) {
+  return x.fragments == y.fragments && x.vertices == y.vertices &&
+         x.shader_ops.alu == y.shader_ops.alu &&
+         x.shader_ops.sfu == y.shader_ops.sfu &&
+         x.shader_ops.sfu_trans == y.shader_ops.sfu_trans &&
+         x.shader_ops.tmu == y.shader_ops.tmu &&
+         x.shader_ops.tmu_miss == y.shader_ops.tmu_miss &&
+         x.bytes_uploaded == y.bytes_uploaded &&
+         x.bytes_readback == y.bytes_readback &&
+         x.program_compiles == y.program_compiles &&
+         x.draw_calls == y.draw_calls;
+}
+
+}  // namespace
 
 int main() {
   using namespace mgpu;
@@ -86,5 +157,51 @@ int main() {
               int_beats_float_sum ? "ok" : "FAIL");
   std::printf("  [%s] int speedup > float speedup (sgemm)\n",
               int_beats_float_gemm ? "ok" : "FAIL");
-  return gpu_wins && int_beats_float_sum && int_beats_float_gemm ? 0 : 1;
+
+  // --- simulator wall time: one single-tile sgemm dispatch ---
+  // The pooled leg runs at hardware concurrency, but at least 2 workers so
+  // the draw splits — and the gated split count reads the same — on every
+  // machine, a 1-core runner included.
+  constexpr int kTileGemmN = 48;
+  const int pooled_threads =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  Rng rng(4848);
+  const std::size_t nn = static_cast<std::size_t>(kTileGemmN) * kTileGemmN;
+  const std::vector<float> ga = rng.FloatVector(nn, -4.0f, 4.0f);
+  const std::vector<float> gb = rng.FloatVector(nn, -4.0f, 4.0f);
+  const GemmLeg serial = RunGemmLeg(kTileGemmN, 1, ga, gb);
+  const GemmLeg pooled = RunGemmLeg(kTileGemmN, pooled_threads, ga, gb);
+  const bool identical =
+      std::memcmp(serial.out.data(), pooled.out.data(),
+                  nn * sizeof(float)) == 0 &&
+      SameWork(serial.work, pooled.work);
+  const std::uint32_t out_hash =
+      Fnv1a(pooled.out.data(), pooled.out.size() * sizeof(float));
+  std::printf("\nsingle-tile sgemm n=%d (one 64x64-tile draw), simulator "
+              "wall time:\n",
+              kTileGemmN);
+  std::printf("  serial %.1f ms | %d workers %.1f ms (%.2fx, %llu row-band "
+              "draw) | output hash %08x\n",
+              serial.seconds * 1e3, pooled_threads, pooled.seconds * 1e3,
+              serial.seconds / pooled.seconds,
+              static_cast<unsigned long long>(pooled.band_split_draws),
+              out_hash);
+  std::printf("  [%s] pooled output and modelled work identical to serial\n",
+              identical ? "ok" : "FAIL");
+
+  bench::JsonBenchWriter json("section5_speedups");
+  json.Add("tile_gemm48_serial", serial.seconds, "s");
+  json.Add("tile_gemm48_pooled", pooled.seconds, "s");
+  json.Add("tile_gemm48_speedup", serial.seconds / pooled.seconds, "x");
+  json.Add("tile_gemm48_threads", pooled_threads, "threads");
+  json.Add("tile_gemm48_out_hash", out_hash, "hash");
+  json.Add("tile_gemm48_band_split_draws",
+           static_cast<double>(pooled.band_split_draws), "count");
+  json.Add("tile_gemm48_identical", identical ? 1 : 0, "bool");
+  if (!json.Write()) {
+    std::fprintf(stderr, "warning: could not write BENCH_section5_speedups.json\n");
+  }
+  return gpu_wins && int_beats_float_sum && int_beats_float_gemm && identical
+             ? 0
+             : 1;
 }

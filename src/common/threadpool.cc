@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/fault.h"
 
@@ -75,7 +76,10 @@ void ThreadPool::WorkerLoop() {
     if (completed > 0) {
       const std::lock_guard<std::mutex> lk(mu_);
       if (error != nullptr && first_error_ == nullptr) {
-        first_error_ = error;
+        // Hand the only reference over under the lock: RunOn rethrows it
+        // and the caller destroys it as soon as the job joins, so this
+        // thread must not drop a share of it later.
+        first_error_ = std::move(error);
       }
       pending_ -= completed;
       if (pending_ == 0) done_cv_.notify_all();

@@ -29,9 +29,11 @@ struct DeviceOptions {
   // op counts, so either oracle can differentially check the batched path.
   gles2::ExecEngine exec_engine = gles2::ExecEngine::kBatchedVm;
   // Fragment-shading workers for the tiled rasterizer: 0 = one per hardware
-  // thread (default), 1 = serial reference path. Results (output bytes and
-  // ALU/SFU/TMU op counts) are identical for every value; see
-  // gles2::ContextConfig::shader_threads.
+  // thread (default), 1 = serial reference path. A kernel dispatch whose
+  // output fits one 64x64 tile (e.g. sgemm up to n = 64) still uses every
+  // worker when it is heavy: its tile is split into row bands. Results
+  // (output bytes and ALU/SFU/TMU op counts, TMU misses included) are
+  // identical for every value; see gles2::ContextConfig::shader_threads.
   int shader_threads = 0;
   // SIMD level for the batched VM's stride-1 float fast paths: -1 picks the
   // MGPU_SIMD environment override if set, else the best level the host CPU

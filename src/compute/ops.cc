@@ -181,8 +181,6 @@ vec4 gp_kernel(vec2 gp_pos) {
   return clamp(acc, 0.0, 255.0);
 }
 )"});
-  gles2::Context& gl = d.gl();
-  (void)gl;
   // Upload the nine weights.
   for (int i = 0; i < 9; ++i) {
     k.SetUniform1f(StrFormat("u_w[%d]", i), weights[static_cast<std::size_t>(i)]);

@@ -32,6 +32,37 @@ namespace {
 // serves the vertex and fragment stages.
 constexpr const char kBudgetMsg[] =
     "draw exceeded the per-draw ALU-op watchdog budget (MGPU_DRAW_BUDGET)";
+
+// Row-band split gate (Context::PlanRowBands): a draw with fewer non-empty
+// tiles than workers splits them into row bands only when its estimated
+// fragment work — the fragment program's static cost bound in VM
+// instructions times its primitives' summed bounding-box area (clamped to
+// the target) — exceeds this. Set by measurement on a 4-vCPU x86-64 host
+// (README "Row bands"): a split of a freshly linked program (pool wake-up,
+// worker clones, TMU replay) breaks even at an estimate of about
+// 40K-100K, or ~0.25 ms of serial shading, so the gate sits 10-25x above
+// that. The sgemm kernels (n = 32: 7.5M and up) clear it by 7x and more;
+// the loop-free mesh and textured-quad draws of a 64x64 tenant frame
+// (under 50K even for a full-target quad) stay 20x below it.
+constexpr std::uint64_t kBandSplitMinWork = std::uint64_t{1} << 20;
+// Band items per worker: enough slack for the atomic claim loop to even
+// out rows of unequal cost.
+constexpr int kBandItemsPerWorker = 2;
+
+// Clamped pixel bounds of an assembled primitive; false when it can produce
+// no fragments.
+bool PrimBounds(const TilePrim& p, const std::vector<RasterVertex>& verts,
+                const RasterState& rs, PixelRect* r) {
+  switch (p.kind) {
+    case TilePrim::Kind::kTriangle:
+      return TriangleBounds(verts[p.v0], verts[p.v1], verts[p.v2], rs, r);
+    case TilePrim::Kind::kPoint:
+      return PointBounds(verts[p.v0], rs, r);
+    case TilePrim::Kind::kLine:
+      return LineBounds(verts[p.v0], verts[p.v1], rs, r);
+  }
+  return false;
+}
 }  // namespace
 
 ShadeStateCache::WorkerState::~WorkerState() {
@@ -216,6 +247,11 @@ void Context::SetShaderThreads(int n) {
 const ShadeStateCache& Context::shade_state_cache() {
   Sync();
   return shade_cache_;
+}
+
+std::uint64_t Context::band_split_draws() {
+  Sync();
+  return band_split_draws_;
 }
 
 const std::string& Context::last_draw_error() {
@@ -2435,30 +2471,30 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
       break;
   }
 
+  // Summed primitive bounding-box areas: the fragment count the row-band
+  // gate (PlanRowBands) estimates a draw's work from.
+  std::uint64_t bounds_area = 0;
   try {
     binner_.BeginDraw(rt.width, rt.height);
     for (std::size_t pi = 0; pi < prims.size(); ++pi) {
       const TilePrim& p = prims[pi];
       PixelRect r;
-      bool live = false;
-      switch (p.kind) {
-        case TilePrim::Kind::kTriangle:
-          live = TriangleBounds(verts[p.v0], verts[p.v1], verts[p.v2], rs, &r);
-          break;
-        case TilePrim::Kind::kPoint:
-          live = PointBounds(verts[p.v0], rs, &r);
-          break;
-        case TilePrim::Kind::kLine:
-          // Lines bin tile-exactly by walking once (their bbox would cover
-          // quadratically many untouched tiles for diagonals).
-          LineTouchedTiles(verts[p.v0], verts[p.v1], rs, kTileSize,
-                           [&](int tx, int ty) {
-                             binner_.BinTile(static_cast<std::uint32_t>(pi),
-                                             tx, ty);
-                           });
-          break;
+      const bool live = PrimBounds(p, verts, rs, &r);
+      if (live) {
+        bounds_area += static_cast<std::uint64_t>(r.x1 - r.x0) *
+                       static_cast<std::uint64_t>(r.y1 - r.y0);
       }
-      if (live) binner_.Bin(static_cast<std::uint32_t>(pi), r);
+      if (p.kind == TilePrim::Kind::kLine) {
+        // Lines bin tile-exactly by walking once (their bbox would cover
+        // quadratically many untouched tiles for diagonals).
+        LineTouchedTiles(verts[p.v0], verts[p.v1], rs, kTileSize,
+                         [&](int tx, int ty) {
+                           binner_.BinTile(static_cast<std::uint32_t>(pi),
+                                           tx, ty);
+                         });
+      } else if (live) {
+        binner_.Bin(static_cast<std::uint32_t>(pi), r);
+      }
     }
     binner_.NonEmptyTiles(&scratch_work_);
   } catch (const std::bad_alloc&) {
@@ -2475,12 +2511,13 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   if (work.empty()) return;
 
   // Phase 2 shading: each worker owns a private engine, ALU-counter shard
-  // and TMU-cache model; tiles partition the framebuffer, so pixel writes
-  // are lock-free and results are byte-identical for any worker count
-  // (counter shards merge by summation at join). All per-draw plumbing —
-  // sinks/flushes, slot pointers, texture callbacks, batch scratch — is
-  // cached in ShadeStateCache worker slots and merely *refreshed* here, so
-  // a steady-state draw allocates nothing.
+  // and TMU-cache model and claims work items — whole tiles, or row bands
+  // of them (below) — that partition the framebuffer, so pixel writes are
+  // lock-free and results are byte-identical for any worker count (counter
+  // shards merge by summation at join). All per-draw plumbing — sinks/
+  // flushes, slot pointers, texture callbacks, batch scratch — is cached in
+  // ShadeStateCache worker slots and merely *refreshed* here, so a
+  // steady-state draw allocates nothing.
 
   // <= 0 selects one worker per hardware thread; a hard cap keeps a bogus
   // huge knob value from spawning thousands of OS threads (or throwing
@@ -2489,11 +2526,25 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   int threads = config_.shader_threads;
   if (threads <= 0) threads = common::DefaultThreadCount();
   threads = std::min(threads, kMaxShaderThreads);
-  const int workers = std::min(threads, static_cast<int>(work.size()));
 
+  // Row bands: a heavy draw with fewer non-empty tiles than workers (the
+  // GPGPU case: one kernel dispatch into a single 64x64 tile) would leave
+  // the pool parked, so its tiles are cut into full-width row bands.
+  // Full-width rows only: the rasterizer evaluates edge functions exactly
+  // at each row anchor and steps them from the bounding box's left edge,
+  // so a row clip keeps coverage and varyings bit-identical where a column
+  // clip would not.
+  bool band_split = false;
   ShadeStateCache::Entry* entry = nullptr;
   int slot_count = 1;
   try {
+    band_split = use_vm && threads > 1 &&
+                 static_cast<int>(work.size()) < threads &&
+                 PlanRowBands(*prog, threads, work, bounds_area, prims, verts,
+                              rs);
+    const int workers = std::min(
+        threads, static_cast<int>(band_split ? band_items_.size()
+                                             : work.size()));
     if (workers > 1 && use_vm) {
       // Parallel shading needs per-worker engine clones (bytecode VM only)
       // and per-worker counter shards (forkable AluModel only). Entries grow
@@ -2552,8 +2603,8 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
       }
     }
     if (entry == nullptr) {
-      // Serial path (single tile, threads == 1, the tree oracle, or a
-      // non-forkable ALU model): one cached slot that borrows the program's
+      // Serial path (a single light tile, threads == 1, the tree oracle, or
+      // a non-forkable ALU model): one cached slot that borrows the program's
       // own engine, the context's ALU model (counts land there directly, no
       // merge) and the context-owned serial TMU cache.
       slot_count = 1;
@@ -2593,6 +2644,9 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     SetError(GL_OUT_OF_MEMORY);
     return;
   }
+  // Bands need worker slots; a non-forkable ALU model shades serially.
+  band_split = band_split && slot_count > 1;
+  if (band_split) ++band_split_draws_;
 
   // Per-draw refresh of the state the cached closures reach through stable
   // addresses: the resolved render target, the failure latch, the watchdog
@@ -2621,21 +2675,35 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     w.budget_reported = w.alu->counts().alu;
     w.batch.count = 0;
     w.batch.width = config_.fragment_batch_width;
+    w.band_log = nullptr;
+    w.lanes_tagged = 0;
   }
 
   const int vc = prog->varying_cells;
-  auto shade_tile = [&](std::uint32_t tile_index, int slot_index) {
+  // Shades one work item: tile `tile_index`, restricted to rows [y0, y1)
+  // and logging texture-cache lines into `log` when it is a row band.
+  auto shade_tile = [&](std::uint32_t tile_index, int y0, int y1,
+                        BandTmuLog* log, int slot_index) {
     ShadeStateCache::WorkerState& w =
         *entry->workers[static_cast<std::size_t>(slot_index)];
     const TileBinner::Tile& tile = binner_.tile(tile_index);
-    w.tmu->Reset();
+    if (log == nullptr) w.tmu->Reset();
+    w.band_log = log;
     RasterState tile_rs = rs;
     tile_rs.clip_x0 = tile.rect.x0;
-    tile_rs.clip_y0 = tile.rect.y0;
+    tile_rs.clip_y0 = y0;
     tile_rs.clip_x1 = tile.rect.x1;
-    tile_rs.clip_y1 = tile.rect.y1;
+    tile_rs.clip_y1 = y1;
     for (const std::uint32_t pi : tile.prims) {
       const TilePrim& p = prims[pi];
+      if (log != nullptr) {
+        // Lanes appended so far belong to the previous primitive.
+        for (int l = w.lanes_tagged; l < w.batch.count; ++l) {
+          w.lane_prim[static_cast<std::size_t>(l)] = w.band_prim;
+        }
+        w.lanes_tagged = w.batch.count;
+        w.band_prim = pi;
+      }
       if (use_batch) {
         switch (p.kind) {
           case TilePrim::Kind::kTriangle:
@@ -2665,10 +2733,20 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
         }
       }
     }
-    // Shade the batch tail before leaving the tile: the next tile resets
+    // Shade the batch tail before leaving the item: the next tile resets
     // the TMU-cache model, and deferred TMU replay must land in this
-    // tile's cache session.
+    // tile's cache session (or this band's log).
     if (use_batch) w.flush();
+  };
+  const auto shade_item = [&](int item, int slot_index) {
+    const std::size_t i = static_cast<std::size_t>(item);
+    if (band_split) {
+      const BandItem& b = band_items_[i];
+      shade_tile(b.tile, b.y0, b.y1, &band_logs_[i], slot_index);
+    } else {
+      const TileBinner::Tile& tile = binner_.tile(work[i]);
+      shade_tile(work[i], tile.rect.y0, tile.rect.y1, nullptr, slot_index);
+    }
   };
 
   // A failure outside any worker's shader (allocation mid-shading, a pool
@@ -2678,7 +2756,9 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   DrawErrorKind infra_error_kind = DrawErrorKind::kNone;
   if (slot_count == 1) {
     try {
-      for (const std::uint32_t t : work) shade_tile(t, 0);
+      for (int i = 0; i < static_cast<int>(work.size()); ++i) {
+        shade_item(i, 0);
+      }
     } catch (const std::exception& e) {
       // Shader traps are caught inside the sink/flush closures; anything
       // reaching here is a resource failure of the pipeline itself.
@@ -2695,8 +2775,9 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     if (pool_ == nullptr || pool_->size() != threads) {
       pool_ = std::make_unique<common::ThreadPool>(threads);
     }
-    const int tile_count = static_cast<int>(work.size());
-    std::atomic<int> next_tile{0};
+    const int item_count = static_cast<int>(
+        band_split ? band_items_.size() : work.size());
+    std::atomic<int> next_item{0};
     try {
       pool_->RunOn(slot_count, [&](int slot_index) {
         // An exception escaping a pool worker's body is captured by the
@@ -2705,10 +2786,10 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
         ShadeStateCache::WorkerState& w =
             *entry->workers[static_cast<std::size_t>(slot_index)];
         try {
-          for (int item = next_tile.fetch_add(1, std::memory_order_relaxed);
-               item < tile_count;
-               item = next_tile.fetch_add(1, std::memory_order_relaxed)) {
-            shade_tile(work[static_cast<std::size_t>(item)], slot_index);
+          for (int item = next_item.fetch_add(1, std::memory_order_relaxed);
+               item < item_count;
+               item = next_item.fetch_add(1, std::memory_order_relaxed)) {
+            shade_item(item, slot_index);
           }
         } catch (const glsl::ShaderRuntimeError& e) {
           w.error = e.what();
@@ -2740,14 +2821,21 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
         alu_->AddCounts(
             entry->workers[static_cast<std::size_t>(i)]->alu->counts());
       }
+      // Band items logged their texture-cache lines instead of touching a
+      // cache model; the per-tile replay yields the serial path's misses.
+      if (band_split) {
+        glsl::OpCounts misses;
+        misses.tmu_miss = ReplayBandTmu();
+        alu_->AddCounts(misses);
+      }
     }
   }
 
   if (draw_failed_.load(std::memory_order_relaxed)) {
     // Deterministic draw abort: reverse-replay every worker's undo journal
-    // (workers shade disjoint tiles, so cross-worker order is irrelevant;
-    // within a worker, reverse order unwinds repeated writes to one pixel
-    // correctly) and restore the counter snapshot. The post-abort
+    // (workers shade disjoint tiles or bands, so cross-worker order is
+    // irrelevant; within a worker, reverse order unwinds repeated writes to
+    // one pixel correctly) and restore the counter snapshot. The post-abort
     // framebuffer, depth plane and counters equal the pre-draw state byte
     // for byte on every engine, batch width and worker count.
     for (int i = 0; i < slot_count; ++i) {
@@ -2794,6 +2882,117 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   }
 }
 
+bool Context::PlanRowBands(const ProgramObject& prog, int threads,
+                           const std::vector<std::uint32_t>& work,
+                           std::uint64_t bounds_area,
+                           const std::vector<TilePrim>& prims,
+                           const std::vector<RasterVertex>& verts,
+                           const RasterState& rs) {
+  // Estimated fragment work: every primitive may cover its whole bounding
+  // box, each fragment at the static cost bound. Tested as
+  // cost * area > kBandSplitMinWork, without the overflow:
+  const std::uint64_t cost = prog.fs_bytecode->static_cost;
+  if (bounds_area == 0 || cost <= kBandSplitMinWork / bounds_area) {
+    return false;
+  }
+  // Band logs store 29-bit cache lines: at most 2^32 texels per texture.
+  for (const TextureUnit& u : units_) {
+    const Texture* tex = LookupTexture(u.bound_2d);
+    if (tex != nullptr && static_cast<std::uint64_t>(tex->width()) *
+                                  static_cast<std::uint64_t>(tex->height()) >
+                              (std::uint64_t{1} << 32)) {
+      return false;
+    }
+  }
+  // The join replays bands in each primitive's row order, so every
+  // primitive must emit its rows monotonically.
+  band_row_order_.resize(prims.size());
+  for (const std::uint32_t t : work) {
+    for (const std::uint32_t pi : binner_.tile(t).prims) {
+      const TilePrim& p = prims[pi];
+      int order = 1;
+      if (p.kind == TilePrim::Kind::kTriangle) {
+        order = TriangleRowOrder(verts[p.v0], verts[p.v1], verts[p.v2]);
+      } else if (p.kind == TilePrim::Kind::kLine) {
+        order = LineRowOrder(verts[p.v0], verts[p.v1], rs);
+      }
+      if (order == 0) return false;
+      band_row_order_[pi] = static_cast<std::int8_t>(order);
+    }
+  }
+  // Cut each tile's covered rows into equal bands. The outer bands reach
+  // the tile edges, so the bands partition the tile whatever the bounds.
+  const int tiles = static_cast<int>(work.size());
+  const int per_tile = (kBandItemsPerWorker * threads + tiles - 1) / tiles;
+  band_items_.clear();
+  for (const std::uint32_t t : work) {
+    const TileBinner::Tile& tile = binner_.tile(t);
+    int y0 = tile.rect.y1;
+    int y1 = tile.rect.y0;
+    for (const std::uint32_t pi : tile.prims) {
+      PixelRect r;
+      if (!PrimBounds(prims[pi], verts, rs, &r)) continue;
+      y0 = std::min(y0, std::max(r.y0, tile.rect.y0));
+      y1 = std::max(y1, std::min(r.y1, tile.rect.y1));
+    }
+    if (y0 >= y1) {
+      y0 = tile.rect.y0;
+      y1 = tile.rect.y1;
+    }
+    const int rows = y1 - y0;
+    const int bands = std::min(per_tile, rows);
+    for (int k = 0; k < bands; ++k) {
+      band_items_.push_back(
+          {t, k == 0 ? tile.rect.y0 : y0 + rows * k / bands,
+           k == bands - 1 ? tile.rect.y1 : y0 + rows * (k + 1) / bands});
+    }
+  }
+  if (band_items_.size() < 2) return false;
+  if (band_logs_.size() < band_items_.size()) {
+    band_logs_.resize(band_items_.size());
+  }
+  for (std::size_t i = 0; i < band_items_.size(); ++i) band_logs_[i].Clear();
+  return true;
+}
+
+std::uint64_t Context::ReplayBandTmu() {
+  // Entries carry the texture unit; the bindings are those of the draw.
+  std::array<std::uint64_t, std::tuple_size_v<decltype(units_)>> tags{};
+  for (std::size_t u = 0; u < units_.size(); ++u) {
+    tags[u] = static_cast<std::uint64_t>(units_[u].bound_2d) << 40;
+  }
+  constexpr std::uint32_t kLineMask =
+      (std::uint32_t{1} << BandTmuLog::kLineBits) - 1;
+  TmuCacheModel cache;
+  std::uint64_t misses = 0;
+  // A tile's bands are consecutive items, lowest rows first.
+  const std::size_t n = band_items_.size();
+  for (std::size_t first = 0, last = 0; first < n; first = last) {
+    const std::uint32_t t = band_items_[first].tile;
+    while (last < n && band_items_[last].tile == t) ++last;
+    cache.Reset();
+    for (const std::uint32_t pi : binner_.tile(t).prims) {
+      const bool ascending = band_row_order_[pi] > 0;
+      for (std::size_t k = 0; k < last - first; ++k) {
+        BandTmuLog& log = band_logs_[ascending ? first + k : last - 1 - k];
+        if (log.replayed == log.segments.size() ||
+            log.segments[log.replayed].prim != pi) {
+          continue;  // no texture fetch of this primitive in this band
+        }
+        const BandTmuLog::Segment& seg = log.segments[log.replayed++];
+        for (std::uint32_t e = seg.begin; e < seg.end; ++e) {
+          const std::uint32_t v = log.entries[e];
+          if (cache.Access(tags[v >> BandTmuLog::kLineBits] |
+                           (v & kLineMask))) {
+            ++misses;
+          }
+        }
+      }
+    }
+  }
+  return misses;
+}
+
 void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                                   ProgramObject* prog) {
   const bool use_batch = (config_.exec_engine == ExecEngine::kBatchedVm ||
@@ -2808,7 +3007,7 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
     // Resolving the engine's per-fragment input/output slots through the
     // virtual GlobalAt per fragment is measurable on tiny kernels; global
     // storage is stable for the life of the entry, so resolve them once.
-    w.engine->SetTextureFn(MakeTextureFn(w.tmu, w.alu));
+    w.engine->SetTextureFn(MakeTextureFn(&w));
     glsl::ShaderEngine& eng = *w.engine;
     Value* const fc_v = prog->fs_frag_coord_slot >= 0
                             ? &eng.GlobalAt(prog->fs_frag_coord_slot)
@@ -2917,6 +3116,13 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
     FragmentBatch& b = wp->batch;
     const int n = b.count;
     b.count = 0;
+    if (wp->band_log != nullptr) {
+      // Lanes since the last primitive switch belong to the current one.
+      for (int l = wp->lanes_tagged; l < n; ++l) {
+        wp->lane_prim[static_cast<std::size_t>(l)] = wp->band_prim;
+      }
+      wp->lanes_tagged = 0;
+    }
     if (n == 0) return;
     const auto drop_tmu_log = [wp, n] {
       for (int l = 0; l < n; ++l) {
@@ -2954,12 +3160,21 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
       const std::uint32_t kept = wp->vm->RunBatch(n);
       if (draw_budget_ != 0) CheckDrawBudget(wp);
       // Deferred TMU accounting: lane order == the order the scalar engine
-      // would have run these fragments, so modeled miss counts match.
+      // would have run these fragments, so modeled miss counts match. A
+      // band item files the lines under each lane's primitive instead, for
+      // the per-tile replay at join.
       for (int l = 0; l < n; ++l) {
-        std::vector<std::uint64_t>& log =
-            wp->tmu_log[static_cast<std::size_t>(l)];
-        for (const std::uint64_t line : log) {
-          if (wp->tmu->Access(line)) wp->alu->CountTmuMiss(1);
+        const std::size_t li = static_cast<std::size_t>(l);
+        std::vector<std::uint64_t>& log = wp->tmu_log[li];
+        if (wp->band_log != nullptr) {
+          for (const std::uint64_t entry : log) {
+            wp->band_log->Append(wp->lane_prim[li],
+                                 static_cast<std::uint32_t>(entry));
+          }
+        } else {
+          for (const std::uint64_t line : log) {
+            if (wp->tmu->Access(line)) wp->alu->CountTmuMiss(1);
+          }
         }
         log.clear();
       }
@@ -2985,10 +3200,9 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   };
 }
 
-glsl::TextureFn Context::MakeTextureFn(TmuCacheModel* cache,
-                                       glsl::AluModel* alu) {
-  return [this, cache, alu](int unit, float s, float t,
-                            float lod) -> std::array<float, 4> {
+glsl::TextureFn Context::MakeTextureFn(ShadeStateCache::WorkerState* w) {
+  return [this, w](int unit, float s, float t,
+                   float lod) -> std::array<float, 4> {
     if (unit < 0 || unit >= static_cast<int>(units_.size())) {
       return {0.0f, 0.0f, 0.0f, 1.0f};
     }
@@ -2997,10 +3211,12 @@ glsl::TextureFn Context::MakeTextureFn(TmuCacheModel* cache,
     if (tex == nullptr) return {0.0f, 0.0f, 0.0f, 1.0f};
     // Texture-cache model: 32-byte lines = 8 RGBA8 texels.
     const long long texel = tex->NearestTexelIndex(s, t);
-    if (texel >= 0) {
+    if (texel >= 0 && w->band_log != nullptr) {
+      w->band_log->Append(w->band_prim, BandTmuLog::Entry(unit, texel));
+    } else if (texel >= 0) {
       const std::uint64_t line = (static_cast<std::uint64_t>(tex_id) << 40) |
                                  static_cast<std::uint64_t>(texel >> 3);
-      if (cache->Access(line)) alu->CountTmuMiss(1);
+      if (w->tmu->Access(line)) w->alu->CountTmuMiss(1);
     }
     return tex->Sample(s, t, lod);
   };
@@ -3025,8 +3241,11 @@ glsl::TextureFn Context::MakeBatchTextureFn(
     if (tex == nullptr) return {0.0f, 0.0f, 0.0f, 1.0f};
     const long long texel = tex->NearestTexelIndex(s, t);
     if (texel >= 0) {
-      const std::uint64_t line = (static_cast<std::uint64_t>(tex_id) << 40) |
-                                 static_cast<std::uint64_t>(texel >> 3);
+      const std::uint64_t line =
+          w->band_log != nullptr
+              ? BandTmuLog::Entry(unit, texel)
+              : (static_cast<std::uint64_t>(tex_id) << 40) |
+                    static_cast<std::uint64_t>(texel >> 3);
       w->tmu_log[static_cast<std::size_t>(*lane)].push_back(line);
     }
     return tex->Sample(s, t, lod);

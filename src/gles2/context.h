@@ -82,11 +82,16 @@ struct ContextConfig {
   int shade_cache_capacity = 64;
   // Fragment-shading worker count for the tiled pipeline: <= 0 = one
   // worker per hardware thread (default), 1 = serial reference path
-  // (shades on the calling thread with the program's own engine), N > 1 =
-  // exactly N workers (capped at 256). Because 64x64 tiles partition the framebuffer and each worker
-  // owns a private engine / ALU-counter shard / TMU-cache model, every
-  // successful draw produces identical framebuffer bytes and ALU/SFU/TMU
-  // op counts for every value. (A draw that raises a shader runtime error
+  // (shades on the calling thread with the program's own engine, never
+  // splits), N > 1 = exactly N workers (capped at 256). Workers claim work
+  // items that partition the framebuffer: 64x64 tiles, or — when a draw
+  // has fewer non-empty tiles than workers and its estimated fragment work
+  // is large — row bands of those tiles. Each worker owns a private engine
+  // and ALU-counter shard (merged by summation); band items log their
+  // texture-cache lines and the join replays them per tile in the serial
+  // path's emission order. So every successful draw produces identical
+  // framebuffer bytes and ALU/SFU/TMU op counts, misses included, for
+  // every value. (A draw that raises a shader runtime error
   // is aborted *transactionally*: framebuffer, depth and counters are
   // restored to the pre-draw state byte for byte — identical for every
   // engine and worker count — and the GL error / last_draw_error / reset
@@ -161,8 +166,8 @@ enum class DrawErrorKind { kNone, kTrap, kBudget, kResource };
 // Per-worker undo log making draws transactional: every framebuffer byte
 // and depth float a worker overwrites is recorded before mutation, and an
 // aborted draw replays the entries in reverse to restore the exact
-// pre-draw image. Workers own disjoint tiles, so replay order across
-// workers is irrelevant; within a worker, reverse order makes repeated
+// pre-draw image. Workers own disjoint tiles or row bands, so replay order
+// across workers is irrelevant; within a worker, reverse order makes repeated
 // writes to one pixel unwind correctly. Vectors keep their capacity across
 // draws (cleared, not freed), so the trap-free hot path pays one bounds
 // check and a push_back per written pixel.
@@ -187,7 +192,9 @@ struct UndoJournal {
 // texels), round-robin replacement. Reset per *tile*, the way a VC4 QPU's
 // TMU cache session is effectively private to the tile it shades; with
 // per-tile resets the total miss count is a sum of independent per-tile
-// counts, identical for any tile execution order and worker count. Misses
+// counts, identical for any tile execution order and worker count. (A tile
+// split into row bands is replayed as one session from the bands' logs,
+// so the split is invisible here too.) Misses
 // feed the ALU counters and are priced by the timing model (sequential
 // GPGPU streams mostly hit, strided matrix walks miss — the paper's
 // sum/sgemm asymmetry).
@@ -217,6 +224,43 @@ struct TmuCacheModel {
     lines[set * kWays + victim] = line;
     rr[set] = static_cast<std::uint8_t>((victim + 1) % kWays);
     return true;
+  }
+};
+
+// Texture-cache accesses of one row-band work item (see
+// Context::DrawGeneric), kept for the canonical per-tile replay at join.
+// Entries are compact — texture unit in the top 3 bits, cache line
+// (texel index >> 3) in the low 29 — in emission order, segmented by
+// primitive: segments[i] covers entries [segments[i].begin,
+// segments[i].end) of primitive segments[i].prim. Vectors keep their
+// capacity across draws.
+struct BandTmuLog {
+  static constexpr int kLineBits = 29;
+  struct Segment {
+    std::uint32_t prim;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+  std::vector<std::uint32_t> entries;
+  std::vector<Segment> segments;
+  std::size_t replayed = 0;  // segments consumed by the join's replay
+
+  void Clear() {
+    entries.clear();
+    segments.clear();
+    replayed = 0;
+  }
+  void Append(std::uint32_t prim, std::uint32_t entry) {
+    const auto at = static_cast<std::uint32_t>(entries.size());
+    if (segments.empty() || segments.back().prim != prim) {
+      segments.push_back({prim, at, at});
+    }
+    entries.push_back(entry);
+    segments.back().end = at + 1;
+  }
+  [[nodiscard]] static std::uint32_t Entry(int unit, long long texel) {
+    return (static_cast<std::uint32_t>(unit) << kLineBits) |
+           static_cast<std::uint32_t>(texel >> 3);
   }
 };
 
@@ -269,6 +313,16 @@ class ShadeStateCache {
     // modeled miss count reproduces the scalar engine's fragment-
     // sequential access order exactly.
     std::array<std::vector<std::uint64_t>, kFragBatchWidth> tmu_log;
+    // Row-band items: the TMU log of the band being shaded (nullptr while
+    // shading whole tiles, where lines go straight into `tmu`), the
+    // primitive being rasterized, and — batched engine — the primitive of
+    // each pending batch lane below `lanes_tagged`, so the flush files
+    // every lane's lines under its own primitive. While band_log is set,
+    // tmu_log holds BandTmuLog::Entry values instead of full lines.
+    BandTmuLog* band_log = nullptr;
+    std::uint32_t band_prim = 0;
+    int lanes_tagged = 0;
+    std::array<std::uint32_t, kFragBatchWidth> lane_prim{};
     std::string error;  // first shader runtime error this draw, if any
     // Classification of `error` for the robustness API.
     DrawErrorKind error_kind = DrawErrorKind::kNone;
@@ -520,6 +574,9 @@ class Context {
   // Cache of per-worker shading state, exposed for the cache-behaviour and
   // invalidation tests.
   [[nodiscard]] const ShadeStateCache& shade_state_cache();
+  // Draws whose tiles were split into row-band work items (see
+  // ContextConfig::shader_threads), counted since construction.
+  [[nodiscard]] std::uint64_t band_split_draws();
   // Last shader runtime failure during a draw ("" when none): loop budget
   // exceeded etc.; a real GPU would hang or reset. The failed draw itself
   // was aborted transactionally — the framebuffer, depth buffer and op
@@ -649,11 +706,12 @@ class Context {
   // the draw's total exceeds draw_budget_. Deterministic trip-vs-not: the
   // total is monotone toward an engine- and thread-invariant final sum.
   void CheckDrawBudget(ShadeStateCache::WorkerState* w);
-  // Texture-fetch callback routing misses through the given cache model and
-  // counter shard; one per shading worker (thread-safe: texture contents
-  // are immutable during a draw, each worker owns its cache and counters).
-  [[nodiscard]] glsl::TextureFn MakeTextureFn(TmuCacheModel* cache,
-                                              glsl::AluModel* alu);
+  // Texture-fetch callback routing misses through the worker's cache model
+  // and counter shard — or, on a row-band item, into its band log; one per
+  // shading worker (thread-safe: texture contents are immutable during a
+  // draw, each worker owns its cache, counters and current band log).
+  [[nodiscard]] glsl::TextureFn MakeTextureFn(
+      ShadeStateCache::WorkerState* w);
   // Lane-aware variant for the batched engine: sampling happens
   // immediately (contents are immutable during a draw), but the touched
   // cache line is logged to the executing lane's entry of w->tmu_log; the
@@ -666,6 +724,22 @@ class Context {
   // the program's gl_* slot and varying destinations resolved once.
   void BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                            ProgramObject* prog);
+  // Row-band gate and planner for a draw whose non-empty tiles (`work`)
+  // number fewer than `threads`: true when the fragment program's static
+  // cost bound times `bounds_area` (the primitives' summed bounding-box
+  // area) exceeds kBandSplitMinWork and every primitive emits rows
+  // monotonically; band_items_ then holds about kBandItemsPerWorker *
+  // threads row bands and band_row_order_ each primitive's row order.
+  bool PlanRowBands(const ProgramObject& prog, int threads,
+                    const std::vector<std::uint32_t>& work,
+                    std::uint64_t bounds_area,
+                    const std::vector<TilePrim>& prims,
+                    const std::vector<RasterVertex>& verts,
+                    const RasterState& rs);
+  // Replays the band items' TMU logs per tile in the serial path's
+  // emission order — primitive by primitive, bands in the primitive's row
+  // order — through one fresh cache model per tile; returns the misses.
+  [[nodiscard]] std::uint64_t ReplayBandTmu();
 
   ContextConfig config_;
   // The async recording queue (ContextConfig::async_submit resolved once at
@@ -728,6 +802,18 @@ class Context {
   std::vector<RasterVertex> scratch_verts_;
   std::vector<TilePrim> scratch_prims_;
   std::vector<std::uint32_t> scratch_work_;
+  // Row-band scratch, recycled the same way: each primitive's row order
+  // (see TriangleRowOrder), the band work items of the draw in flight, and
+  // one TMU log per item.
+  struct BandItem {
+    std::uint32_t tile;
+    int y0;
+    int y1;
+  };
+  std::vector<std::int8_t> band_row_order_;
+  std::vector<BandItem> band_items_;
+  std::vector<BandTmuLog> band_logs_;
+  std::uint64_t band_split_draws_ = 0;
 
   GLuint current_program_ = 0;
   GLuint array_buffer_ = 0;

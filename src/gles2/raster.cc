@@ -469,6 +469,35 @@ bool PointBounds(const RasterVertex& v, const RasterState& state,
                     out);
 }
 
+bool LineBounds(const RasterVertex& v0, const RasterVertex& v1,
+                const RasterState& state, PixelRect* out) {
+  if (v0.clip[3] < kNearEps || v1.clip[3] < kNearEps) return false;
+  const DeviceVertex a = ToDevice(v0, 0, state);
+  const DeviceVertex b = ToDevice(v1, 0, state);
+  // WalkLine floors positions between the endpoints: the pixel holding the
+  // far endpoint is the last one, hence the +1.
+  return FinishRect(std::min(a.x, b.x), std::min(a.y, b.y),
+                    std::max(a.x, b.x) + 1.0, std::max(a.y, b.y) + 1.0,
+                    state, out);
+}
+
+int TriangleRowOrder(const RasterVertex& v0, const RasterVertex& v1,
+                     const RasterVertex& v2) {
+  // Unclipped triangles are one EmitTriangle row walk (RasterizeTriangleT).
+  return v0.clip[3] >= kNearEps && v1.clip[3] >= kNearEps &&
+                 v2.clip[3] >= kNearEps
+             ? 1
+             : 0;
+}
+
+int LineRowOrder(const RasterVertex& v0, const RasterVertex& v1,
+                 const RasterState& state) {
+  // A near-clipped line emits nothing, so any order is exact.
+  if (v0.clip[3] < kNearEps || v1.clip[3] < kNearEps) return 1;
+  // Same test as RasterizeLineT's y_inc.
+  return ToDevice(v1, 0, state).y >= ToDevice(v0, 0, state).y ? 1 : -1;
+}
+
 void LineTouchedTiles(const RasterVertex& v0, const RasterVertex& v1,
                       const RasterState& state, int tile_size,
                       const std::function<void(int, int)>& tile_fn) {

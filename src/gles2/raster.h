@@ -140,6 +140,25 @@ void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
 [[nodiscard]] bool PointBounds(const RasterVertex& v, const RasterState& state,
                                PixelRect* out);
 
+// Pixel bounds of a line, clamped like the two above: every fragment
+// RasterizeLine emits lies inside. Not used for binning (see
+// LineTouchedTiles); the draw loop sizes row bands and estimates fragment
+// work from it.
+[[nodiscard]] bool LineBounds(const RasterVertex& v0, const RasterVertex& v1,
+                              const RasterState& state, PixelRect* out);
+
+// Row order in which a primitive emits its fragments inside any clip rect,
+// for consumers that split a tile into row bands and reassemble emission
+// order band by band: +1 = rows ascending (triangles, points, lines whose
+// walk heads up), -1 = rows descending (lines heading down), 0 = not
+// monotone in rows (a near-clipped triangle is fanned into sub-triangles,
+// each of which restarts the row walk).
+[[nodiscard]] int TriangleRowOrder(const RasterVertex& v0,
+                                   const RasterVertex& v1,
+                                   const RasterVertex& v2);
+[[nodiscard]] int LineRowOrder(const RasterVertex& v0, const RasterVertex& v1,
+                               const RasterState& state);
+
 // Reports each tile_size-aligned tile whose pixels the line touches, in
 // walk order without repeats (the walk is shared with RasterizeLine, so the
 // reported tiles are exactly the ones that will emit fragments). Lines are

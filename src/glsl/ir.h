@@ -165,6 +165,12 @@ struct VmProgram {
   // programs run under the per-lane-pc masked executor instead.
   bool uniform_control_flow = true;
 
+  // Static per-invocation cost bound in VM instructions (lower.cc,
+  // ComputeStaticCost): straight-line code counted once per call site, each
+  // constant-trip `for` loop multiplied by its trip count. A link-time
+  // work estimate for draw scheduling, saturating at 2^62.
+  std::uint64_t static_cost = 0;
+
   // True when any instruction can raise a runtime trap: a loop guard (the
   // runaway-loop budget, also the injection point for the kVmInstruction
   // fault site) or a lowered kTrap (call to a declared-but-undefined

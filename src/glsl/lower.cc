@@ -97,6 +97,94 @@ std::vector<bool> LaterEffects(const std::vector<ExprPtr>& args) {
   return later;
 }
 
+// A `for` loop whose header alone fixes its trip count: the pc range
+// [head, end) of its lowered code (head is the loop guard, end the first pc
+// after the backward jump) and the number of iterations. Feeds the static
+// cost bound (ComputeStaticCost below).
+struct ConstTripLoop {
+  std::uint32_t head = 0;
+  std::uint32_t end = 0;
+  std::int64_t trips = 0;
+};
+
+// Reads an integer literal, optionally negated (`-1` parses as a unary
+// minus on a literal). Preprocessor macros are already expanded here, so
+// `#define N 32` bounds read as literals too.
+bool IntLiteral(const Expr& e, std::int64_t* out) {
+  if (e.kind == ExprKind::kIntLit) {
+    *out = static_cast<const IntLitExpr&>(e).value;
+    return true;
+  }
+  if (e.kind == ExprKind::kUnary) {
+    const auto& u = static_cast<const UnaryExpr&>(e);
+    if ((u.op == UnOp::kNeg || u.op == UnOp::kPlus) &&
+        IntLiteral(*u.operand, out)) {
+      if (u.op == UnOp::kNeg) *out = -*out;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool RefersTo(const Expr& e, const VarDecl* var) {
+  return e.kind == ExprKind::kVarRef &&
+         static_cast<const VarRefExpr&>(e).decl == var;
+}
+
+// Trip count of a GLSL ES Appendix-A style loop
+// `for (int i = C0; i OP C1; i STEP)` with literal bounds and a literal
+// step (++/--/+=/-=), or -1 when the header does not have that shape or
+// does not bound the loop. The body is not inspected: a `break` only
+// shortens the loop, which keeps the count an upper bound.
+std::int64_t ConstTripCount(const ForStmt& fs) {
+  if (!fs.init || fs.init->kind != StmtKind::kDecl || !fs.cond || !fs.step) {
+    return -1;
+  }
+  const auto& ds = static_cast<const DeclStmt&>(*fs.init);
+  if (ds.decls.size() != 1) return -1;
+  const VarDecl* var = ds.decls[0].get();
+  std::int64_t start = 0;
+  if (!(var->type == MakeType(BaseType::kInt)) || !var->init ||
+      !IntLiteral(*var->init, &start)) {
+    return -1;
+  }
+  if (fs.cond->kind != ExprKind::kBinary) return -1;
+  const auto& cond = static_cast<const BinaryExpr&>(*fs.cond);
+  std::int64_t limit = 0;
+  if (!RefersTo(*cond.lhs, var) || !IntLiteral(*cond.rhs, &limit)) return -1;
+  std::int64_t step = 0;
+  if (fs.step->kind == ExprKind::kUnary) {
+    const auto& u = static_cast<const UnaryExpr&>(*fs.step);
+    if (!RefersTo(*u.operand, var)) return -1;
+    if (u.op == UnOp::kPreInc || u.op == UnOp::kPostInc) step = 1;
+    if (u.op == UnOp::kPreDec || u.op == UnOp::kPostDec) step = -1;
+  } else if (fs.step->kind == ExprKind::kAssign) {
+    const auto& a = static_cast<const AssignExpr&>(*fs.step);
+    std::int64_t by = 0;
+    if (!RefersTo(*a.lhs, var) || !IntLiteral(*a.rhs, &by)) return -1;
+    if (a.op == AssignOp::kAdd) step = by;
+    if (a.op == AssignOp::kSub) step = -by;
+  }
+  if (step == 0) return -1;
+  const std::int64_t dist = step > 0 ? limit - start : start - limit;
+  const std::int64_t mag = step > 0 ? step : -step;
+  switch (cond.op) {
+    case BinOp::kLt:
+    case BinOp::kGt:
+      // i < C1 counting up, or i > C1 counting down.
+      if ((cond.op == BinOp::kLt) != (step > 0)) return -1;
+      return dist <= 0 ? 0 : (dist + mag - 1) / mag;
+    case BinOp::kLe:
+    case BinOp::kGe:
+      if ((cond.op == BinOp::kLe) != (step > 0)) return -1;
+      return dist < 0 ? 0 : dist / mag + 1;
+    case BinOp::kNe:
+      return dist >= 0 && dist % mag == 0 ? dist / mag : -1;
+    default:
+      return -1;
+  }
+}
+
 class Lowerer {
  public:
   explicit Lowerer(const CompiledShader& cs)
@@ -162,6 +250,11 @@ class Lowerer {
       if (it != fn_index_.end()) LowerFunction(*fn, it->second);
     }
     return prog_;
+  }
+
+  // Constant-trip `for` loops lowered by Lower(), in emission order.
+  [[nodiscard]] const std::vector<ConstTripLoop>& const_loops() const {
+    return const_loops_;
   }
 
  private:
@@ -355,6 +448,9 @@ class Lowerer {
         jb.aux = head;
         Emit(jb);
         const std::uint32_t end = Pc();
+        if (const std::int64_t trips = ConstTripCount(fs); trips >= 0) {
+          const_loops_.push_back({head, end, trips});
+        }
         if (exit_jump != kOperandNone) Patch(exit_jump, end);
         for (const std::uint32_t fx : loops_.back().break_fixups) {
           Patch(fx, end);
@@ -1066,6 +1162,7 @@ class Lowerer {
       param_regs_;
   std::unordered_map<const VarDecl*, std::uint32_t> var_regs_;
   std::vector<LoopCtx> loops_;
+  std::vector<ConstTripLoop> const_loops_;
   const FunctionDecl* current_fn_ = nullptr;
   // Stack of user functions currently being lowered inline at a call site
   // (innermost last). Non-empty changes how `return`/`discard` lower.
@@ -1422,15 +1519,81 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
   }
 }
 
+// Static per-invocation cost bound of the run chunk, in VM instructions:
+// every instruction main reaches is counted once — both sides of every
+// branch, each called function's body once per call site — except that the
+// code of a constant-trip `for` loop counts once per iteration. Other loops
+// count one iteration. The draw loop multiplies it by the fragments a draw
+// can cover to decide, before shading, whether a draw is heavy enough to
+// split its tiles into row bands (see gles2::Context::DrawGeneric); it is
+// an estimate of work, never an input to what a shader computes.
+constexpr std::uint64_t kStaticCostCap = std::uint64_t{1} << 62;
+
+void ComputeStaticCost(VmProgram& prog,
+                       const std::vector<ConstTripLoop>& loops) {
+  const auto add = [](std::uint64_t a, std::uint64_t b) {
+    return std::min(a + b, kStaticCostCap);  // both are <= the cap
+  };
+  const auto mul = [](std::uint64_t a, std::uint64_t b) {
+    return b != 0 && a > kStaticCostCap / b ? kStaticCostCap : a * b;
+  };
+  std::unordered_map<std::uint32_t, const ConstTripLoop*> by_head;
+  for (const ConstTripLoop& l : loops) by_head[l.head] = &l;
+  // Function bodies are emitted back to back after the run chunk, so each
+  // ends where the next one (in pc order) begins.
+  std::vector<std::uint32_t> starts;
+  for (const VmFunction& f : prog.functions) starts.push_back(f.entry);
+  std::sort(starts.begin(), starts.end());
+  const auto end_after = [&](std::uint32_t pc) {
+    const auto it = std::upper_bound(starts.begin(), starts.end(), pc);
+    return it != starts.end() ? *it
+                              : static_cast<std::uint32_t>(prog.code.size());
+  };
+  std::vector<std::uint64_t> fn_cost(prog.functions.size(), 0);
+  std::vector<std::uint8_t> fn_state(prog.functions.size(), 0);  // 2 = done
+  const auto range_cost = [&](const auto& self, std::uint32_t begin,
+                              std::uint32_t end) -> std::uint64_t {
+    std::uint64_t cost = 0;
+    for (std::uint32_t pc = begin; pc < end; ++pc) {
+      const auto loop = by_head.find(pc);
+      if (loop != by_head.end() && loop->second->end <= end) {
+        // The guard plus the body, header and step, once per iteration.
+        const std::uint64_t iter = add(1, self(self, pc + 1, loop->second->end));
+        cost = add(cost, mul(iter, static_cast<std::uint64_t>(
+                                       loop->second->trips)));
+        pc = loop->second->end - 1;
+        continue;
+      }
+      cost = add(cost, 1);
+      const VmInst& in = prog.code[pc];
+      if (in.op != VmOp::kCall || in.aux >= prog.functions.size()) continue;
+      // Recursion cannot link; a cycle (state 1) simply adds nothing.
+      std::uint8_t& state = fn_state[in.aux];
+      if (state == 0) {
+        state = 1;
+        const std::uint32_t entry = prog.functions[in.aux].entry;
+        fn_cost[in.aux] = self(self, entry, end_after(entry));
+        state = 2;
+      }
+      if (state == 2) cost = add(cost, fn_cost[in.aux]);
+    }
+    return cost;
+  };
+  prog.static_cost = range_cost(range_cost, prog.run_entry,
+                                end_after(prog.run_entry));
+}
+
 }  // namespace
 
 std::shared_ptr<const VmProgram> LowerToBytecode(const CompiledShader& cs) {
-  std::shared_ptr<const VmProgram> prog = Lowerer(cs).Lower();
+  Lowerer lowerer(cs);
+  std::shared_ptr<const VmProgram> prog = lowerer.Lower();
   // Safe cast: Lower() is the sole owner at this point; the const view is
   // what escapes. Tagging runs first so the lane-analysis debug log can
   // report SoA kernel coverage.
   TagSoaEligibility(const_cast<VmProgram&>(*prog));
   AnalyzeLaneBatching(const_cast<VmProgram&>(*prog), cs);
+  ComputeStaticCost(const_cast<VmProgram&>(*prog), lowerer.const_loops());
   return prog;
 }
 

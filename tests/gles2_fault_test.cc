@@ -83,13 +83,46 @@ void main() {
 }
 )";
 
+// Heavy single-tile variants for the row-band path: a 64x64 target is one
+// tile, and the loops make the draws heavy enough that any worker count
+// above 1 splits the tile into row bands (the tests assert that it did).
+constexpr int kBandW = 64;
+constexpr int kBandH = 64;
+
+constexpr char kBandCleanFs[] = R"(
+precision mediump float;
+varying vec2 v_uv;
+void main() {
+  float acc = 0.0;
+  for (int i = 0; i < 24; ++i) {
+    acc += fract(v_uv.x * float(i + 1) + v_uv.y);
+  }
+  gl_FragColor = vec4(fract(acc), v_uv.x, v_uv.y, 1.0);
+}
+)";
+
+// kBandCleanFs plus kTrapFs's right-half trap.
+constexpr char kBandTrapFs[] = R"(
+precision mediump float;
+varying vec2 v_uv;
+float poison(float x);
+void main() {
+  float acc = 0.0;
+  for (int i = 0; i < 24; ++i) {
+    acc += fract(v_uv.x * float(i + 1) + v_uv.y);
+  }
+  if (v_uv.x > 0.5) { acc = poison(acc); }
+  gl_FragColor = vec4(fract(acc), v_uv.y, 0.25, 1.0);
+}
+)";
+
 struct Snapshot {
   std::vector<std::uint8_t> fb;
   glsl::OpCounts counts;
 };
 
-Snapshot Snap(Context& ctx) {
-  return {ReadRgba(ctx, kW, kH), ctx.alu().counts()};
+Snapshot Snap(Context& ctx, int w = kW, int h = kH) {
+  return {ReadRgba(ctx, w, h), ctx.alu().counts()};
 }
 
 void ExpectSnapshotEq(const Snapshot& a, const Snapshot& b,
@@ -102,10 +135,11 @@ void ExpectSnapshotEq(const Snapshot& a, const Snapshot& b,
   EXPECT_EQ(a.counts.tmu_miss, b.counts.tmu_miss) << what;
 }
 
-ContextConfig MakeConfig(ExecEngine engine, int threads, int batch_width) {
+ContextConfig MakeConfig(ExecEngine engine, int threads, int batch_width,
+                         int w = kW, int h = kH) {
   ContextConfig cfg;
-  cfg.width = kW;
-  cfg.height = kH;
+  cfg.width = w;
+  cfg.height = h;
   cfg.exec_engine = engine;
   cfg.shader_threads = threads;
   cfg.fragment_batch_width = batch_width;
@@ -238,29 +272,162 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
   }
 }
 
+// --- Failure parity under row bands ---------------------------------------
+// A split draw that fails — a trap inside one band, or the watchdog — must
+// abort exactly as the serial path does: framebuffer, depth plane,
+// counters, last_draw_error, GL error and reset status all equal the
+// serial reference on every engine and worker count.
+
+// Pass-through with a uniform depth, so the aborted draw would move the
+// depth plane if it were not restored.
+constexpr char kDepthVs[] = R"(
+attribute vec2 a_pos;
+varying vec2 v_uv;
+uniform float u_z;
+void main() {
+  v_uv = a_pos * 0.5 + 0.5;
+  gl_Position = vec4(a_pos, u_z, 1.0);
+}
+)";
+
+struct AbortOutcome {
+  std::vector<std::uint8_t> fb;  // right after the failed draw
+  glsl::OpCounts counts;
+  std::string error;
+  GLenum gl_error = GL_NO_ERROR;
+  GLenum reset = GL_NO_ERROR;
+  std::vector<std::uint8_t> depth_probe;  // reveals the depth plane
+  std::uint64_t splits = 0;
+};
+
+// Clean draw at depth 0.5, then `fs` at depth 0.25 (budget armed), then a
+// probe at depth 0.4 that passes GL_LESS only where the depth plane still
+// holds 0.5.
+AbortOutcome RunFailingBandDraw(ExecEngine engine, int threads,
+                                const char* fs, std::uint64_t budget) {
+  Context ctx(MakeConfig(engine, threads, 32, kBandW, kBandH));
+  const GLuint clean = BuildProgramOrDie(ctx, kDepthVs, kBandCleanFs);
+  const GLuint failing = BuildProgramOrDie(ctx, kDepthVs, fs);
+  const GLuint probe = BuildProgramOrDie(
+      ctx, kDepthVs,
+      "precision mediump float;\n"
+      "void main() { gl_FragColor = vec4(0.2, 0.9, 0.4, 1.0); }\n");
+  ctx.Enable(GL_DEPTH_TEST);
+  ctx.DepthFunc(GL_LESS);
+  ctx.Clear(GL_COLOR_BUFFER_BIT | GL_DEPTH_BUFFER_BIT);
+  DrawFullscreenQuad(ctx, clean);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+
+  ctx.UseProgram(failing);
+  ctx.Uniform1f(ctx.GetUniformLocation(failing, "u_z"), -0.5f);
+  ctx.SetDrawBudget(budget);
+  DrawFullscreenQuad(ctx, failing);
+  ctx.SetDrawBudget(0);
+  AbortOutcome out;
+  out.gl_error = ctx.GetError();
+  out.reset = ctx.GetGraphicsResetStatus();
+  out.error = ctx.last_draw_error();
+  out.fb = ReadRgba(ctx, kBandW, kBandH);
+  out.counts = ctx.alu().counts();
+  out.splits = ctx.band_split_draws();
+
+  ctx.UseProgram(probe);
+  ctx.Uniform1f(ctx.GetUniformLocation(probe, "u_z"), -0.2f);
+  DrawFullscreenQuad(ctx, probe);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  out.depth_probe = ReadRgba(ctx, kBandW, kBandH);
+  return out;
+}
+
+void ExpectAbortParity(const char* fs, std::uint64_t budget,
+                       GLenum want_error, const char* want_msg) {
+  const std::array<ExecEngine, 4> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
+      ExecEngine::kCompiled};
+  for (const ExecEngine engine : engines) {
+    const AbortOutcome serial = RunFailingBandDraw(engine, 1, fs, budget);
+    EXPECT_EQ(serial.gl_error, want_error);
+    EXPECT_EQ(serial.reset, static_cast<GLenum>(GL_GUILTY_CONTEXT_RESET));
+    EXPECT_NE(serial.error.find(want_msg), std::string::npos) << serial.error;
+    for (const int threads : {2, 3, 4, 7}) {
+      SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
+                   std::to_string(threads));
+      const AbortOutcome got = RunFailingBandDraw(engine, threads, fs, budget);
+      if (engine != ExecEngine::kTreeWalk) {
+        // Both the clean draw and the failing one split.
+        EXPECT_EQ(got.splits, 2u);
+      }
+      EXPECT_EQ(got.gl_error, serial.gl_error);
+      EXPECT_EQ(got.reset, serial.reset);
+      EXPECT_EQ(got.error, serial.error);
+      ExpectSnapshotEq({got.fb, got.counts}, {serial.fb, serial.counts},
+                       "post-abort");
+      EXPECT_EQ(got.depth_probe, serial.depth_probe)
+          << "depth plane differs after the abort";
+    }
+  }
+}
+
+TEST(FaultInjection, BandTrapAbortMatchesSerial) {
+  ExpectAbortParity(kBandTrapFs, 0, GL_INVALID_OPERATION,
+                    "undefined function");
+}
+
+TEST(FaultInjection, BandWatchdogTripMatchesSerial) {
+  // The failing draw's own ALU total, measured serially.
+  std::uint64_t total = 0;
+  {
+    Context ctx(MakeConfig(ExecEngine::kBatchedVm, 1, 32, kBandW, kBandH));
+    const GLuint p = BuildProgramOrDie(ctx, kDepthVs, kBandCleanFs);
+    const std::uint64_t before = ctx.alu().counts().alu;
+    DrawFullscreenQuad(ctx, p);
+    ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+    total = ctx.alu().counts().alu - before;
+  }
+  // One op short trips on every engine and worker count...
+  ExpectAbortParity(kBandCleanFs, total - 1, GL_OUT_OF_MEMORY, "watchdog");
+  // ...and exactly the total does not.
+  for (const int threads : {1, 4}) {
+    const AbortOutcome ok =
+        RunFailingBandDraw(ExecEngine::kBatchedVm, threads, kBandCleanFs,
+                           total);
+    EXPECT_EQ(ok.gl_error, static_cast<GLenum>(GL_NO_ERROR)) << ok.error;
+  }
+}
+
 // Seeded sweep over fault sites x engines x thread counts x batch widths:
 // every injected fault must produce either a byte-exact transactional abort
 // (with the resource-failure error mapping) or an unaffected successful
 // draw (site never reached), and the context must then recover to byte-
-// identity with a never-faulted twin.
-TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
-  const std::array<Site, 4> sites = {Site::kBinnerGrow, Site::kShadeCacheAlloc,
-                                     Site::kVmInstruction, Site::kPoolTask};
+// identity with a never-faulted twin. `band` runs the heavy single-tile
+// variant, whose draws split into row bands at every thread count drawn.
+struct SweepSpec {
+  std::vector<Site> sites;
+  std::vector<int> threads;
+  int w = kW;
+  int h = kH;
+  const char* fs = kCleanFs;
+  bool band = false;
+  std::uint64_t seed_base = kSeedBase;
+};
+
+void RunFaultSweep(const SweepSpec& spec) {
   const std::array<ExecEngine, 4> engines = {
       ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
       ExecEngine::kCompiled};
   for (int iter = 0; iter < g_fault_iters; ++iter) {
-    std::mt19937_64 rng(kSeedBase + static_cast<std::uint64_t>(iter));
-    const Site site = sites[rng() % sites.size()];
+    std::mt19937_64 rng(spec.seed_base + static_cast<std::uint64_t>(iter));
+    const Site site = spec.sites[rng() % spec.sites.size()];
     const ExecEngine engine = engines[rng() % engines.size()];
-    const int threads = std::array<int, 3>{1, 2, 4}[rng() % 3];
+    const int threads = spec.threads[rng() % spec.threads.size()];
     const int width = 1 + static_cast<int>(rng() % 32);  // batch tails
     SCOPED_TRACE("iter=" + std::to_string(iter) + " site=" +
                  std::to_string(static_cast<int>(site)) + " engine=" +
                  EngineName(engine) + " threads=" + std::to_string(threads) +
                  " width=" + std::to_string(width));
 
-    const ContextConfig cfg = MakeConfig(engine, threads, width);
+    const ContextConfig cfg =
+        MakeConfig(engine, threads, width, spec.w, spec.h);
     // Build-path sites only fire while a context's shading state / binner
     // tables are being built — steady-state draws allocate nothing — so
     // those scenarios arm the context's *first* draw.
@@ -272,19 +439,22 @@ TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
     std::uint64_t reach = 0;
     {
       Context probe(cfg);
-      const GLuint p = BuildProgramOrDie(probe, kPassthroughVs, kCleanFs);
+      const GLuint p = BuildProgramOrDie(probe, kPassthroughVs, spec.fs);
       if (!build_site) DrawFullscreenQuad(probe, p);  // warm caches
       fault::Arm(site, ~0ull);
       DrawFullscreenQuad(probe, p);
       reach = fault::Hits(site);
       fault::Disarm(site);
       ASSERT_EQ(probe.GetError(), GL_NO_ERROR);
+      if (spec.band && engine != ExecEngine::kTreeWalk) {
+        EXPECT_GT(probe.band_split_draws(), 0u) << "draw did not split";
+      }
     }
 
     Context ctx(cfg);
     Context twin(cfg);  // never faulted
-    const GLuint prog = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
-    const GLuint twin_prog = BuildProgramOrDie(twin, kPassthroughVs, kCleanFs);
+    const GLuint prog = BuildProgramOrDie(ctx, kPassthroughVs, spec.fs);
+    const GLuint twin_prog = BuildProgramOrDie(twin, kPassthroughVs, spec.fs);
     if (!build_site) {
       DrawFullscreenQuad(ctx, prog);
       DrawFullscreenQuad(twin, twin_prog);
@@ -293,7 +463,7 @@ TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
 
     if (reach > 0) {
       const std::uint64_t nth = rng() % reach;
-      const Snapshot pre = Snap(ctx);
+      const Snapshot pre = Snap(ctx, spec.w, spec.h);
       fault::Arm(site, nth);
       DrawFullscreenQuad(ctx, prog);
       fault::Disarm(site);
@@ -308,7 +478,7 @@ TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
         EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_INNOCENT_CONTEXT_RESET);
       }
       EXPECT_FALSE(ctx.last_draw_error().empty());
-      ExpectSnapshotEq(Snap(ctx), pre, "post-fault abort");
+      ExpectSnapshotEq(Snap(ctx, spec.w, spec.h), pre, "post-fault abort");
     }
 
     // Recovery: the next draw on the faulted context must match the
@@ -320,13 +490,31 @@ TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
     DrawFullscreenQuad(twin, twin_prog);
     ASSERT_EQ(ctx.GetError(), GL_NO_ERROR) << ctx.last_draw_error();
     ASSERT_EQ(twin.GetError(), GL_NO_ERROR);
-    EXPECT_EQ(ReadRgba(ctx, kW, kH), ReadRgba(twin, kW, kH))
+    EXPECT_EQ(ReadRgba(ctx, spec.w, spec.h), ReadRgba(twin, spec.w, spec.h))
         << "recovery draw differs from never-faulted twin";
     EXPECT_EQ(ctx.alu().counts().alu - ctx_before,
               twin.alu().counts().alu - twin_before)
         << "recovery draw cost differs from never-faulted twin";
   }
   fault::DisarmAll();
+}
+
+TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
+  RunFaultSweep({.sites = {Site::kBinnerGrow, Site::kShadeCacheAlloc,
+                           Site::kVmInstruction, Site::kPoolTask},
+                 .threads = {1, 2, 4}});
+}
+
+// The same sweep over the row-band path: pool-task and shading-state
+// allocation failures while a single tile is split across workers.
+TEST(FaultInjection, InjectedFaultSweepCoversBandSplitDraws) {
+  RunFaultSweep({.sites = {Site::kShadeCacheAlloc, Site::kPoolTask},
+                 .threads = {2, 3, 4},
+                 .w = kBandW,
+                 .h = kBandH,
+                 .fs = kBandCleanFs,
+                 .band = true,
+                 .seed_base = kSeedBase + 7919});
 }
 
 // Command-stream submit faults (Site::kCmdSubmit): a list the device drops

@@ -5,9 +5,13 @@
 // ALU/SFU/TMU operation counts — because tiles partition the framebuffer
 // and per-worker counter shards merge by summation.
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "compute/device.h"
+#include "compute/ops.h"
 #include "gles2/context.h"
 #include "gles2/tiler.h"
 #include "gles2_test_util.h"
@@ -632,6 +636,467 @@ void main() {
     EXPECT_EQ(alu.counts().sfu, ref.counts.sfu);
     EXPECT_EQ(alu.counts().tmu, ref.counts.tmu);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Row-band work items: single-tile draws split across the shading pool
+// ---------------------------------------------------------------------------
+//
+// A heavy draw with fewer non-empty tiles than workers is cut into row
+// bands; the texture-cache model is replayed per tile in emission order at
+// join. Every scenario below covers fewer tiles than most of the worker
+// counts and is heavy enough to split (each asserts band_split_draws()
+// moved when workers outnumber its tiles), and must be byte-identical to the
+// serial reference — framebuffer and every op count, tmu_miss included —
+// on every engine, both ALU models, and worker counts that divide the
+// tile's rows unevenly. Thread counts are explicit (never 0) so a 1-core
+// runner splits too.
+
+struct BandScenario {
+  const char* name;
+  int w;
+  int h;
+  void (*run)(Context& ctx);
+};
+
+// Creates a NEAREST-filtered w x h texture bound to the active unit.
+void MakeTexture(Context& ctx, int w, int h, int seed) {
+  GLuint tex = 0;
+  ctx.GenTextures(1, &tex);
+  ctx.BindTexture(GL_TEXTURE_2D, tex);
+  std::vector<std::uint8_t> img(static_cast<std::size_t>(w) * h * 4);
+  for (std::size_t i = 0; i < img.size(); ++i) {
+    img[i] = static_cast<std::uint8_t>((i * (37 + seed) + 11 * seed) & 0xff);
+  }
+  ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, w, h, 0, GL_RGBA,
+                 GL_UNSIGNED_BYTE, img.data());
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MIN_FILTER, GL_NEAREST);
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MAG_FILTER, GL_NEAREST);
+}
+
+// Two textures on units 0 and 1 read along a row and a column per step —
+// the GEMM kernel's access pattern, whose strided column walk is what
+// makes TMU misses depend on emission order. kTrips scales the loop so
+// smaller targets still clear the split gate.
+template <int kTrips>
+std::string BandGemmFs() {
+  return R"(
+precision highp float;
+varying vec2 v_uv;
+uniform sampler2D u_a;
+uniform sampler2D u_b;
+void main() {
+  vec4 acc = vec4(0.0);
+  for (int k = 0; k < )" +
+         std::to_string(kTrips) + R"(; ++k) {
+    float kk = (float(k) + 0.5) / )" +
+         std::to_string(kTrips) + R"(.0;
+    acc += texture2D(u_a, vec2(kk, v_uv.y)) * texture2D(u_b, vec2(v_uv.x, kk));
+  }
+  gl_FragColor = fract(acc * 0.37);
+}
+)";
+}
+
+void BindGemmInputs(Context& ctx, GLuint prog) {
+  ctx.UseProgram(prog);
+  ctx.ActiveTexture(GL_TEXTURE0);
+  MakeTexture(ctx, 48, 40, 1);
+  ctx.ActiveTexture(GL_TEXTURE0 + 1);
+  MakeTexture(ctx, 56, 48, 2);
+  ctx.ActiveTexture(GL_TEXTURE0);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_a"), 0);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_b"), 1);
+}
+
+template <int kTrips>
+void BandGemmQuad(Context& ctx) {
+  const GLuint prog = testutil::BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs, BandGemmFs<kTrips>());
+  BindGemmInputs(ctx, prog);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  testutil::DrawFullscreenQuad(ctx, prog);
+}
+
+// Overlapping, blended, depth-tested textured triangles in one draw: each
+// pixel's writes must land in primitive order, and the texture streams of
+// different primitives interleave across band boundaries.
+void BandOverlapBlendDepth(Context& ctx) {
+  MakeTexture(ctx, 97, 83, 3);
+  const GLuint prog = testutil::BuildProgramOrDie(
+      ctx,
+      R"(
+attribute vec3 a_xyz;
+varying vec2 v_uv;
+void main() {
+  v_uv = a_xyz.xy * 0.5 + 0.5;
+  gl_Position = vec4(a_xyz, 1.0);
+}
+)",
+      R"(
+precision highp float;
+varying vec2 v_uv;
+uniform sampler2D u_tex;
+void main() {
+  vec4 acc = vec4(0.0);
+  for (int k = 0; k < 16; ++k) {
+    acc += texture2D(u_tex, fract(v_uv * float(k + 1) * 0.71));
+  }
+  gl_FragColor = vec4(fract(acc.rgb * 0.13), 0.6);
+}
+)");
+  ctx.UseProgram(prog);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_tex"), 0);
+  ctx.Enable(GL_DEPTH_TEST);
+  ctx.DepthFunc(GL_LEQUAL);
+  ctx.Enable(GL_BLEND);
+  ctx.BlendFunc(GL_SRC_ALPHA, GL_ONE_MINUS_SRC_ALPHA);
+  ctx.Clear(GL_COLOR_BUFFER_BIT | GL_DEPTH_BUFFER_BIT);
+  const float xyz[] = {
+      -0.95f, -0.9f,  0.5f,  0.9f,  -0.95f, 0.5f,  0.1f,  0.97f, 0.5f,
+      -0.8f,  0.85f,  0.2f,  -0.7f, -0.9f,  0.2f,  0.95f, 0.3f,  0.2f,
+      -1.0f,  -0.2f,  0.5f,  0.99f, -0.6f,  0.5f,  0.3f,  0.9f,  0.5f,
+      -0.3f,  -1.0f,  -0.4f, 0.6f,  0.95f,  -0.4f, -0.9f, 0.4f,  -0.4f,
+  };
+  const GLint loc = ctx.GetAttribLocation(prog, "a_xyz");
+  ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+  ctx.VertexAttribPointer(static_cast<GLuint>(loc), 3, GL_FLOAT, GL_FALSE, 0,
+                          xyz);
+  ctx.DrawArrays(GL_TRIANGLES, 0, 12);
+}
+
+// Lines walking up and down the rows (a downward line's bands replay in
+// reverse), then a separate draw of large points.
+void BandLinesAndPoints(Context& ctx) {
+  MakeTexture(ctx, 40, 40, 4);
+  const GLuint prog = testutil::BuildProgramOrDie(
+      ctx,
+      R"(
+attribute vec2 a_pos;
+varying vec2 v_uv;
+void main() {
+  v_uv = a_pos * 0.5 + 0.5;
+  gl_Position = vec4(a_pos, 0.0, 1.0);
+  gl_PointSize = 13.0;
+}
+)",
+      R"(
+precision highp float;
+varying vec2 v_uv;
+uniform sampler2D u_tex;
+void main() {
+  vec4 acc = vec4(0.0);
+  for (int k = 0; k < 64; ++k) {
+    acc += texture2D(u_tex, fract(v_uv.yx * float(k) * 0.173 + gl_PointCoord));
+  }
+  gl_FragColor = vec4(fract(acc.rgb * 0.07), 1.0);
+}
+)");
+  ctx.UseProgram(prog);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_tex"), 0);
+  ctx.Enable(GL_BLEND);
+  ctx.BlendFunc(GL_ONE, GL_ONE);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  const GLint loc = ctx.GetAttribLocation(prog, "a_pos");
+  ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+  const float lines[] = {
+      -0.95f, -0.9f, 0.9f,  0.97f,   // up, steep
+      0.8f,   0.95f, -0.9f, -0.85f,  // down, crossing the first
+      -0.9f,  0.6f,  0.95f, -0.3f,   // down, shallow
+      0.2f,   -0.97f, 0.35f, 0.99f,  // up, near-vertical
+      -0.99f, 0.1f,  0.99f, 0.12f,   // almost horizontal
+  };
+  ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE, 0,
+                          lines);
+  ctx.DrawArrays(GL_LINES, 0, 10);
+  const float pts[] = {-0.8f, -0.8f, -0.2f, 0.1f, 0.05f, 0.03f, 0.6f,  0.7f,
+                       0.9f,  -0.9f, -0.6f, 0.8f, 0.3f,  -0.4f, -0.1f, -0.1f};
+  ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE, 0,
+                          pts);
+  ctx.DrawArrays(GL_POINTS, 0, 8);
+}
+
+constexpr BandScenario kBandScenarios[] = {
+    {"gemm_two_textures", 64, 64, BandGemmQuad<16>},
+    {"overlap_blend_depth", 64, 64, BandOverlapBlendDepth},
+    {"lines_and_points", 64, 64, BandLinesAndPoints},
+    // Bands that do not divide the rows evenly (and, at 64x5, more workers
+    // than rows for some thread counts).
+    {"odd_48x48", 48, 48, BandGemmQuad<24>},
+    {"odd_33x17", 33, 17, BandGemmQuad<96>},
+    {"odd_64x5", 64, 5, BandGemmQuad<160>},
+    // Two tiles: split once workers outnumber them, each tile replayed as
+    // its own TMU session.
+    {"two_tiles_128x40", 128, 40, BandGemmQuad<24>},
+};
+
+struct BandRun {
+  std::vector<std::uint8_t> px;
+  glsl::OpCounts counts;
+  std::uint64_t splits = 0;
+};
+
+BandRun RunBandScenario(const BandScenario& sc, ExecEngine engine,
+                        int threads, bool vc4_alu) {
+  vc4::Vc4Alu vc4(vc4::VideoCoreIV());
+  glsl::ExactAlu exact;
+  glsl::AluModel& alu = vc4_alu ? static_cast<glsl::AluModel&>(vc4) : exact;
+  ContextConfig cfg;
+  cfg.width = sc.w;
+  cfg.height = sc.h;
+  cfg.shader_threads = threads;
+  cfg.exec_engine = engine;
+  Context ctx(cfg, &alu);
+  alu.ResetCounts();
+  sc.run(ctx);
+  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR))
+      << ctx.last_draw_error();
+  BandRun r;
+  r.counts = alu.counts();
+  r.px = testutil::ReadRgba(ctx, sc.w, sc.h);
+  r.splits = ctx.band_split_draws();
+  return r;
+}
+
+void ExpectBandScenarioMatchesSerial(const BandScenario& sc, bool vc4_alu) {
+  struct EngineCase {
+    ExecEngine engine;
+    const char* name;
+  };
+  const EngineCase engines[] = {
+      {ExecEngine::kTreeWalk, "tree"},
+      {ExecEngine::kBytecodeVm, "scalar-vm"},
+      {ExecEngine::kBatchedVm, "batched"},
+      // Falls back to the batched VM without a host compiler.
+      {ExecEngine::kCompiled, "compiled"},
+  };
+  for (const EngineCase& e : engines) {
+    SCOPED_TRACE(std::string(sc.name) + " " + e.name +
+                 (vc4_alu ? " vc4" : " exact"));
+    const BandRun ref = RunBandScenario(sc, e.engine, 1, vc4_alu);
+    EXPECT_EQ(ref.splits, 0u) << "shader_threads=1 must never split";
+    EXPECT_GT(ref.counts.tmu_miss, 0u);
+    for (const int threads : {2, 3, 4, 7}) {
+      const BandRun got = RunBandScenario(sc, e.engine, threads, vc4_alu);
+      const int tiles = ((sc.w + kTileSize - 1) / kTileSize) *
+                        ((sc.h + kTileSize - 1) / kTileSize);
+      if (e.engine == ExecEngine::kTreeWalk || threads <= tiles) {
+        EXPECT_EQ(got.splits, 0u) << "threads=" << threads;
+      } else {
+        EXPECT_GT(got.splits, 0u) << "threads=" << threads
+                                  << ": scenario did not split";
+      }
+      EXPECT_EQ(got.px, ref.px) << "threads=" << threads;
+      EXPECT_EQ(got.counts.alu, ref.counts.alu) << "threads=" << threads;
+      EXPECT_EQ(got.counts.sfu, ref.counts.sfu) << "threads=" << threads;
+      EXPECT_EQ(got.counts.sfu_trans, ref.counts.sfu_trans)
+          << "threads=" << threads;
+      EXPECT_EQ(got.counts.tmu, ref.counts.tmu) << "threads=" << threads;
+      EXPECT_EQ(got.counts.tmu_miss, ref.counts.tmu_miss)
+          << "threads=" << threads;
+    }
+  }
+}
+
+TEST(BandSplitDifferentialTest, MatchesSerialExactAlu) {
+  for (const BandScenario& sc : kBandScenarios) {
+    ExpectBandScenarioMatchesSerial(sc, /*vc4_alu=*/false);
+  }
+}
+
+TEST(BandSplitDifferentialTest, MatchesSerialVc4Alu) {
+  for (const BandScenario& sc : kBandScenarios) {
+    ExpectBandScenarioMatchesSerial(sc, /*vc4_alu=*/true);
+  }
+}
+
+// The scenarios' engines against each other too: the scalar VM serial
+// reference and every engine at 4 threads agree.
+TEST(BandSplitDifferentialTest, EnginesAgreeUnderBands) {
+  const BandScenario& sc = kBandScenarios[0];
+  const BandRun ref = RunBandScenario(sc, ExecEngine::kBytecodeVm, 1, true);
+  for (const ExecEngine engine :
+       {ExecEngine::kBytecodeVm, ExecEngine::kBatchedVm,
+        ExecEngine::kCompiled}) {
+    const BandRun got = RunBandScenario(sc, engine, 4, true);
+    EXPECT_GT(got.splits, 0u);
+    EXPECT_EQ(got.px, ref.px);
+    EXPECT_EQ(got.counts.alu, ref.counts.alu);
+    EXPECT_EQ(got.counts.tmu_miss, ref.counts.tmu_miss);
+  }
+}
+
+template <typename T>
+struct GemmRun {
+  std::vector<T> out;
+  vc4::GpuWork work;
+  std::uint64_t splits = 0;
+};
+
+template <typename T, typename Op>
+GemmRun<T> RunGemm(int n, int threads, const std::vector<T>& a,
+                   const std::vector<T>& b, Op op) {
+  compute::DeviceOptions opt;
+  opt.shader_threads = threads;
+  compute::Device d(opt);
+  GemmRun<T> r;
+  r.out.resize(static_cast<std::size_t>(n) * n);
+  (void)d.ConsumeWork();
+  op(d, n, a, b, r.out);
+  r.work = d.ConsumeWork();
+  r.splits = d.gl().band_split_draws();
+  return r;
+}
+
+void ExpectWorkEq(const vc4::GpuWork& a, const vc4::GpuWork& b) {
+  EXPECT_EQ(a.fragments, b.fragments);
+  EXPECT_EQ(a.vertices, b.vertices);
+  EXPECT_EQ(a.shader_ops.alu, b.shader_ops.alu);
+  EXPECT_EQ(a.shader_ops.sfu, b.shader_ops.sfu);
+  EXPECT_EQ(a.shader_ops.sfu_trans, b.shader_ops.sfu_trans);
+  EXPECT_EQ(a.shader_ops.tmu, b.shader_ops.tmu);
+  EXPECT_EQ(a.shader_ops.tmu_miss, b.shader_ops.tmu_miss);
+  EXPECT_EQ(a.bytes_uploaded, b.bytes_uploaded);
+  EXPECT_EQ(a.bytes_readback, b.bytes_readback);
+  EXPECT_EQ(a.program_compiles, b.program_compiles);
+  EXPECT_EQ(a.draw_calls, b.draw_calls);
+  EXPECT_EQ(std::memcmp(&a.host_work, &b.host_work, sizeof(a.host_work)), 0);
+}
+
+// Gate, heavy side: one GEMM dispatch is one draw into a single tile, and
+// n >= 32 splits it; outputs and modelled work are bit-equal to serial.
+TEST(BandSplitGateTest, GemmDispatchesSplitExactlyOnceAndMatchSerial) {
+  Rng rng(77);
+  for (const int n : {32, 48}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::size_t nn = static_cast<std::size_t>(n) * n;
+    const auto fa = rng.FloatVector(nn, -4.0f, 4.0f);
+    const auto fb = rng.FloatVector(nn, -4.0f, 4.0f);
+    const auto sgemm = [](compute::Device& d, int k,
+                          const std::vector<float>& a,
+                          const std::vector<float>& b,
+                          std::vector<float>& out) {
+      compute::ops::SgemmF32(d, k, a, b, out);
+    };
+    const GemmRun<float> fs = RunGemm<float>(n, 1, fa, fb, sgemm);
+    const GemmRun<float> fp = RunGemm<float>(n, 4, fa, fb, sgemm);
+    EXPECT_EQ(fs.splits, 0u);
+    EXPECT_EQ(fp.splits, 1u);
+    EXPECT_EQ(std::memcmp(fs.out.data(), fp.out.data(), nn * sizeof(float)),
+              0);
+    ExpectWorkEq(fs.work, fp.work);
+
+    const auto ia = rng.IntVector(nn, -3000, 3000);
+    const auto ib = rng.IntVector(nn, -3000, 3000);
+    const auto gemm = [](compute::Device& d, int k,
+                         const std::vector<std::int32_t>& a,
+                         const std::vector<std::int32_t>& b,
+                         std::vector<std::int32_t>& out) {
+      compute::ops::GemmI32(d, k, a, b, out);
+    };
+    const GemmRun<std::int32_t> is = RunGemm<std::int32_t>(n, 1, ia, ib, gemm);
+    const GemmRun<std::int32_t> ip = RunGemm<std::int32_t>(n, 4, ia, ib, gemm);
+    EXPECT_EQ(is.splits, 0u);
+    EXPECT_EQ(ip.splits, 1u);
+    EXPECT_EQ(is.out, ip.out);
+    ExpectWorkEq(is.work, ip.work);
+  }
+}
+
+// Gate, light side: a multi-tenant frame — clear, a ~300-triangle mesh of
+// ~1 px triangles, three blended textured quads — on a 64x64 target never
+// splits, so contexts like it keep the serial path (no pool, no clones).
+TEST(BandSplitGateTest, TenantShapedFrameNeverSplits) {
+  vc4::Vc4Alu alu(vc4::VideoCoreIV());
+  ContextConfig cfg;
+  cfg.width = 64;
+  cfg.height = 64;
+  cfg.shader_threads = 4;
+  Context ctx(cfg, &alu);
+  const GLuint mesh = testutil::BuildProgramOrDie(
+      ctx,
+      R"(
+attribute vec2 a_pos;
+attribute vec3 a_aux;
+varying vec3 v_shade;
+void main() {
+  v_shade = a_aux;
+  gl_Position = vec4(a_pos, 0.0, 1.0);
+}
+)",
+      R"(
+precision mediump float;
+varying vec3 v_shade;
+void main() { gl_FragColor = vec4(v_shade, 1.0); }
+)");
+  const GLuint quad = testutil::BuildProgramOrDie(
+      ctx,
+      R"(
+attribute vec2 a_pos;
+attribute vec2 a_uv;
+varying vec2 v_uv;
+void main() {
+  v_uv = a_uv;
+  gl_Position = vec4(a_pos, 0.0, 1.0);
+}
+)",
+      R"(
+precision mediump float;
+varying vec2 v_uv;
+uniform sampler2D u_tex;
+uniform vec4 u_tint;
+void main() { gl_FragColor = texture2D(u_tex, v_uv) * u_tint; }
+)");
+  MakeTexture(ctx, 16, 16, 5);
+  Rng rng(9);
+  for (int frame = 0; frame < 3; ++frame) {
+    ctx.Disable(GL_BLEND);
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    std::vector<float> pos;
+    std::vector<float> aux;
+    for (int t = 0; t < 300; ++t) {
+      const float cx = static_cast<float>(rng.NextInt(-31, 31)) / 32.0f;
+      const float cy = static_cast<float>(rng.NextInt(-31, 31)) / 32.0f;
+      const float d = 1.0f / 32.0f;
+      pos.insert(pos.end(), {cx, cy, cx + d, cy, cx, cy + d});
+      for (int v = 0; v < 3; ++v) {
+        aux.insert(aux.end(), {0.2f * v, 0.5f, 0.9f - 0.1f * v});
+      }
+    }
+    ctx.UseProgram(mesh);
+    const GLint mp = ctx.GetAttribLocation(mesh, "a_pos");
+    const GLint ma = ctx.GetAttribLocation(mesh, "a_aux");
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(mp));
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(ma));
+    ctx.VertexAttribPointer(static_cast<GLuint>(mp), 2, GL_FLOAT, GL_FALSE, 0,
+                            pos.data());
+    ctx.VertexAttribPointer(static_cast<GLuint>(ma), 3, GL_FLOAT, GL_FALSE, 0,
+                            aux.data());
+    ctx.DrawArrays(GL_TRIANGLES, 0, 900);
+    ctx.DisableVertexAttribArray(static_cast<GLuint>(ma));
+
+    ctx.Enable(GL_BLEND);
+    ctx.BlendFunc(GL_SRC_ALPHA, GL_ONE_MINUS_SRC_ALPHA);
+    ctx.UseProgram(quad);
+    ctx.Uniform1i(ctx.GetUniformLocation(quad, "u_tex"), 0);
+    ctx.Uniform4f(ctx.GetUniformLocation(quad, "u_tint"), 1.0f, 0.8f, 0.6f,
+                  0.5f);
+    const GLint qp = ctx.GetAttribLocation(quad, "a_pos");
+    const GLint qu = ctx.GetAttribLocation(quad, "a_uv");
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(qp));
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(qu));
+    ctx.VertexAttribPointer(static_cast<GLuint>(qu), 2, GL_FLOAT, GL_FALSE, 0,
+                            testutil::kQuad.data());
+    for (int q = 0; q < 3; ++q) {
+      // Full-target quads: the largest coverage a tenant frame draws.
+      ctx.VertexAttribPointer(static_cast<GLuint>(qp), 2, GL_FLOAT,
+                              GL_FALSE, 0, testutil::kQuad.data());
+      ctx.DrawArrays(GL_TRIANGLES, 0, 6);
+    }
+    ctx.DisableVertexAttribArray(static_cast<GLuint>(qu));
+    ASSERT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+  }
+  EXPECT_EQ(ctx.band_split_draws(), 0u);
 }
 
 }  // namespace

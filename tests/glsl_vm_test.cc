@@ -533,6 +533,50 @@ void main() {
   EXPECT_THROW(vm.Run(), ShaderRuntimeError);
 }
 
+// The static cost bound behind the draw loop's row-band gate: a
+// constant-trip `for` loop counts its body once per iteration (literal,
+// negated and macro bounds, either direction, += and != steps, a `break`
+// leaving the header's count as the bound), while a loop whose header does
+// not fix the count (a uniform bound) counts one iteration.
+TEST(VmExecTest, StaticCostMultipliesConstantTripLoops) {
+  const auto cost = [](const std::string& header, const std::string& body) {
+    auto shader = testutil::MustCompile(
+        "precision highp float;\n#define N 32\nuniform int u_n;\n"
+        "varying vec2 v;\nvoid main() { float a = 0.0; for (" +
+        header + ") { " + body + " } gl_FragColor = vec4(a); }");
+    return LowerToBytecode(*shader)->static_cost;
+  };
+  struct Case {
+    const char* header;  // the loop under test
+    std::uint64_t trips;
+    const char* one;  // same shape, 1 trip
+    const char* two;  // same shape, 2 trips
+    const char* body;
+  };
+  const Case cases[] = {
+      {"int i = 0; i < N; ++i", 32, "int i = 0; i < 1; ++i",
+       "int i = 0; i < 2; ++i", "a += v.x;"},
+      {"int i = 11; i >= 0; i--", 12, "int i = 0; i >= 0; i--",
+       "int i = 1; i >= 0; i--", "a += v.x;"},
+      {"int i = -12; i != 0; i++", 12, "int i = -1; i != 0; i++",
+       "int i = -2; i != 0; i++", "a += v.x;"},
+      {"int i = 0; i <= 30; i += 3", 11, "int i = 0; i <= 0; i += 3",
+       "int i = 0; i <= 3; i += 3", "a += v.x;"},
+      {"int i = 0; i < N; ++i", 32, "int i = 0; i < 1; ++i",
+       "int i = 0; i < 2; ++i", "a += v.x; if (a > 1.0) break;"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.header);
+    const std::uint64_t once = cost(c.one, c.body);
+    const std::uint64_t per_iter = cost(c.two, c.body) - once;
+    ASSERT_GT(per_iter, 0u);
+    EXPECT_EQ(cost(c.header, c.body), once + (c.trips - 1) * per_iter);
+  }
+  // A bound the header does not fix counts one iteration.
+  EXPECT_EQ(cost("int i = 0; i < u_n; ++i", "a += v.x;"),
+            cost("int i = 0; i < 1; ++i", "a += v.x;"));
+}
+
 TEST(VmExecTest, RunIsRepeatableAfterStateChange) {
   auto shader = testutil::MustCompile(
       "precision highp float;\nuniform float u_x;\nvoid main() { "
