@@ -10,6 +10,13 @@
 // (mutex-protected epoch) then gives every worker a happens-before edge on
 // the armed state, so ShouldFail's hit counting is the only cross-thread
 // traffic — and that is atomic.
+//
+// Hit order across contexts: the gles2 command stream executes each
+// context's recorded work on the one device consumer thread that context is
+// bound to, and independent contexts run on different consumers in
+// parallel. A site's Nth hit is therefore deterministic only within one
+// consumer; sweeps that arm by hit index drive one context at a time.
+// (kCmdSubmit is counted at submission, on the client's own thread.)
 #ifndef MGPU_COMMON_FAULT_H_
 #define MGPU_COMMON_FAULT_H_
 

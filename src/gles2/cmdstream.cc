@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/fault.h"
+#include "common/threadpool.h"
 #include "gles2/context.h"
 
 namespace mgpu::gles2::cmd {
@@ -23,6 +24,10 @@ constexpr int kMaxInFlight = 64;
 // Per-draw cap on snapshotted client-array bytes; a draw that would copy
 // more falls back to sync+inline instead of duplicating a huge array.
 constexpr std::uint64_t kMaxSnapshotBytes = 1ull << 30;
+
+// Set for the lifetime of every consumer thread: replayed closures run
+// there and must execute, not record.
+thread_local bool t_on_device = false;
 
 int ElemSize(GLenum type) {
   switch (type) {
@@ -42,11 +47,53 @@ void CommandList::Execute(Context& ctx) {
   for (const Cmd& c : cmds_) c(ctx);
 }
 
-// The process-wide submit device: one consumer thread executing command
-// lists from every live context in FIFO arrival order — the fairness model
-// real VC4 gives multiple clients of one GPU. A function-local static so
-// the thread exists only once some context actually records, and is joined
-// at process exit (keeps ASan/TSan happy about lingering threads).
+// One consumer thread of the device with its own FIFO. The queues bound to
+// it are drained in arrival order — the fairness model real VC4 gives
+// multiple clients of one GPU, per consumer.
+struct Consumer {
+  struct Pending {
+    CommandQueue* q;
+    CommandList list;
+  };
+
+  std::mutex mu;
+  std::condition_variable work_cv;  // list queued or stop requested
+  std::condition_variable done_cv;  // list retired (backpressure / Join)
+  std::deque<Pending> fifo;          // guarded by mu
+  std::uint64_t lists_executed = 0;  // guarded by mu
+  bool stop = false;                 // guarded by mu
+  int live_queues = 0;               // guarded by Device::mu_
+  std::thread thread;                // last: started once the rest exists
+};
+
+// The process-wide submit device: up to max(2, hardware threads - 1)
+// consumers, each with its own FIFO. A queue binds to one consumer at
+// registration and stays there, so one context's lists run in order on one
+// thread while independent contexts run in parallel. Lists never migrate:
+// a context moving between threads spreads its allocations over glibc's
+// per-thread malloc arenas. Placements that let a single context migrate
+// (a shared FIFO, or round-robin placement of short-lived contexts) raised
+// the peak RSS of e2ebench's paper_large workload from 28 MB to 41-56 MB
+// on a 4-vCPU x86_64 host.
+//
+// Assignment: a queue whose AluModel another live queue already counts
+// into joins that queue's consumer (draws mutate the model, and abort rolls
+// it back, so two consumers on one model would race). Otherwise it goes to
+// the consumer with the fewest live queues, and a new consumer thread is
+// started only when every existing one has a live queue — a process that
+// creates and destroys contexts in turn keeps one device thread.
+//
+// One hardware thread is left to the client that records. With a consumer
+// on every CPU the client competes with them for a core, and a consumer
+// cannot pass its queued lists on when the host takes its CPU away, so
+// throughput and latency swing with the host's load. On e2ebench's
+// gl_tenants (one client thread, 4-vCPU x86_64 shared host), eight
+// interleaved runs each gave 4 consumers a median of 3396 jobs/s and a
+// job_ms.p95 of 3.84 ms with quartile spreads of 153/s and 0.22 ms, and
+// 3 consumers 3050 jobs/s and 4.21 ms with spreads of 80/s and 0.11 ms.
+//
+// A function-local static so no thread exists until some context records;
+// the consumers are joined at process exit.
 class Device {
  public:
   static Device& Get() {
@@ -56,35 +103,59 @@ class Device {
 
   void Register(CommandQueue* q) {
     std::lock_guard<std::mutex> lk(mu_);
+    Consumer* pick = nullptr;
+    for (const CommandQueue* other : queues_) {
+      if (other->alu_key_ == q->alu_key_) {
+        pick = other->consumer_;
+        break;
+      }
+    }
+    if (pick == nullptr) {
+      for (const auto& c : consumers_) {
+        if (pick == nullptr || c->live_queues < pick->live_queues) {
+          pick = c.get();
+        }
+      }
+      if (pick == nullptr ||
+          (pick->live_queues > 0 &&
+           consumers_.size() < static_cast<std::size_t>(max_consumers_))) {
+        pick = StartConsumer();
+      }
+    }
+    ++pick->live_queues;
+    q->consumer_ = pick;
     queues_.push_back(q);
   }
 
   void Unregister(CommandQueue* q) {
     std::lock_guard<std::mutex> lk(mu_);
+    --q->consumer_->live_queues;
     queues_.erase(std::remove(queues_.begin(), queues_.end(), q),
                   queues_.end());
   }
 
-  // Hands a list to the consumer. Blocks while the queue is at its
+  // Hands a list to the queue's consumer. Blocks while the queue is at its
   // in-flight cap. The seeded kCmdSubmit fault drops the list wholesale
   // here — the "lost control list" the fault tests sweep.
-  void Submit(CommandQueue* q, CommandList list) {
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [q] { return q->in_flight_ < kMaxInFlight; });
+  static void Submit(CommandQueue* q, CommandList list) {
+    Consumer& c = *q->consumer_;
+    std::unique_lock<std::mutex> lk(c.mu);
+    c.done_cv.wait(lk, [q] { return q->in_flight_ < kMaxInFlight; });
     if (fault::ShouldFail(fault::Site::kCmdSubmit)) {
       q->submit_failed_.store(true, std::memory_order_release);
       q->lists_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     ++q->in_flight_;
-    fifo_.push_back(Pending{q, std::move(list)});
-    work_cv_.notify_one();
+    c.fifo.push_back(Consumer::Pending{q, std::move(list)});
+    c.work_cv.notify_one();
   }
 
   // Waits until every list submitted by `q` has retired.
-  void Join(CommandQueue* q) {
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [q] { return q->in_flight_ == 0; });
+  static void Join(CommandQueue* q) {
+    Consumer& c = *q->consumer_;
+    std::unique_lock<std::mutex> lk(c.mu);
+    c.done_cv.wait(lk, [q] { return q->in_flight_ == 0; });
   }
 
   // Fault-registry quiesce hook: flush and drain every queue so deferred
@@ -101,19 +172,19 @@ class Device {
     for (CommandQueue* q : qs) Join(q);
   }
 
-  [[nodiscard]] bool OnDeviceThread() const {
-    return std::this_thread::get_id() == thread_id_;
+  DeviceStats stats() {
+    DeviceStats s;
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& c : consumers_) {
+      s.live_queues.push_back(c->live_queues);
+      const std::lock_guard<std::mutex> clk(c->mu);
+      s.lists_executed.push_back(c->lists_executed);
+    }
+    return s;
   }
 
  private:
-  struct Pending {
-    CommandQueue* q;
-    CommandList list;
-  };
-
-  Device() {
-    thread_ = std::thread(&Device::Loop, this);
-    thread_id_ = thread_.get_id();
+  Device() : max_consumers_(std::max(2, common::DefaultThreadCount() - 1)) {
     // Hook last: from here on Arm/Disarm/Hits drain this device first.
     fault::SetQuiesceHook([] { Device::Get().QuiesceAll(); });
   }
@@ -121,24 +192,35 @@ class Device {
   ~Device() {
     // Unhook first so a late Arm/Disarm cannot call into a dying device.
     fault::SetQuiesceHook(nullptr);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& c : consumers_) {
+      {
+        const std::lock_guard<std::mutex> clk(c->mu);
+        c->stop = true;
+      }
+      c->work_cv.notify_all();
     }
-    work_cv_.notify_all();
-    thread_.join();
+    for (const auto& c : consumers_) c->thread.join();
   }
 
-  void Loop() {
-    std::unique_lock<std::mutex> lk(mu_);
+  // Caller holds mu_. Reserves first so a failed push_back cannot destroy
+  // a consumer whose thread is already running.
+  Consumer* StartConsumer() {
+    consumers_.reserve(consumers_.size() + 1);
+    auto c = std::make_unique<Consumer>();
+    c->thread = std::thread(&Device::Loop, c.get());
+    consumers_.push_back(std::move(c));
+    return consumers_.back().get();
+  }
+
+  static void Loop(Consumer* c) {
+    t_on_device = true;
+    std::unique_lock<std::mutex> lk(c->mu);
     for (;;) {
-      work_cv_.wait(lk, [this] { return stop_ || !fifo_.empty(); });
-      if (fifo_.empty()) {
-        if (stop_) return;  // drained — safe to exit
-        continue;
-      }
-      Pending p = std::move(fifo_.front());
-      fifo_.pop_front();
+      c->work_cv.wait(lk, [c] { return c->stop || !c->fifo.empty(); });
+      if (c->fifo.empty()) return;  // stop requested and drained
+      Consumer::Pending p = std::move(c->fifo.front());
+      c->fifo.pop_front();
       lk.unlock();
       // The queue outlives its in-flight lists: ~CommandQueue joins before
       // unregistering, so `p.q` and its owner context are alive here.
@@ -157,35 +239,32 @@ class Device {
         p.q->lists_dropped_.fetch_add(1, std::memory_order_relaxed);
       }
       lk.lock();
+      if (ok) ++c->lists_executed;
       --p.q->in_flight_;
-      done_cv_.notify_all();
+      c->done_cv.notify_all();
     }
   }
 
+  const int max_consumers_;
   std::mutex mu_;
-  std::condition_variable work_cv_;   // consumer wakeup
-  std::condition_variable done_cv_;   // backpressure / join wakeup
-  std::deque<Pending> fifo_;
-  std::vector<CommandQueue*> queues_;
-  bool stop_ = false;
-  std::thread thread_;
-  std::thread::id thread_id_;
+  std::vector<CommandQueue*> queues_;                  // guarded by mu_
+  std::vector<std::unique_ptr<Consumer>> consumers_;  // guarded by mu_
 };
 
+DeviceStats device_stats() { return Device::Get().stats(); }
+
 CommandQueue::CommandQueue(Context* owner, std::size_t attrib_count)
-    : owner_(owner), attribs_(attrib_count) {
+    : owner_(owner), alu_key_(owner->alu_), attribs_(attrib_count) {
   Device::Get().Register(this);
 }
 
 CommandQueue::~CommandQueue() {
   Flush();
-  Device::Get().Join(this);
+  Device::Join(this);
   Device::Get().Unregister(this);
 }
 
-bool CommandQueue::Recording() const {
-  return !Device::Get().OnDeviceThread();
-}
+bool CommandQueue::Recording() const { return !t_on_device; }
 
 void CommandQueue::Push(std::function<void(Context&)> cmd) {
   ++stats_.recorded;
@@ -196,11 +275,11 @@ void CommandQueue::Push(std::function<void(Context&)> cmd) {
 void CommandQueue::Flush() {
   if (open_.empty()) return;
   ++stats_.lists_submitted;
-  Device::Get().Submit(this, std::move(open_));
+  Device::Submit(this, std::move(open_));
   open_ = CommandList();
 }
 
-void CommandQueue::Join() { Device::Get().Join(this); }
+void CommandQueue::Join() { Device::Join(this); }
 
 bool CommandQueue::TakeSubmitFailure() {
   if (!submit_failed_.exchange(false, std::memory_order_acq_rel)) {

@@ -4,11 +4,18 @@
 // software context the same shape. Client calls are recorded into a
 // replayable CommandList (with dirty-state diffing on the fixed-function
 // setters and record-time snapshots of client vertex/index arrays), and the
-// open list is submitted to a process-wide consumer thread — the "device" —
-// that executes lists from every live context in fair FIFO arrival order.
+// open list is submitted to a process-wide "device" of up to
+// max(2, hardware threads - 1) consumer threads. Each context's queue is bound
+// to one consumer for its lifetime (sticky affinity), so its lists execute
+// in FIFO order on one thread while independent contexts execute in
+// parallel. A new queue goes to the least-loaded consumer, contexts sharing
+// an AluModel share a consumer, and a consumer thread is started only when
+// every existing one already serves a live queue. Lists never migrate
+// between consumers: besides ordering, keeping a context on one thread
+// keeps its allocations in one malloc arena (see Device in cmdstream.cc).
 //
 // Bit-identity argument: a recorded command is a closure that re-enters the
-// very public Context method the client called. On the device thread
+// very public Context method the client called. On a consumer thread
 // recording is suppressed (CommandQueue::Recording() is false there), so the
 // original immediate-mode body runs unchanged, in the original call order,
 // against state produced by the same calls — framebuffer bytes, ALU/SFU/TMU
@@ -46,6 +53,8 @@ class Context;
 
 namespace cmd {
 
+struct Consumer;  // one device thread and its FIFO (cmdstream.cc)
+
 // One client vertex array captured at record time: the snapshot bytes are
 // swapped into attribute `index` (as a client pointer) around the replayed
 // draw on the device thread.
@@ -67,6 +76,14 @@ struct Stats {
   std::uint64_t lists_executed = 0;   // lists the device completed
   std::uint64_t lists_dropped = 0;    // lists lost (fault / exception)
 };
+
+// Process-wide device counters, for the tests. Entry i describes the i-th
+// consumer thread started; the vectors' size is the number started.
+struct DeviceStats {
+  std::vector<int> live_queues;               // queues bound to it now
+  std::vector<std::uint64_t> lists_executed;  // lists it completed
+};
+[[nodiscard]] DeviceStats device_stats();
 
 // A replayable sequence of recorded commands. Each command re-enters the
 // owning context's public API on the device thread.
@@ -101,10 +118,10 @@ inline const GLfloat* FloatArg(
 }
 
 // Per-context recording queue. Construction registers with the process-wide
-// submit device (spawning its consumer thread on first use); destruction
-// flushes, joins and unregisters. All methods except the device-side
-// counters are called from the owning context's client thread only, per the
-// GL threading model (one context, one thread).
+// submit device, which binds it to one consumer thread (starting one if
+// needed); destruction flushes, joins and unregisters. All methods except
+// the device-side counters are called from the owning context's client
+// thread only, per the GL threading model (one context, one thread).
 class CommandQueue {
  public:
   CommandQueue(Context* owner, std::size_t attrib_count);
@@ -113,8 +130,8 @@ class CommandQueue {
   CommandQueue& operator=(const CommandQueue&) = delete;
 
   // True when the calling thread should record (any client thread); false
-  // on the device thread, where replayed closures must run the original
-  // immediate-mode bodies.
+  // on a device consumer thread, where replayed closures must run the
+  // original immediate-mode bodies.
   [[nodiscard]] bool Recording() const;
 
   // Records an opaque command (the generic path for calls that need no
@@ -238,6 +255,10 @@ class CommandQueue {
   void ResyncShadow();
 
   Context* owner_;
+  // Affinity key: the owner's AluModel. Queues sharing one share a consumer.
+  const void* alu_key_;
+  // The consumer this queue is bound to; set once by registration.
+  Consumer* consumer_ = nullptr;
   CommandList open_;
   FfShadow ff_;
   std::vector<AttribShadow> attribs_;
@@ -251,8 +272,8 @@ class CommandQueue {
   // Device-side completion counters (the rest of Stats is client-side).
   std::atomic<std::uint64_t> lists_executed_{0};
   std::atomic<std::uint64_t> lists_dropped_{0};
-  // Lists submitted but not yet retired; guarded by the device mutex (the
-  // device's backpressure and Join predicates wait on it).
+  // Lists submitted but not yet retired; guarded by the consumer's mutex
+  // (its backpressure and Join predicates wait on it).
   int in_flight_ = 0;
 };
 

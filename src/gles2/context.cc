@@ -1164,8 +1164,11 @@ void Context::BufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
     SetError(GL_INVALID_OPERATION);
     return;
   }
+  // Sum in unsigned arithmetic: two non-negative values cannot wrap there,
+  // while the signed `offset + size` overflows near LONG_MAX.
   if (offset < 0 || size < 0 ||
-      static_cast<std::size_t>(offset + size) > b->data.size()) {
+      static_cast<std::size_t>(offset) + static_cast<std::size_t>(size) >
+          b->data.size()) {
     SetError(GL_INVALID_VALUE);
     return;
   }

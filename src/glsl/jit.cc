@@ -7,6 +7,7 @@
 // into VmExec::ExecBatchOp through JitEnv::exec_op.
 #include "glsl/jit.h"
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -653,9 +654,18 @@ std::string Codegen::Run() {
   return dir;
 }
 
+// Suffix for a temp file written beside its final path. The pid separates
+// processes and the counter separates calls within one, so two threads
+// compiling the same program never write or rename each other's temp file.
+[[nodiscard]] std::string TempSuffix() {
+  static std::atomic<std::uint64_t> next{0};
+  return "." + std::to_string(::getpid()) + "." +
+         std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+}
+
 [[nodiscard]] bool WriteFileAtomic(const std::string& path,
                                    const std::string& text) {
-  const std::string tmp = path + "." + std::to_string(::getpid());
+  const std::string tmp = path + TempSuffix();
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return false;
   const bool ok =
@@ -722,11 +732,12 @@ std::shared_ptr<const Module> CompileProgram(const VmProgram& prog) {
   if (::access(so_path.c_str(), R_OK) != 0) {
     const std::string cc_path = dir + "/" + hex + ".cc";
     if (!WriteFileAtomic(cc_path, src)) return nullptr;
-    // Compile to a pid-suffixed temp and rename: concurrent processes
-    // compiling the same program race benignly to an identical file.
+    // Compile to a unique temp and rename: concurrent compiles of the same
+    // program, in this process or another, race benignly to an identical
+    // file, and a half-written .so is never visible under its final name.
     // -fno-strict-aliasing: the generated code views Value cells as both
     // int and float, exactly like the Cell union the kernels use.
-    const std::string tmp_so = so_path + "." + std::to_string(::getpid());
+    const std::string tmp_so = so_path + TempSuffix();
     const std::string cmd = CompilerCmd() +
                             " -O2 -fPIC -shared -fno-strict-aliasing -w -o '" +
                             tmp_so + "' '" + cc_path + "' >/dev/null 2>&1";

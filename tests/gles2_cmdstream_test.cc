@@ -2,14 +2,21 @@
 // byte-identical to immediate mode — framebuffer bytes, ALU/SFU/TMU counts,
 // GL errors and trap/abort semantics — on every engine and worker count.
 // Also covers the recording machinery itself: dirty-state diffing, record-
-// time client-array snapshots, the Flush/Finish contract, fair multi-context
-// submission, and the knob that turns the whole thing off.
+// time client-array snapshots, the Flush/Finish contract, the knob that
+// turns the whole thing off, and the multi-consumer device: sticky,
+// least-loaded queue assignment, per-context order across many contexts,
+// AluModel affinity, and fault isolation and draining across consumers.
+#include <algorithm>
 #include <array>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
+#include "common/threadpool.h"
 #include "gles2/cmdstream.h"
 #include "gles2/context.h"
 #include "gles2_test_util.h"
@@ -346,50 +353,260 @@ TEST(CmdStream, TrapLatchesAtSyncPoint) {
   EXPECT_EQ(got[1].alu, got[0].alu);
 }
 
-// Many live contexts share the one device: interleaved recorded work from
-// all of them executes correctly (each context's own list order preserved,
-// results independent).
-TEST(CmdStream, MultiContextSubmissionIsIsolated) {
-  constexpr int kContexts = 8;
-  constexpr int kSide = 16;
-  std::vector<std::unique_ptr<Context>> ctxs;
-  std::vector<GLuint> progs;
-  std::vector<GLint> tints;
-  for (int i = 0; i < kContexts; ++i) {
-    ctxs.push_back(std::make_unique<Context>(
-        MakeConfig(/*async=*/1, ExecEngine::kBatchedVm, 1, kSide, kSide)));
-    progs.push_back(BuildProgramOrDie(*ctxs.back(), kPassthroughVs,
-                                      "precision mediump float;\n"
-                                      "uniform vec4 u_tint;\n"
-                                      "void main() { gl_FragColor = u_tint; "
-                                      "}"));
-    ctxs.back()->UseProgram(progs.back());
-    tints.push_back(ctxs.back()->GetUniformLocation(progs.back(), "u_tint"));
+// --- many contexts on the multi-consumer device --------------------------
+
+constexpr int kSide = 16;  // one tile: these tests are about the device
+
+constexpr char kTintFs[] =
+    "precision mediump float;\n"
+    "uniform vec4 u_tint;\n"
+    "void main() { gl_FragColor = u_tint; }";
+
+// One small client: a context with a flat-tint program over a client-array
+// quad, blending half-transparent tints so its final bytes depend on the
+// order its draws executed in.
+struct Client {
+  std::unique_ptr<Context> ctx;
+  GLuint prog = 0;
+  GLint tint = -1;
+};
+
+Client MakeClient(int async, glsl::AluModel* alu = nullptr) {
+  Client c;
+  c.ctx = std::make_unique<Context>(
+      MakeConfig(async, ExecEngine::kBatchedVm, 1, kSide, kSide), alu);
+  Context& ctx = *c.ctx;
+  c.prog = BuildProgramOrDie(ctx, kPassthroughVs, kTintFs);
+  ctx.UseProgram(c.prog);
+  c.tint = ctx.GetUniformLocation(c.prog, "u_tint");
+  const GLint loc = ctx.GetAttribLocation(c.prog, "a_pos");
+  ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+  ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE, 0,
+                          kQuad.data());
+  ctx.Enable(GL_BLEND);
+  ctx.BlendFunc(GL_SRC_ALPHA, GL_ONE_MINUS_SRC_ALPHA);
+  return c;
+}
+
+// Records draw `round` of client `id`, with a tint unique to (id, round),
+// and submits it unless `flush` is false.
+void RecordRound(Client& c, int id, int round, bool flush = true) {
+  const float v = static_cast<float>((id * 7 + round * 3) % 16) / 15.0f;
+  c.ctx->Uniform4f(c.tint, v, 1.0f - v, 0.125f * static_cast<float>(round),
+                   0.5f);
+  c.ctx->DrawArrays(GL_TRIANGLES, 0, 6);
+  if (flush) c.ctx->Flush();
+}
+
+Observed Observe(Client& c) {
+  Observed o;
+  o.fb = ReadRgba(*c.ctx, kSide, kSide);
+  const glsl::OpCounts n = c.ctx->alu().counts();
+  o.alu = n.alu;
+  o.sfu = n.sfu;
+  o.tmu = n.tmu;
+  o.error = c.ctx->GetError();
+  return o;
+}
+
+void ExpectSameAsTwin(Client& async, Client& twin, int id) {
+  const Observed a = Observe(async);
+  const Observed b = Observe(twin);
+  EXPECT_EQ(a.fb, b.fb) << "context " << id;
+  EXPECT_EQ(a.alu, b.alu) << "context " << id;
+  EXPECT_EQ(a.tmu, b.tmu) << "context " << id;
+  EXPECT_EQ(a.error, static_cast<GLenum>(GL_NO_ERROR)) << "context " << id;
+  EXPECT_EQ(b.error, static_cast<GLenum>(GL_NO_ERROR)) << "context " << id;
+}
+
+std::size_t MaxConsumers() {
+  return static_cast<std::size_t>(
+      std::max(2, common::DefaultThreadCount() - 1));
+}
+
+// Lists each consumer executed since `before` was taken.
+std::vector<std::uint64_t> ExecutedSince(const cmd::DeviceStats& before) {
+  const cmd::DeviceStats now = cmd::device_stats();
+  std::vector<std::uint64_t> d = now.lists_executed;
+  for (std::size_t i = 0; i < before.lists_executed.size(); ++i) {
+    d[i] -= before.lists_executed[i];
   }
-  // Interleave: every context records one draw per round, nobody joins
-  // until the end.
-  for (int round = 0; round < 4; ++round) {
+  return d;
+}
+
+int Busy(const std::vector<std::uint64_t>& executed) {
+  return static_cast<int>(std::count_if(executed.begin(), executed.end(),
+                                        [](std::uint64_t n) { return n > 0; }));
+}
+
+// A process that creates and destroys contexts in turn (a compute device
+// rebuilt per job) must keep using one consumer thread: spreading them over
+// threads would give each its own malloc arena. Runs in a re-executed
+// child process, where no consumer has started yet, so earlier tests in
+// this binary cannot hide an extra start.
+TEST(CmdStreamDevice, SequentialContextsStayOnOneConsumer) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(
+      {
+        for (int i = 0; i < 7; ++i) {
+          Client c = MakeClient(/*async=*/1);
+          RecordRound(c, i, 0);
+          c.ctx->Finish();
+        }
+        const std::size_t started = cmd::device_stats().live_queues.size();
+        std::fprintf(stderr, "consumers started: %zu\n", started);
+        std::exit(started == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "consumers started: 1");
+}
+
+// Live contexts are assigned least-loaded: one consumer per hardware
+// thread but one (at least two) is started, and every consumer serves
+// within one queue of every other.
+TEST(CmdStreamDevice, LiveContextsSpreadEvenlyAcrossConsumers) {
+  constexpr int kContexts = 64;
+  std::vector<Client> clients;
+  for (int i = 0; i < kContexts; ++i) clients.push_back(MakeClient(1));
+  const cmd::DeviceStats s = cmd::device_stats();
+  ASSERT_EQ(s.live_queues.size(), MaxConsumers());
+  const auto [lo, hi] =
+      std::minmax_element(s.live_queues.begin(), s.live_queues.end());
+  EXPECT_LE(*hi - *lo, 1);
+  EXPECT_EQ(std::accumulate(s.live_queues.begin(), s.live_queues.end(), 0),
+            kContexts);
+
+  for (int i = 0; i < kContexts; ++i) {
+    RecordRound(clients[static_cast<std::size_t>(i)], i, 0);
+  }
+  for (Client& c : clients) c.ctx->Finish();
+  EXPECT_EQ(Busy(ExecutedSince(s)), static_cast<int>(MaxConsumers()));
+}
+
+// Many live contexts, interleaved recording, nobody joining until the end:
+// each context's lists still execute in its own order, so its bytes and
+// counts equal an inline twin fed the same calls.
+TEST(CmdStream, MultiContextSubmissionIsIsolated) {
+  constexpr int kContexts = 64;
+  constexpr int kRounds = 4;
+  std::vector<Client> async, twins;
+  for (int i = 0; i < kContexts; ++i) {
+    async.push_back(MakeClient(/*async=*/1));
+    twins.push_back(MakeClient(/*async=*/0));
+  }
+  for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kContexts; ++i) {
-      const float v = (i + 1) / static_cast<float>(kContexts);
-      ctxs[static_cast<std::size_t>(i)]->Uniform4f(
-          tints[static_cast<std::size_t>(i)], v, 1.0f - v, 0.0f, 1.0f);
-      DrawFullscreenQuad(*ctxs[static_cast<std::size_t>(i)],
-                         progs[static_cast<std::size_t>(i)]);
-      ctxs[static_cast<std::size_t>(i)]->Flush();
+      RecordRound(async[static_cast<std::size_t>(i)], i, round);
+      RecordRound(twins[static_cast<std::size_t>(i)], i, round);
     }
   }
   for (int i = 0; i < kContexts; ++i) {
-    Context& ctx = *ctxs[static_cast<std::size_t>(i)];
-    const float v = (i + 1) / static_cast<float>(kContexts);
-    const auto px = ReadRgba(ctx, kSide, kSide);
-    const int want_r = static_cast<int>(v * 255.0f + 0.5f);
-    const int want_g = static_cast<int>((1.0f - v) * 255.0f + 0.5f);
-    EXPECT_EQ(px[0], want_r) << "context " << i;
-    EXPECT_EQ(px[1], want_g) << "context " << i;
-    EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
-    const cmd::Stats s = ctx.command_stream_stats();
-    EXPECT_EQ(s.lists_executed, s.lists_submitted);
-    EXPECT_EQ(s.lists_dropped, 0u);
+    ExpectSameAsTwin(async[static_cast<std::size_t>(i)],
+                     twins[static_cast<std::size_t>(i)], i);
+    const cmd::Stats s =
+        async[static_cast<std::size_t>(i)].ctx->command_stream_stats();
+    EXPECT_EQ(s.lists_executed, s.lists_submitted) << "context " << i;
+    EXPECT_EQ(s.lists_dropped, 0u) << "context " << i;
+  }
+}
+
+// Contexts counting into one AluModel share a consumer: draws mutate the
+// model (and abort rolls it back), so two consumers on it would race. The
+// interleaved async run must match the inline run in bytes and in the
+// summed counts.
+TEST(CmdStreamDevice, ContextsSharingAnAluModelShareAConsumer) {
+  constexpr int kRounds = 8;
+  std::vector<std::uint8_t> fb[2][2];
+  glsl::OpCounts counts[2];
+  for (const int async : {1, 0}) {
+    glsl::ExactAlu alu;
+    Client a = MakeClient(async, &alu);
+    Client b = MakeClient(async, &alu);
+    if (async == 1) {
+      const cmd::DeviceStats s = cmd::device_stats();
+      EXPECT_EQ(std::count(s.live_queues.begin(), s.live_queues.end(), 2), 1)
+          << "the two queues landed on different consumers";
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      RecordRound(a, 0, round);
+      RecordRound(b, 1, round);
+    }
+    a.ctx->Finish();
+    b.ctx->Finish();
+    counts[async] = alu.counts();
+    fb[async][0] = ReadRgba(*a.ctx, kSide, kSide);
+    fb[async][1] = ReadRgba(*b.ctx, kSide, kSide);
+    EXPECT_EQ(a.ctx->GetError(), static_cast<GLenum>(GL_NO_ERROR));
+    EXPECT_EQ(b.ctx->GetError(), static_cast<GLenum>(GL_NO_ERROR));
+  }
+  EXPECT_EQ(fb[1][0], fb[0][0]);
+  EXPECT_EQ(fb[1][1], fb[0][1]);
+  EXPECT_EQ(counts[1].alu, counts[0].alu);
+  EXPECT_EQ(counts[1].sfu, counts[0].sfu);
+  EXPECT_EQ(counts[1].tmu, counts[0].tmu);
+}
+
+// A list dropped by the kCmdSubmit fault on one context latches that
+// context's reset only: neighbours on its own consumer and on the others
+// keep their frames, errors and reset status.
+TEST(CmdStreamDevice, SubmitDropOnOneContextLeavesNeighboursUntouched) {
+  const int neighbours = static_cast<int>(2 * MaxConsumers());
+  Client victim = MakeClient(/*async=*/1);
+  std::vector<Client> async, twins;
+  for (int i = 1; i <= neighbours; ++i) {
+    async.push_back(MakeClient(/*async=*/1));
+    twins.push_back(MakeClient(/*async=*/0));
+  }
+  auto neighbour_round = [&](int round) {
+    for (int i = 0; i < neighbours; ++i) {
+      RecordRound(async[static_cast<std::size_t>(i)], i + 1, round);
+      RecordRound(twins[static_cast<std::size_t>(i)], i + 1, round);
+    }
+  };
+  RecordRound(victim, 0, 0);
+  neighbour_round(0);
+
+  fault::Arm(fault::Site::kCmdSubmit, 0);  // drains round 0 unarmed
+  victim.ctx->Clear(GL_COLOR_BUFFER_BIT);
+  victim.ctx->Flush();                     // dropped
+  fault::Disarm(fault::Site::kCmdSubmit);
+
+  EXPECT_EQ(victim.ctx->GetError(), static_cast<GLenum>(GL_OUT_OF_MEMORY));
+  EXPECT_EQ(victim.ctx->GetGraphicsResetStatus(),
+            static_cast<GLenum>(GL_INNOCENT_CONTEXT_RESET));
+  neighbour_round(1);
+  for (int i = 0; i < neighbours; ++i) {
+    Client& c = async[static_cast<std::size_t>(i)];
+    ExpectSameAsTwin(c, twins[static_cast<std::size_t>(i)], i + 1);
+    EXPECT_EQ(c.ctx->GetGraphicsResetStatus(), static_cast<GLenum>(GL_NO_ERROR))
+        << "context " << i + 1;
+    EXPECT_EQ(c.ctx->command_stream_stats().lists_dropped, 0u)
+        << "context " << i + 1;
+  }
+}
+
+// The fault registry's quiesce hook must drain every consumer: after
+// fault::Arm returns, the lists queued on all of them and the lists still
+// open have executed.
+TEST(CmdStreamDevice, FaultArmDrainsEveryConsumer) {
+  const int contexts = static_cast<int>(2 * MaxConsumers());
+  std::vector<Client> clients;
+  for (int i = 0; i < contexts; ++i) clients.push_back(MakeClient(1));
+  for (Client& c : clients) c.ctx->Finish();
+  const cmd::DeviceStats before = cmd::device_stats();
+  // Half the contexts submit their list, half leave it open.
+  for (int i = 0; i < contexts; ++i) {
+    RecordRound(clients[static_cast<std::size_t>(i)], i, 0,
+                /*flush=*/i % 2 == 0);
+  }
+  fault::Arm(fault::Site::kCmdSubmit, ~0ull);  // never fires
+  const std::vector<std::uint64_t> executed = ExecutedSince(before);
+  fault::Disarm(fault::Site::kCmdSubmit);
+  EXPECT_EQ(std::accumulate(executed.begin(), executed.end(),
+                            std::uint64_t{0}),
+            static_cast<std::uint64_t>(contexts));
+  EXPECT_EQ(Busy(executed), static_cast<int>(MaxConsumers()));
+  for (Client& c : clients) {
+    EXPECT_EQ(c.ctx->GetError(), static_cast<GLenum>(GL_NO_ERROR));
   }
 }
 

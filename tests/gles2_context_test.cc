@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -382,6 +383,51 @@ TEST(ContextTest, VboDrawBeyondBufferSetsErrorNotOob) {
     // The last in-bounds window still draws.
     ctx.DrawArrays(GL_TRIANGLES, 0, 3);
     EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  }
+}
+
+// BufferSubData ranges whose end overflows a signed sum (offset or size
+// near the type's maximum) must be rejected with GL_INVALID_VALUE before
+// any byte is written; the store keeps its contents and still draws.
+TEST(ContextTest, BufferSubDataOverflowingRangeSetsErrorNoWrite) {
+  for (const int async : {1, 0}) {
+    SCOPED_TRACE("async_submit=" + std::to_string(async));
+    ContextConfig cfg = SmallConfig();
+    cfg.async_submit = async;
+    Context ctx(cfg);
+    const GLuint p = BuildProgramOrDie(
+        ctx, testutil::kPassthroughVs,
+        "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
+    ctx.UseProgram(p);
+    GLuint vbo;
+    ctx.GenBuffers(1, &vbo);
+    ctx.BindBuffer(GL_ARRAY_BUFFER, vbo);
+    constexpr GLsizeiptr kBytes = sizeof(float) * 12;
+    ctx.BufferData(GL_ARRAY_BUFFER, kBytes, testutil::kQuad.data(),
+                   GL_STATIC_DRAW);
+    ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+
+    constexpr GLsizeiptr kMax = std::numeric_limits<GLsizeiptr>::max();
+    const std::vector<std::uint8_t> junk(16, 0xAB);
+    ctx.BufferSubData(GL_ARRAY_BUFFER, kMax - 3, 8, junk.data());
+    EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE) << "offset near max";
+    ctx.BufferSubData(GL_ARRAY_BUFFER, 8, kMax - 3, junk.data());
+    EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE) << "size near max";
+    ctx.BufferSubData(GL_ARRAY_BUFFER, kBytes - 7, 8, junk.data());
+    EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE) << "one byte past the end";
+    // The last in-bounds range is accepted (rewriting identical bytes).
+    ctx.BufferSubData(GL_ARRAY_BUFFER, kBytes - 8, 8,
+                      testutil::kQuad.data() + 10);
+    EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+
+    const GLint loc = ctx.GetAttribLocation(p, "a_pos");
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+    ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE,
+                            0, nullptr);
+    ctx.DrawArrays(GL_TRIANGLES, 0, 6);
+    EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+    EXPECT_EQ(ReadRgba(ctx, 4, 4), std::vector<std::uint8_t>(4 * 4 * 4, 255))
+        << "the rejected calls changed the store";
   }
 }
 

@@ -3,8 +3,10 @@
 // context. The heavy bit-identity lockdown lives in glsl_vm_fuzz_test.cc
 // and gles2_tiling_test.cc; this file pins the plumbing around it.
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gles2/context.h"
@@ -140,6 +142,73 @@ TEST(JitCompileTest, AttachedModuleMatchesInterpreterBitForBit) {
       }
     }
   }
+}
+
+// Two threads compiling one program into a cold cache at once (two device
+// consumers linking the same shader): each temp file must be private to its
+// call, so both modules load and run, and no temp file is left behind.
+TEST(JitCompileTest, ConcurrentCompilesOfOneProgramBothLoad) {
+  if (!jit::Available()) GTEST_SKIP() << "no host compiler";
+  const std::shared_ptr<const VmProgram> prog = Lower(kUniformFs);
+  ASSERT_NE(prog, nullptr);
+
+  const char* prev = std::getenv("TMPDIR");
+  const std::string saved = prev != nullptr ? prev : "";
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "mgpu-jit-test-XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  ::setenv("TMPDIR", tmpl.c_str(), 1);
+
+  std::shared_ptr<const jit::Module> mods[2];
+  {
+    std::thread t0([&] { mods[0] = jit::CompileProgram(*prog); });
+    std::thread t1([&] { mods[1] = jit::CompileProgram(*prog); });
+    t0.join();
+    t1.join();
+  }
+  if (prev != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+
+  for (const auto& mod : mods) {
+    ASSERT_NE(mod, nullptr);
+    ExactAlu alu_ref, alu_jit;
+    VmExec ref(prog, alu_ref);
+    VmExec jitted(prog, alu_jit);
+    jitted.SetJit(mod);
+    const int in_slot = ref.GlobalSlot("v_in");
+    const int color_slot = ref.GlobalSlot("gl_FragColor");
+    for (int l = 0; l < kVmLanes; ++l) {
+      for (int k = 0; k < 4; ++k) {
+        const float f = 0.125f * static_cast<float>(l) + 0.5f * k;
+        ref.LaneGlobalAt(in_slot, l).SetF(k, f);
+        jitted.LaneGlobalAt(in_slot, l).SetF(k, f);
+      }
+    }
+    EXPECT_EQ(jitted.RunBatch(kVmLanes), ref.RunBatch(kVmLanes));
+    EXPECT_EQ(alu_jit.counts().alu, alu_ref.counts().alu);
+    for (int l = 0; l < kVmLanes; ++l) {
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(jitted.LaneGlobalAt(color_slot, l).F(k),
+                  ref.LaneGlobalAt(color_slot, l).F(k));
+      }
+    }
+  }
+
+  // Only the final .cc and .so may remain in the cache directory.
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(tmpl)) {
+    if (!entry.is_regular_file()) continue;
+    ++files;
+    const std::string ext = entry.path().extension().string();
+    EXPECT_TRUE(ext == ".cc" || ext == ".so") << entry.path();
+  }
+  EXPECT_EQ(files, 2);
+  std::filesystem::remove_all(tmpl);
 }
 
 }  // namespace
