@@ -26,6 +26,7 @@
 #include "compute/kernel.h"
 #include "gles2/context.h"
 #include "glsl/simd.h"
+#include "vc4/alu.h"
 #include "vc4/profiles.h"
 
 namespace {
@@ -152,8 +153,12 @@ std::uint32_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
 // `simd` follows ContextConfig::simd (-1 auto, 0 scalar SoA, 1 SSE2 cap,
 // 2 AVX2 cap); `batch_width` is the rasterizer's fragment-batch fill width.
 // Every combination must hash identically — only wall clock may move.
+// `vc4` shades on the VideoCore IV ALU (denormal flush) instead of the
+// context's default exact one.
 VectorHeavyResult RunVectorHeavy(gles2::ExecEngine engine, int size,
-                                 int simd = -1, int batch_width = 16) {
+                                 int simd = -1, int batch_width = 16,
+                                 bool vc4 = false) {
+  vc4::Vc4Alu vc4_alu(vc4::VideoCoreIV());
   gles2::ContextConfig cfg;
   cfg.width = size;
   cfg.height = size;
@@ -162,7 +167,7 @@ VectorHeavyResult RunVectorHeavy(gles2::ExecEngine engine, int size,
   cfg.exec_engine = engine;
   cfg.simd = simd;
   cfg.fragment_batch_width = batch_width;
-  gles2::Context ctx(cfg);
+  gles2::Context ctx(cfg, vc4 ? &vc4_alu : nullptr);
 
   const GLuint vs = ctx.CreateShader(GL_VERTEX_SHADER);
   ctx.ShaderSource(vs, kLightVs);
@@ -273,13 +278,13 @@ int main(int argc, char** argv) {
   // --- vector-heavy lighting scene: the SoA-kernel showcase ---------------
   const int vh_size = quick ? 256 : 512;
   auto best_vh = [&](gles2::ExecEngine engine, int simd = -1,
-                     int batch_width = 16) {
+                     int batch_width = 16, bool vc4 = false) {
     VectorHeavyResult best =
-        RunVectorHeavy(engine, vh_size, simd, batch_width);
+        RunVectorHeavy(engine, vh_size, simd, batch_width, vc4);
     bool all_ok = best.ok;
     for (int r = 1; r < reps; ++r) {
       VectorHeavyResult again =
-          RunVectorHeavy(engine, vh_size, simd, batch_width);
+          RunVectorHeavy(engine, vh_size, simd, batch_width, vc4);
       all_ok = all_ok && again.ok && again.fb_hash == best.fb_hash;
       if (again.seconds < best.seconds) best.seconds = again.seconds;
     }
@@ -312,6 +317,19 @@ int main(int argc, char** argv) {
               glsl::simd::LevelName(glsl::simd::Resolve(-1)),
               vh_soa.seconds / vh_batched.seconds,
               simd_identical ? "identical" : "MISMATCH");
+
+  // The same A/B on the shipped VideoCore IV ALU: its denormal flush runs
+  // inside the vector kernels, so SIMD engages there too.
+  const VectorHeavyResult vh_vc4 = best_vh(gles2::ExecEngine::kBatchedVm,
+                                           /*simd=*/-1, 16, /*vc4=*/true);
+  const VectorHeavyResult vh_vc4_soa = best_vh(
+      gles2::ExecEngine::kBatchedVm, /*simd=*/0, 16, /*vc4=*/true);
+  const bool simd_identical_vc4 = vh_vc4_soa.fb_hash == vh_vc4.fb_hash;
+  std::printf("  VideoCore IV ALU: simd %8.3f s, scalar SoA %8.3f s "
+              "(speedup %.2fx, framebuffers %s)\n",
+              vh_vc4.seconds, vh_vc4_soa.seconds,
+              vh_vc4_soa.seconds / vh_vc4.seconds,
+              simd_identical_vc4 ? "identical" : "MISMATCH");
 
   // Compiled-engine A/B: the per-link transpiled module against the batched
   // interpreter it falls back to. Same scene, same lanes; the first draw
@@ -362,6 +380,11 @@ int main(int argc, char** argv) {
   json.Add("simd_speedup_vs_soa", vh_soa.seconds / vh_batched.seconds, "x");
   json.Add("simd_identical",
            simd_identical && vh_soa.ok ? 1.0 : 0.0, "bool");
+  json.Add("simd_speedup_vs_soa_vc4", vh_vc4_soa.seconds / vh_vc4.seconds,
+           "x");
+  json.Add("simd_identical_vc4",
+           simd_identical_vc4 && vh_vc4.ok && vh_vc4_soa.ok ? 1.0 : 0.0,
+           "bool");
   json.Add("vector_heavy_compiled", vh_compiled.seconds, "s");
   json.Add("compiled_speedup_vs_batched",
            vh_batched.seconds / vh_compiled.seconds, "x");
@@ -420,7 +443,8 @@ int main(int argc, char** argv) {
 
   const bool all_ok = batched.ok && vm.ok && tree.ok && scaling_ok &&
                       vh_identical && vh_batched.ok && vh_scalar.ok &&
-                      simd_identical && vh_soa.ok && width_identical &&
+                      simd_identical && vh_soa.ok && simd_identical_vc4 &&
+                      vh_vc4.ok && vh_vc4_soa.ok && width_identical &&
                       compiled_identical && vh_compiled.ok;
   std::printf("\nresult: %s\n", all_ok ? "every size maps 1:1" : "FAILURE");
   return all_ok ? 0 : 1;

@@ -38,7 +38,9 @@ struct DeviceOptions {
   // SIMD level for the batched VM's stride-1 float fast paths: -1 picks the
   // MGPU_SIMD environment override if set, else the best level the host CPU
   // supports; 0 forces the portable scalar SoA kernels, 1 caps at SSE2 and
-  // 2 at AVX2 (both clamped to what the host actually has). Every level
+  // 2 at AVX2 (both clamped to what the host actually has). It applies on
+  // the VideoCore IV profile (denormal flush runs in the vector kernels);
+  // reduced-mantissa profiles such as Mali-400 stay scalar. Every level
   // produces byte-identical framebuffers and op counts; see
   // gles2::ContextConfig::simd.
   int simd = -1;

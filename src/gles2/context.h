@@ -101,9 +101,12 @@ struct ContextConfig {
   int shader_threads = 0;
   // SIMD tier for the batched VM's SoA kernels: -1 = auto (MGPU_SIMD env
   // override, else the detected hardware level), 0/1/2 = force
-  // scalar/SSE2/AVX2 (clamped to what the host supports). Results are
-  // bit-identical at every tier by construction (see src/glsl/simd.h);
-  // this knob exists for A/B benchmarking and CI's SIMD-off leg.
+  // scalar/SSE2/AVX2 (clamped to what the host supports). The tier engages
+  // under the exact and VideoCore IV ALUs (identity / denormal-flush
+  // rounding); reduced-mantissa models such as Mali-400 always run the
+  // scalar kernels. Results are bit-identical at every tier by construction
+  // (see src/glsl/simd.h); this knob exists for A/B benchmarking and CI's
+  // SIMD-off leg.
   int simd = -1;
   // Compiled-engine (ExecEngine::kCompiled) availability: -1 = auto (the
   // MGPU_JIT env override if set — 0 disables — else host-compiler

@@ -10,6 +10,7 @@
 #ifndef MGPU_GLSL_ALU_H_
 #define MGPU_GLSL_ALU_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 
@@ -32,36 +33,59 @@ struct OpCounts {
   }
 };
 
+// How a model rounds its ALU results to register precision. The first two
+// modes are closed forms that run inline (and in the SIMD kernels); only
+// kModel pays a virtual Round() per result.
+enum class RoundMode : std::uint8_t {
+  kIdentity,        // full fp32, denormals kept: results are plain IEEE ops
+  kFlushDenormals,  // full fp32 mantissas, denormal results -> signed zero
+  kModel,           // anything else (reduced mantissas): virtual Round()
+};
+
+// Denormal flush, bit for bit: a zero exponent field keeps only the sign
+// bit, so +/-0 stay themselves and every denormal becomes the zero of its
+// sign. NaN and inf (all-ones exponent) pass through untouched.
+inline float FlushDenormal(float x) {
+  const std::uint32_t u = std::bit_cast<std::uint32_t>(x);
+  return (u & 0x7f800000u) == 0 ? std::bit_cast<float>(u & 0x80000000u) : x;
+}
+
 class AluModel {
  public:
   virtual ~AluModel() = default;
 
   // --- basic float ALU (counted as `alu`) ---
-  // The identity-round flag lets these inline helpers skip the virtual
-  // Round() on the hot path when the model's register precision is full
-  // fp32 (ExactAlu always; Vc4Alu for IEEE-exact profiles) — bit-identical
-  // by definition of the flag.
   float Add(float a, float b) {
     Count(1);
-    const float r = a + b;
-    return round_identity_ ? r : Round(r);
+    return RoundResult(a + b);
   }
   float Sub(float a, float b) {
     Count(1);
-    const float r = a - b;
-    return round_identity_ ? r : Round(r);
+    return RoundResult(a - b);
   }
   float Mul(float a, float b) {
     Count(1);
-    const float r = a * b;
-    return round_identity_ ? r : Round(r);
+    return RoundResult(a * b);
   }
   // Division: GPUs implement a/b as a * recip(b); the cost and precision of
   // the reciprocal belong to the SFU.
   float Div(float a, float b) {
     Count(1);
-    const float r = a * Recip(b);
-    return round_identity_ ? r : Round(r);
+    return RoundResult(a * Recip(b));
+  }
+
+  // Rounds an ALU result through the model's round mode: inline for
+  // kIdentity and kFlushDenormals, the virtual Round() for kModel. Always
+  // equal to Round(x) (subclasses keep the mode consistent with Round()).
+  float RoundResult(float x) {
+    switch (round_mode_) {
+      case RoundMode::kIdentity:
+        return x;
+      case RoundMode::kFlushDenormals:
+        return FlushDenormal(x);
+      default:
+        return Round(x);
+    }
   }
 
   // --- special functions (counted as `sfu`, precision model hooks) ---
@@ -116,8 +140,10 @@ class AluModel {
   void SetCounts(const OpCounts& c) { counts_ = c; }
 
   // Rounds an ALU result to the modeled register precision. The exact model
-  // returns x unchanged; reduced-precision profiles (e.g. a mediump-only
-  // fragment pipe, paper §IV-E footnote 1) override this.
+  // returns x unchanged; VideoCore-class profiles flush denormals and
+  // reduced-precision ones (e.g. a mediump-only fragment pipe, paper §IV-E
+  // footnote 1) also drop mantissa bits. The hot paths call RoundResult(),
+  // which reaches this only under RoundMode::kModel.
   virtual float Round(float x) { return x; }
 
   // Creates an independent model with the same precision behaviour and zeroed
@@ -135,24 +161,28 @@ class AluModel {
     return nullptr;
   }
 
-  [[nodiscard]] bool round_identity() const { return round_identity_; }
+  [[nodiscard]] RoundMode round_mode() const { return round_mode_; }
+  // Round() is the identity: float results are plain IEEE fp32 ops.
+  [[nodiscard]] bool round_identity() const {
+    return round_mode_ == RoundMode::kIdentity;
+  }
 
  protected:
-  // Subclasses whose Round() is the identity function declare it here to
-  // enable the inline fast path above. Defaults to false (conservative for
-  // unknown subclasses that override Round()).
-  void SetRoundIdentity(bool identity) { round_identity_ = identity; }
+  // Subclasses declare the closed form their Round() has, enabling the
+  // inline paths above. Defaults to kModel (conservative for unknown
+  // subclasses that override Round()).
+  void SetRoundMode(RoundMode mode) { round_mode_ = mode; }
 
  private:
   OpCounts counts_;
-  bool round_identity_ = false;
+  RoundMode round_mode_ = RoundMode::kModel;
 };
 
 // IEEE-exact ALU: reference behaviour, used for the CPU-side verification the
 // paper performs ("the same transformations on the CPU are precise", §V).
 class ExactAlu final : public AluModel {
  public:
-  ExactAlu() { SetRoundIdentity(true); }
+  ExactAlu() { SetRoundMode(RoundMode::kIdentity); }
   [[nodiscard]] std::unique_ptr<AluModel> Fork() const override {
     return std::make_unique<ExactAlu>();
   }

@@ -974,11 +974,23 @@ inline __m128 GatherComp(const Value* const v[4], int i) {
   return _mm_set_ps(v[3]->F(i), v[2]->F(i), v[1]->F(i), v[0]->F(i));
 }
 
+// Scalar twin of simd::Round4 for the kernels' leftover-lane code.
+template <bool kFlush>
+inline float Round1(float x) {
+  if constexpr (kFlush) {
+    return FlushDenormal(x);
+  } else {
+    return x;
+  }
+}
+
 // dot(a, b) across lanes, 4 live lanes per step: element k replays lane
-// lanes[g+k]'s exact mul/add chain in order, so results match the scalar
-// DotProduct bit for bit under the round-identity precondition. Leftover
-// lanes run the same chain in plain scalar code (this TU is compiled for
-// baseline x86-64 — no FMA — so no contraction can alter either path).
+// lanes[g+k]'s exact mul/add chain in order, rounding every op like
+// DotProduct's alu.Mul/alu.Add, so results match the scalar kernel bit for
+// bit. Leftover lanes run the same chain in plain scalar code (this TU is
+// compiled for baseline x86-64 — no FMA — so no contraction can alter
+// either path).
+template <bool kFlush>
 void SimdDotLanes(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
                   int n, std::uint32_t mask) {
   int lanes[32];
@@ -986,6 +998,9 @@ void SimdDotLanes(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
   for (std::uint32_t m = mask; m != 0; m &= m - 1) {
     lanes[c++] = std::countr_zero(m);
   }
+  const auto mul = [](__m128 x, __m128 y) {
+    return simd::Round4<kFlush>(_mm_mul_ps(x, y));
+  };
   int g = 0;
   for (; g + 4 <= c; g += 4) {
     const Value* av[4];
@@ -994,9 +1009,10 @@ void SimdDotLanes(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
       av[k] = &a.at(lanes[g + k]);
       bv[k] = &b.at(lanes[g + k]);
     }
-    __m128 acc = _mm_mul_ps(GatherComp(av, 0), GatherComp(bv, 0));
+    __m128 acc = mul(GatherComp(av, 0), GatherComp(bv, 0));
     for (int i = 1; i < n; ++i) {
-      acc = _mm_add_ps(acc, _mm_mul_ps(GatherComp(av, i), GatherComp(bv, i)));
+      acc = simd::Round4<kFlush>(
+          _mm_add_ps(acc, mul(GatherComp(av, i), GatherComp(bv, i))));
     }
     alignas(16) float r[4];
     _mm_store_ps(r, acc);
@@ -1005,10 +1021,10 @@ void SimdDotLanes(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
   for (; g < c; ++g) {
     const Value& avv = a.at(lanes[g]);
     const Value& bvv = b.at(lanes[g]);
-    float acc = avv.F(0) * bvv.F(0);
+    float acc = Round1<kFlush>(avv.F(0) * bvv.F(0));
     for (int i = 1; i < n; ++i) {
-      const float p = avv.F(i) * bvv.F(i);
-      acc = acc + p;
+      const float p = Round1<kFlush>(avv.F(i) * bvv.F(i));
+      acc = Round1<kFlush>(acc + p);
     }
     dst.at(lanes[g]).SetF(0, acc);
   }
@@ -1042,6 +1058,7 @@ __attribute__((target("avx2"))) void FloorLanesAvx2(const BatchDst& dst,
   }
 }
 
+template <bool kFlush>
 __attribute__((target("avx2"))) void FractLanesAvx2(const BatchDst& dst,
                                                     const BatchSrc& a, int n,
                                                     std::uint32_t mask) {
@@ -1055,12 +1072,12 @@ __attribute__((target("avx2"))) void FractLanesAvx2(const BatchDst& dst,
       // then computes x - x for NaN elements, exactly like the scalar
       // kernel's alu.Sub(x, std::floor(x)) — same operands on both sides,
       // so the propagated payload is identical no matter which operand the
-      // hardware picks.
+      // hardware picks. The difference rounds like that alu.Sub.
       const __m128 f = _mm_floor_ps(x);
       const __m128 nan = _mm_cmpunord_ps(x, x);
       const __m128 fl =
           _mm_or_ps(_mm_and_ps(nan, x), _mm_andnot_ps(nan, f));
-      StoreF4(oc + i, _mm_sub_ps(x, fl));
+      StoreF4(oc + i, simd::Round4<kFlush>(_mm_sub_ps(x, fl)));
     }
   }
 }
@@ -1068,29 +1085,16 @@ __attribute__((target("avx2"))) void FractLanesAvx2(const BatchDst& dst,
 #define MGPU_SIMD_AVX2_TIER 0
 #endif
 
-}  // namespace
-
-void EvalBuiltinBatchSimd(Builtin b, Type result_type,
-                          std::span<const BatchSrc> argp, AluModel& alu,
-                          const TextureFn& texture, const BatchDst& dst,
-                          std::uint32_t mask, simd::Level level) {
-  const auto fallback = [&] {
-    EvalBuiltinBatch(b, result_type, argp, alu, texture, dst, mask);
-  };
-  if (level == simd::Level::kScalar || !IsSimdBuiltin(b)) {
-    fallback();
-    return;
-  }
-  // Shape guard, hoisted per instruction: the mapped operand must be a
-  // float vector/matrix whose components (and every broadcast source) stay
-  // inside the inline cells. The lowering tag already guarantees this; the
-  // re-check keeps the entry total if the tag predicate ever drifts.
-  const BatchSrc& a0 = b == Builtin::kStep ? argp[1] : argp[0];
-  const int n = a0.base->count();
-  if (a0.base->scalar() != BaseType::kFloat || n < 2 || n > Value::kInline) {
-    fallback();
-    return;
-  }
+// The vector paths of EvalBuiltinBatchSimd, for an operand shape the entry
+// has already checked. kFlush follows the model's round mode: every op the
+// scalar kernel routes through alu.Add/Sub/Mul rounds through
+// simd::Round4, in the scalar kernel's order; abs/floor/ceil/min/max/
+// clamp/step never round. Returns false where only the scalar kernel
+// applies (floor/ceil/fract below the AVX2 tier).
+template <bool kFlush>
+bool BuiltinSimd(Builtin b, std::span<const BatchSrc> argp, AluModel& alu,
+                 const BatchDst& dst, int n, std::uint32_t mask,
+                 simd::Level level) {
   const std::uint64_t lanes = std::popcount(mask);
   switch (b) {
     case Builtin::kAbs: {
@@ -1099,7 +1103,7 @@ void EvalBuiltinBatchSimd(Builtin b, Type result_type,
           _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
       SimdMapUnary(dst, argp[0], n, mask,
                    [&](__m128 x) { return _mm_and_ps(x, mask_abs); });
-      return;
+      return true;
     }
     case Builtin::kFloor:
     case Builtin::kCeil:
@@ -1107,31 +1111,29 @@ void EvalBuiltinBatchSimd(Builtin b, Type result_type,
       if (level == simd::Level::kAvx2) {
         alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
         FloorLanesAvx2(dst, argp[0], n, mask, b == Builtin::kCeil);
-        return;
+        return true;
       }
 #endif
-      fallback();
-      return;
+      return false;
     case Builtin::kFract:
 #if MGPU_SIMD_AVX2_TIER
       if (level == simd::Level::kAvx2) {
         alu.CountAlu(2 * static_cast<std::uint64_t>(n) * lanes);
-        FractLanesAvx2(dst, argp[0], n, mask);
-        return;
+        FractLanesAvx2<kFlush>(dst, argp[0], n, mask);
+        return true;
       }
 #endif
-      fallback();
-      return;
+      return false;
     case Builtin::kMin:
       alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
       SimdMapBinary(dst, argp[0], argp[1], n,
                     argp[1].base->count() == 1 ? 0 : 1, mask, FminEmu);
-      return;
+      return true;
     case Builtin::kMax:
       alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
       SimdMapBinary(dst, argp[0], argp[1], n,
                     argp[1].base->count() == 1 ? 0 : 1, mask, FmaxEmu);
-      return;
+      return true;
     case Builtin::kClamp:
       alu.CountAlu(2 * static_cast<std::uint64_t>(n) * lanes);
       SimdMapTernary(dst, argp[0], argp[1], argp[2], n,
@@ -1140,20 +1142,24 @@ void EvalBuiltinBatchSimd(Builtin b, Type result_type,
                      [](__m128 x, __m128 lo, __m128 hi) {
                        return FminEmu(FmaxEmu(x, lo), hi);
                      });
-      return;
+      return true;
     case Builtin::kMix:
-      // Same op sequence as the scalar kernel: x*(1-a) + y*a, four plain
-      // IEEE ops per component in the same order.
+      // Same op sequence as the scalar kernel: x*(1-a) + y*a, four IEEE
+      // ops per component in the same order, each rounded.
       alu.CountAlu(4 * static_cast<std::uint64_t>(n) * lanes);
       SimdMapTernary(dst, argp[0], argp[1], argp[2], n,
                      argp[1].base->count() == 1 ? 0 : 1,
                      argp[2].base->count() == 1 ? 0 : 1, mask,
                      [](__m128 x, __m128 y, __m128 a) {
+                       const auto r = [](__m128 v) {
+                         return simd::Round4<kFlush>(v);
+                       };
                        const __m128 one = _mm_set1_ps(1.0f);
-                       return _mm_add_ps(_mm_mul_ps(x, _mm_sub_ps(one, a)),
-                                         _mm_mul_ps(y, a));
+                       return r(_mm_add_ps(
+                           r(_mm_mul_ps(x, r(_mm_sub_ps(one, a)))),
+                           r(_mm_mul_ps(y, a))));
                      });
-      return;
+      return true;
     case Builtin::kStep:
       // step(edge, x) = x < edge ? 0 : 1. CMPNLT is true exactly when
       // !(x < edge), including unordered — the scalar ternary's behaviour
@@ -1165,16 +1171,17 @@ void EvalBuiltinBatchSimd(Builtin b, Type result_type,
                       return _mm_and_ps(_mm_cmpnlt_ps(x, edge),
                                         _mm_set1_ps(1.0f));
                     });
-      return;
+      return true;
     case Builtin::kMatrixCompMult:
       alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[0], argp[1], n, 1, mask,
-                    [](__m128 x, __m128 y) { return _mm_mul_ps(x, y); });
-      return;
+      SimdMapBinary(dst, argp[0], argp[1], n, 1, mask, [](__m128 x, __m128 y) {
+        return simd::Round4<kFlush>(_mm_mul_ps(x, y));
+      });
+      return true;
     case Builtin::kDot:
       alu.CountAlu((2 * static_cast<std::uint64_t>(n) - 1) * lanes);
-      SimdDotLanes(dst, argp[0], argp[1], n, mask);
-      return;
+      SimdDotLanes<kFlush>(dst, argp[0], argp[1], n, mask);
+      return true;
     case Builtin::kNormalize:
       // Per lane: the sequential dot chain runs in scalar (exact replay of
       // DotProduct — baseline TU, no contraction), the 1/sqrt stays on the
@@ -1183,23 +1190,51 @@ void EvalBuiltinBatchSimd(Builtin b, Type result_type,
       alu.CountAlu((3 * static_cast<std::uint64_t>(n) - 1) * lanes);
       ForEachLane(mask, [&](int l) {
         const Value& av = argp[0].at(l);
-        float acc = av.F(0) * av.F(0);
+        float acc = Round1<kFlush>(av.F(0) * av.F(0));
         for (int i = 1; i < n; ++i) {
-          const float p = av.F(i) * av.F(i);
-          acc = acc + p;
+          const float p = Round1<kFlush>(av.F(i) * av.F(i));
+          acc = Round1<kFlush>(acc + p);
         }
         const __m128 inv = _mm_set1_ps(alu.RecipSqrt(acc));
         const Cell* ac = av.data();
         Cell* oc = dst.at(l).data();
         for (int i = 0; i < n; i += 4) {
-          StoreF4(oc + i, _mm_mul_ps(LoadF4(ac + i), inv));
+          StoreF4(oc + i,
+                  simd::Round4<kFlush>(_mm_mul_ps(LoadF4(ac + i), inv)));
         }
       });
-      return;
+      return true;
     default:
-      fallback();
-      return;
+      return false;
   }
+}
+
+}  // namespace
+
+void EvalBuiltinBatchSimd(Builtin b, Type result_type,
+                          std::span<const BatchSrc> argp, AluModel& alu,
+                          const TextureFn& texture, const BatchDst& dst,
+                          std::uint32_t mask, simd::Level level) {
+  const auto fallback = [&] {
+    EvalBuiltinBatch(b, result_type, argp, alu, texture, dst, mask);
+  };
+  if (level == simd::Level::kScalar || alu.round_mode() == RoundMode::kModel ||
+      !IsSimdBuiltin(b)) {
+    fallback();
+    return;
+  }
+  // Shape guard, hoisted per instruction: the mapped operand must be a
+  // float vector/matrix whose components (and every broadcast source) stay
+  // inside the inline cells. The lowering tag already guarantees this; the
+  // re-check keeps the entry total if the tag predicate ever drifts.
+  const BatchSrc& a0 = b == Builtin::kStep ? argp[1] : argp[0];
+  const int n = a0.base->count();
+  const bool done =
+      a0.base->scalar() == BaseType::kFloat && n >= 2 && n <= Value::kInline &&
+      (alu.round_mode() == RoundMode::kFlushDenormals
+           ? BuiltinSimd<true>(b, argp, alu, dst, n, mask, level)
+           : BuiltinSimd<false>(b, argp, alu, dst, n, mask, level));
+  if (!done) fallback();
 }
 
 #else  // !MGPU_SIMD_X86 — portable builds: the entry forwards verbatim.

@@ -91,12 +91,14 @@ void EvalBuiltinBatch(Builtin b, Type result_type,
 // fract / min / max / clamp / mix / step / matrixCompMult / dot /
 // normalize on float vector shapes); every other builtin, shape, or tier
 // falls back to EvalBuiltinBatch internally, so the entry is total. Same
-// contract as the evalcore *Simd entries (evalcore.h): requires
-// alu.round_identity(), charges ops in bulk via AluModel::CountAlu with
-// totals identical to the scalar kernel, honors the live lane mask for
-// every load/store, and is bit-identical by construction — min/max/clamp
-// emulate the exact libm fmin/fmax NaN/signed-zero semantics, dot/normalize
-// replay each lane's sequential accumulation chain unchanged, and
+// contract as the evalcore *Simd entries (evalcore.h): vectorizes under
+// the closed-form round modes only (a kModel ALU falls back), charges ops
+// in bulk via AluModel::CountAlu with totals identical to the scalar
+// kernel, honors the live lane mask for every load/store, and is
+// bit-identical by construction — min/max/clamp emulate the exact libm
+// fmin/fmax NaN/signed-zero semantics, fract/mix/dot/normalize/
+// matrixCompMult round every op the scalar kernel rounds, in its order
+// (dot/normalize replay each lane's sequential accumulation chain), and
 // floor/ceil/fract only vectorize on the AVX2 tier (the round instructions
 // they need are post-SSE2). SFU-routed and texture builtins never take a
 // SIMD path (IsSoaBuiltin + the lowering tag keep them per-lane).

@@ -9,6 +9,15 @@
 
 namespace mgpu::glsl {
 
+namespace {
+
+// Integer negation that wraps (-INT_MIN == INT_MIN) instead of overflowing.
+inline std::int32_t WrapNeg(std::int32_t x) {
+  return static_cast<std::int32_t>(0u - static_cast<std::uint32_t>(x));
+}
+
+}  // namespace
+
 LRef RefWhole(Value& storage, const Type& t) {
   LRef r;
   r.storage = &storage;
@@ -291,9 +300,9 @@ void EvalNegInto(AluModel& alu, const Value& v, Value& out) {
   for (int i = 0; i < v.count(); ++i) {
     alu.Count(1);
     if (is_float) {
-      out.SetF(i, alu.Round(-v.F(i)));
+      out.SetF(i, alu.RoundResult(-v.F(i)));
     } else {
-      out.SetI(i, -v.I(i));
+      out.SetI(i, WrapNeg(v.I(i)));
     }
   }
 }
@@ -515,7 +524,7 @@ void EvalNegBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
       Value& o = out.at(lane);
       for (int i = 0; i < n; ++i) {
         alu.Count(1);
-        o.SetF(i, alu.Round(-a.F(i)));
+        o.SetF(i, alu.RoundResult(-a.F(i)));
       }
     });
     return;
@@ -525,7 +534,7 @@ void EvalNegBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
     Value& o = out.at(lane);
     for (int i = 0; i < n; ++i) {
       alu.Count(1);
-      o.SetI(i, -a.I(i));
+      o.SetI(i, WrapNeg(a.I(i)));
     }
   });
 }
@@ -633,26 +642,30 @@ inline void StoreF4(Cell* c, __m128 v) {
   _mm_storeu_ps(reinterpret_cast<float*>(c), v);
 }
 
-// Component-wise binary op over every live lane, 4 components per step.
+// Component-wise binary op over every live lane, 4 components per step,
+// each result rounded like AluModel::RoundResult (see simd::Round4).
 // `ls`/`rs` are the scalar-broadcast strides of EvalArithBatch (0 = the
 // operand is a scalar splat against a wider result).
-template <typename Op>
+template <bool kFlush, typename Op>
 inline void ArithSimdLanes(const BatchSrc& l, const BatchSrc& r,
                            const BatchDst& out, int n, int ls, int rs,
                            std::uint32_t mask, Op op) {
+  const auto apply = [op](__m128 a, __m128 b) {
+    return simd::Round4<kFlush>(op(a, b));
+  };
   if (ls == 0) {
     ForEachLane(mask, [&](int lane) {
       const __m128 va = _mm_set1_ps(l.at(lane).F(0));
       const Cell* bc = r.at(lane).data();
       Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(va, LoadF4(bc + i)));
+      for (int i = 0; i < n; i += 4) StoreF4(oc + i, apply(va, LoadF4(bc + i)));
     });
   } else if (rs == 0) {
     ForEachLane(mask, [&](int lane) {
       const Cell* ac = l.at(lane).data();
       const __m128 vb = _mm_set1_ps(r.at(lane).F(0));
       Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(LoadF4(ac + i), vb));
+      for (int i = 0; i < n; i += 4) StoreF4(oc + i, apply(LoadF4(ac + i), vb));
     });
   } else {
     ForEachLane(mask, [&](int lane) {
@@ -660,10 +673,49 @@ inline void ArithSimdLanes(const BatchSrc& l, const BatchSrc& r,
       const Cell* bc = r.at(lane).data();
       Cell* oc = out.at(lane).data();
       for (int i = 0; i < n; i += 4) {
-        StoreF4(oc + i, op(LoadF4(ac + i), LoadF4(bc + i)));
+        StoreF4(oc + i, apply(LoadF4(ac + i), LoadF4(bc + i)));
       }
     });
   }
+}
+
+template <bool kFlush>
+void ArithSimd(BinOp op, const BatchSrc& l, const BatchSrc& r,
+               const BatchDst& out, int n, int ls, int rs,
+               std::uint32_t mask) {
+  switch (op) {
+    case BinOp::kAdd:
+      ArithSimdLanes<kFlush>(
+          l, r, out, n, ls, rs, mask,
+          [](__m128 a, __m128 b) { return _mm_add_ps(a, b); });
+      return;
+    case BinOp::kSub:
+      ArithSimdLanes<kFlush>(
+          l, r, out, n, ls, rs, mask,
+          [](__m128 a, __m128 b) { return _mm_sub_ps(a, b); });
+      return;
+    default:
+      ArithSimdLanes<kFlush>(
+          l, r, out, n, ls, rs, mask,
+          [](__m128 a, __m128 b) { return _mm_mul_ps(a, b); });
+      return;
+  }
+}
+
+// -x is a pure sign-bit flip (exact for every input including NaN and
+// +/-0), so negation vectorizes as an XOR, then rounds like the scalar
+// kernel's RoundResult(-x).
+template <bool kFlush>
+void NegSimd(const BatchSrc& v, const BatchDst& out, int n,
+             std::uint32_t mask) {
+  const __m128 sign = _mm_set1_ps(-0.0f);
+  ForEachLane(mask, [&](int lane) {
+    const Cell* ac = v.at(lane).data();
+    Cell* oc = out.at(lane).data();
+    for (int i = 0; i < n; i += 4) {
+      StoreF4(oc + i, simd::Round4<kFlush>(_mm_xor_ps(LoadF4(ac + i), sign)));
+    }
+  });
 }
 
 }  // namespace
@@ -677,8 +729,9 @@ void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
   const bool linalg =
       op == BinOp::kMul && ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
                             (IsVector(lb) && IsMatrix(rb)));
-  if (level == simd::Level::kScalar || op > BinOp::kMul || linalg ||
-      ScalarOf(lb) != BaseType::kFloat || n < 2 || n > Value::kInline) {
+  if (level == simd::Level::kScalar || alu.round_mode() == RoundMode::kModel ||
+      op > BinOp::kMul || linalg || ScalarOf(lb) != BaseType::kFloat ||
+      n < 2 || n > Value::kInline) {
     EvalArithBatch(alu, op, l, r, out, mask);
     return;
   }
@@ -686,42 +739,28 @@ void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
   const int rs = r.base->count() == 1 && n > 1 ? 0 : 1;
   alu.CountAlu(static_cast<std::uint64_t>(n) *
                static_cast<unsigned>(std::popcount(mask)));
-  switch (op) {
-    case BinOp::kAdd:
-      ArithSimdLanes(l, r, out, n, ls, rs, mask,
-                     [](__m128 a, __m128 b) { return _mm_add_ps(a, b); });
-      return;
-    case BinOp::kSub:
-      ArithSimdLanes(l, r, out, n, ls, rs, mask,
-                     [](__m128 a, __m128 b) { return _mm_sub_ps(a, b); });
-      return;
-    default:
-      ArithSimdLanes(l, r, out, n, ls, rs, mask,
-                     [](__m128 a, __m128 b) { return _mm_mul_ps(a, b); });
-      return;
+  if (alu.round_mode() == RoundMode::kFlushDenormals) {
+    ArithSimd<true>(op, l, r, out, n, ls, rs, mask);
+  } else {
+    ArithSimd<false>(op, l, r, out, n, ls, rs, mask);
   }
 }
 
 void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
                       std::uint32_t mask, simd::Level level) {
   const int n = v.base->count();
-  if (level == simd::Level::kScalar ||
+  if (level == simd::Level::kScalar || alu.round_mode() == RoundMode::kModel ||
       v.base->scalar() != BaseType::kFloat || n > Value::kInline) {
     EvalNegBatch(alu, v, out, mask);
     return;
   }
-  // -x on the identity-round path is a pure sign-bit flip (exact for every
-  // input including NaN and +/-0), so negation vectorizes as an XOR.
   alu.CountAlu(static_cast<std::uint64_t>(n) *
                static_cast<unsigned>(std::popcount(mask)));
-  const __m128 sign = _mm_set1_ps(-0.0f);
-  ForEachLane(mask, [&](int lane) {
-    const Cell* ac = v.at(lane).data();
-    Cell* oc = out.at(lane).data();
-    for (int i = 0; i < n; i += 4) {
-      StoreF4(oc + i, _mm_xor_ps(LoadF4(ac + i), sign));
-    }
-  });
+  if (alu.round_mode() == RoundMode::kFlushDenormals) {
+    NegSimd<true>(v, out, n, mask);
+  } else {
+    NegSimd<false>(v, out, n, mask);
+  }
 }
 
 void EvalCtorBatchSimd(AluModel& alu, std::span<const BatchSrc> args,

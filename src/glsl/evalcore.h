@@ -181,9 +181,10 @@ void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
 // Each *Simd entry vectorizes the stride-1 float fast path of its scalar
 // SoA counterpart and falls back to it internally for every shape, op, or
 // tier it does not cover — the entries are total, so a drifted lowering tag
-// degrades to the scalar kernel instead of misbehaving. PRECONDITION for
-// the vector paths: alu.round_identity() must hold (the VM samples the
-// effective level per RunBatch and passes kScalar otherwise). The live lane
+// degrades to the scalar kernel instead of misbehaving. The vector paths
+// run for the closed-form round modes (RoundMode::kIdentity and
+// kFlushDenormals, rounding every result like AluModel::RoundResult); a
+// kModel ALU falls back to the scalar kernel. The live lane
 // mask gates every load and store: only cells of live lanes are touched
 // (lane selection IS the mask — per-lane component vectors make masked
 // execution exact by construction). Within a live lane the kernels may
@@ -199,8 +200,8 @@ void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
                         const BatchSrc& r, const BatchDst& out,
                         std::uint32_t mask, simd::Level level);
 
-// Covers float negation at any width (a pure sign-bit XOR; exact because
-// Round is the identity under the precondition). Int negation falls back.
+// Covers float negation at any width (a sign-bit XOR, then the round
+// mode's flush). Int negation falls back.
 void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
                       std::uint32_t mask, simd::Level level);
 

@@ -365,8 +365,10 @@ bool Codegen::EmitNeg(std::uint32_t pc, const VmInst& in, std::string& b) {
   body += "    " + std::string(ct) + "* d=" + Ptr(in.dst, ct) + ";" + cct +
           "* a=" + Ptr(in.a, cct.c_str()) + ";\n";
   for (int i = 0; i < n; ++i) {
-    body += "    d[" + std::to_string(i) + "]=-a[" + std::to_string(i) +
-            "];\n";
+    const std::string ai = "a[" + std::to_string(i) + "]";
+    // Int negation wraps through unsigned, like EvalNegBatch.
+    body += "    d[" + std::to_string(i) + "]=" +
+            (is_float ? "-" + ai : "(int)(0u-(unsigned)" + ai + ")") + ";\n";
   }
   if (is_float) {
     b += "  if(RI){\n";

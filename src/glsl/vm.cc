@@ -394,11 +394,13 @@ Value& VmExec::LaneGlobalAt(int slot, int lane) {
 std::uint32_t VmExec::RunBatch(int n) {
   if (n <= 0) return 0;
   EnsureBatchState();
-  // Effective SIMD tier for this batch: the vector kernels are only
-  // bit-identical when Add/Sub/Mul are plain IEEE ops plus a counter, i.e.
-  // under round-identity models (see simd.h); everything else runs the
-  // scalar SoA kernels regardless of the configured tier.
-  batch_simd_ = alu_.round_identity() ? simd_level_ : simd::Level::kScalar;
+  // Effective SIMD tier for this batch: the vector kernels reproduce
+  // AluModel rounding only for its closed-form modes (identity and denormal
+  // flush, see simd.h); a kModel ALU runs the scalar SoA kernels regardless
+  // of the configured tier.
+  batch_simd_ = alu_.round_mode() != RoundMode::kModel ? simd_level_
+                                                       : simd::Level::kScalar;
+  if (batch_simd_ != simd::Level::kScalar) ++simd_batches_;
   // Compiled engine: uniform-control-flow batches enter the native module;
   // divergent programs (for which CompileProgram returns no module anyway)
   // always run the masked interpreter.

@@ -114,10 +114,14 @@ class VmExec final : public ShaderEngine {
   // ContextConfig/DeviceOptions knob; defaults to auto resolution — the
   // MGPU_SIMD env override or the detected hardware level). The effective
   // tier is re-sampled at every RunBatch: it drops to scalar whenever the
-  // AluModel is not round-identity, so reduced-precision vc4 profiles keep
-  // their per-op Round() path untouched no matter what the knob says.
+  // AluModel's round mode is kModel, so reduced-mantissa vc4 profiles
+  // (Mali-400) keep their per-op Round() path no matter what the knob
+  // says; identity and denormal-flush models (VideoCore IV) vectorize.
   void SetSimdLevel(simd::Level level) { simd_level_ = level; }
   [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
+  // RunBatch calls that ran with a SIMD tier in effect (not inherited by
+  // worker clones), so callers can tell which path actually ran.
+  [[nodiscard]] std::uint64_t simd_batches() const { return simd_batches_; }
 
   // Attaches (or detaches, with nullptr) a compiled module for this
   // executor's program: uniform-control-flow RunBatch calls then enter the
@@ -184,8 +188,9 @@ class VmExec final : public ShaderEngine {
   bool batch_ready_ = false;
   simd::Level simd_level_ = simd::Resolve(-1);
   // Effective tier for the batch in flight (simd_level_ gated on
-  // alu_.round_identity(); sampled by RunBatch, read by ExecBatchOp).
+  // alu_.round_mode(); sampled by RunBatch, read by ExecBatchOp).
   simd::Level batch_simd_ = simd::Level::kScalar;
+  std::uint64_t simd_batches_ = 0;
   std::vector<Value> lane_regs_;
   std::vector<Value> lane_globals_;
   std::vector<LRef> lane_refs_;

@@ -62,10 +62,7 @@ float Vc4Alu::RecipSqrt(float x) {
 }
 
 float Vc4Alu::Round(float x) {
-  if (profile_.flush_denormals && x != 0.0f &&
-      std::fabs(x) < 1.17549435e-38f) {
-    return x < 0.0f ? -0.0f : 0.0f;
-  }
+  if (profile_.flush_denormals) x = glsl::FlushDenormal(x);
   if (profile_.alu_mantissa_bits >= 23) return x;
   return mgpu::RoundToMantissaBits(x, profile_.alu_mantissa_bits);
 }

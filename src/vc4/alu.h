@@ -16,10 +16,12 @@ namespace mgpu::vc4 {
 class Vc4Alu final : public glsl::AluModel {
  public:
   explicit Vc4Alu(const GpuProfile& profile) : profile_(profile) {
-    // Round() is the identity exactly when the profile keeps full fp32
-    // mantissas and does not flush denormals (e.g. the IeeeExact profile).
-    SetRoundIdentity(!profile_.flush_denormals &&
-                     profile_.alu_mantissa_bits >= 23);
+    // With full fp32 mantissas Round() is the identity (IeeeExact) or the
+    // denormal flush alone (VideoCoreIV); fewer bits need the full model.
+    SetRoundMode(profile_.alu_mantissa_bits < 23 ? glsl::RoundMode::kModel
+                 : profile_.flush_denormals
+                     ? glsl::RoundMode::kFlushDenormals
+                     : glsl::RoundMode::kIdentity);
   }
 
   float Exp2(float x) override;

@@ -8,16 +8,23 @@
 //      its scalar SoA counterpart on adversarial inputs: NaN (quiet and
 //      signaling payloads), +/-0, +/-inf, denormals, sparse lane masks,
 //      stride-0 broadcast operands — at every SIMD level the host supports.
+//      The layer-2 differentials run under ExactAlu (identity rounding),
+//      under Vc4Alu(VideoCoreIV()) (denormal flush, on operands whose
+//      results land in the denormal range) and under Vc4Alu(Mali400())
+//      (reduced mantissa: the entries must fall back to the scalar kernel).
 //   3. A fixed vector-heavy fragment shader run through the real VM: the
 //      batched executor with SIMD forced on must reproduce the per-lane
 //      scalar VM's gl_FragColor bits and the summed per-lane op counts,
-//      under ExactAlu and both Vc4Alu profiles (satellite: counts equal the
-//      per-lane scalar sum under both profiles).
+//      under ExactAlu and the Vc4Alu profiles, and VmExec::simd_batches()
+//      shows which tier actually ran (VideoCore IV vectorizes, Mali-400
+//      declines).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,6 +86,24 @@ const float kPoolNaN[] = {
     1e-20f,  -1e20f,  123.456f, -0.0625f, 7.0f, -7.5f,  0.999f, 1.001f,
 };
 
+// kPoolTiny drives results into the denormal range, where the VideoCore IV
+// model flushes: tiny x tiny products (1e-20 * 1e-20 = 1e-40), FLT_MIN
+// minus its neighbour, negated denormals, +/-0, inf and NaN. Its one NaN is
+// the pattern SSE generates for invalid operations (0xffc00000), so every
+// NaN that meets another in a chain carries identical bits (see kPoolArith).
+const float kPoolTiny[] = {
+    std::numeric_limits<float>::min(),  // FLT_MIN
+    FromBits(0x00800001u),              // FLT_MIN's upper neighbour
+    -std::numeric_limits<float>::min(),
+    FromBits(0x007fffffu),              // largest denormal
+    FromBits(0x80000001u),              // smallest negative denormal
+    1e-20f,  -3e-20f, 1e-19f, 0.0f,
+    FromBits(0x80000000u),              // -0.0
+    FromBits(0x7f800000u),              // +inf
+    FromBits(0xffc00000u),              // the invalid-operation NaN
+    1.0f,    -0.5f,
+};
+
 float PoolAt(std::span<const float> pool, int lane, int comp, int salt) {
   return pool[static_cast<std::size_t>(lane * 5 + comp * 3 + salt) %
               pool.size()];
@@ -93,6 +118,29 @@ std::vector<Value> MakePlane(BaseType t, int salt,
   for (int l = 0; l < kVmLanes; ++l) {
     Value v{MakeType(t)};
     for (int k = 0; k < v.count(); ++k) v.SetF(k, PoolAt(pool, l, k, salt));
+    plane.push_back(v);
+  }
+  return plane;
+}
+
+// Plane `which` (0, 1, 2) of a cross product over `pool`: cell c of the
+// flattened plane (lane-major) holds pool[(c / P^which) % P], so planes 0
+// and 1 together pair every pool value with every other one once the plane
+// has P^2 cells (vec4 x 32 lanes covers a 11-value pool, mat3 a 16-value
+// one).
+std::vector<Value> MakeCrossPlane(BaseType t, int which,
+                                  std::span<const float> pool) {
+  const std::size_t p = pool.size();
+  std::size_t div = 1;
+  for (int i = 0; i < which; ++i) div *= p;
+  std::vector<Value> plane;
+  plane.reserve(kVmLanes);
+  for (int l = 0; l < kVmLanes; ++l) {
+    Value v{MakeType(t)};
+    for (int k = 0; k < v.count(); ++k) {
+      const std::size_t c = static_cast<std::size_t>(l * v.count() + k);
+      v.SetF(k, pool[(c / div) % p]);
+    }
     plane.push_back(v);
   }
   return plane;
@@ -135,6 +183,44 @@ std::vector<simd::Level> HostLevels() {
 const std::uint32_t kMasks[] = {0xffffffffu, 0x00000001u, 0x80000001u,
                                 0x55555555u, 0x0000fff0u};
 
+// The ALU a kernel differential runs under: one rounding mode each.
+enum class Model { kExact, kVideoCore, kMali };
+
+std::unique_ptr<AluModel> MakeAlu(Model m) {
+  switch (m) {
+    case Model::kVideoCore:
+      return std::make_unique<vc4::Vc4Alu>(vc4::VideoCoreIV());
+    case Model::kMali:
+      return std::make_unique<vc4::Vc4Alu>(vc4::Mali400());
+    default:
+      return std::make_unique<ExactAlu>();
+  }
+}
+
+const char* ModelName(Model m) {
+  switch (m) {
+    case Model::kVideoCore:
+      return "VideoCoreIV";
+    case Model::kMali:
+      return "Mali400";
+    default:
+      return "exact";
+  }
+}
+
+// Operand planes for one differential: drawn from `pool` with the
+// decorrelating salts the ExactAlu tests use, or, with `cross`, as cross
+// product planes that pair every pool value with every other (plane index
+// = operand position).
+struct PlaneSource {
+  std::span<const float> pool;
+  bool cross = false;
+
+  std::vector<Value> Make(BaseType t, int operand, int salt) const {
+    return cross ? MakeCrossPlane(t, operand, pool) : MakePlane(t, salt, pool);
+  }
+};
+
 // ---------------------------------------------------------------------------
 
 TEST(SimdCounts, CountAluEqualsRepeatedCount1) {
@@ -157,7 +243,8 @@ TEST(SimdLevel, ResolveClampsAndNames) {
   EXPECT_STREQ(simd::LevelName(simd::Level::kAvx2), "avx2");
 }
 
-TEST(SimdKernels, ArithBitIdentical) {
+void ArithDifferential(Model model, PlaneSource src) {
+  SCOPED_TRACE(ModelName(model));
   const BinOp ops[] = {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv,
                        BinOp::kLt, BinOp::kGe};
   const BaseType shapes[] = {BaseType::kVec2, BaseType::kVec3, BaseType::kVec4,
@@ -169,11 +256,10 @@ TEST(SimdKernels, ArithBitIdentical) {
         SCOPED_TRACE(static_cast<int>(op));
         const bool cmp = op == BinOp::kLt || op == BinOp::kGe;
         if (cmp && MakeType(shape).CellCount() > 1) continue;  // scalar-only op
-        const std::vector<Value> l = MakePlane(shape, 0, kPoolArith);
-        const std::vector<Value> r = MakePlane(shape, 7, kPoolArith);
+        const std::vector<Value> l = src.Make(shape, 0, 0);
+        const std::vector<Value> r = src.Make(shape, 1, 7);
         // Scalar rhs broadcast variant too (vec OP float).
-        const std::vector<Value> rs =
-            MakePlane(BaseType::kFloat, 11, kPoolArith);
+        const std::vector<Value> rs = src.Make(BaseType::kFloat, 1, 11);
         const Type out_t = cmp ? MakeType(BaseType::kBool) : MakeType(shape);
         for (std::uint32_t mask : kMasks) {
           for (int broadcast = 0; broadcast < (cmp ? 1 : 3); ++broadcast) {
@@ -186,13 +272,14 @@ TEST(SimdKernels, ArithBitIdentical) {
                                     : BatchSrc{rs.data(), 0};
             std::vector<Value> want = MakeDstPlane(out_t);
             std::vector<Value> got = MakeDstPlane(out_t);
-            ExactAlu alu_want, alu_got;
-            EvalArithBatch(alu_want, op, lb, rb, BatchDst{want.data(), 1},
+            const auto alu_want = MakeAlu(model);
+            const auto alu_got = MakeAlu(model);
+            EvalArithBatch(*alu_want, op, lb, rb, BatchDst{want.data(), 1},
                            mask);
-            EvalArithBatchSimd(alu_got, op, lb, rb, BatchDst{got.data(), 1},
+            EvalArithBatchSimd(*alu_got, op, lb, rb, BatchDst{got.data(), 1},
                                mask, level);
             ExpectPlanesBitEq(want, got);
-            ExpectCountsEq(alu_want.counts(), alu_got.counts(), "arith");
+            ExpectCountsEq(alu_want->counts(), alu_got->counts(), "arith");
           }
         }
       }
@@ -200,35 +287,46 @@ TEST(SimdKernels, ArithBitIdentical) {
   }
 }
 
-TEST(SimdKernels, NegBitIdentical) {
+TEST(SimdKernels, ArithBitIdentical) {
+  ArithDifferential(Model::kExact, {kPoolArith});
+}
+
+void NegDifferential(Model model, PlaneSource src) {
+  SCOPED_TRACE(ModelName(model));
   for (simd::Level level : HostLevels()) {
     SCOPED_TRACE(simd::LevelName(level));
     for (BaseType shape : {BaseType::kFloat, BaseType::kVec4, BaseType::kMat4,
                            BaseType::kIVec3}) {
-      const std::vector<Value> v = MakePlane(shape, 3, kPoolNaN);
+      const std::vector<Value> v = src.Make(shape, 0, 3);
       for (std::uint32_t mask : kMasks) {
         std::vector<Value> want = MakeDstPlane(MakeType(shape));
         std::vector<Value> got = MakeDstPlane(MakeType(shape));
-        ExactAlu alu_want, alu_got;
-        EvalNegBatch(alu_want, BatchSrc{v.data(), 1}, BatchDst{want.data(), 1},
-                     mask);
-        EvalNegBatchSimd(alu_got, BatchSrc{v.data(), 1},
+        const auto alu_want = MakeAlu(model);
+        const auto alu_got = MakeAlu(model);
+        EvalNegBatch(*alu_want, BatchSrc{v.data(), 1},
+                     BatchDst{want.data(), 1}, mask);
+        EvalNegBatchSimd(*alu_got, BatchSrc{v.data(), 1},
                          BatchDst{got.data(), 1}, mask, level);
         ExpectPlanesBitEq(want, got);
-        ExpectCountsEq(alu_want.counts(), alu_got.counts(), "neg");
+        ExpectCountsEq(alu_want->counts(), alu_got->counts(), "neg");
       }
     }
   }
 }
 
-TEST(SimdKernels, CtorBitIdentical) {
+TEST(SimdKernels, NegBitIdentical) {
+  NegDifferential(Model::kExact, {kPoolNaN});
+}
+
+void CtorDifferential(Model model, PlaneSource src) {
+  SCOPED_TRACE(ModelName(model));
   for (simd::Level level : HostLevels()) {
     SCOPED_TRACE(simd::LevelName(level));
-    const std::vector<Value> f0 = MakePlane(BaseType::kFloat, 1, kPoolNaN);
-    const std::vector<Value> f1 = MakePlane(BaseType::kFloat, 9, kPoolNaN);
-    const std::vector<Value> v2 = MakePlane(BaseType::kVec2, 4, kPoolNaN);
-    const std::vector<Value> v3 = MakePlane(BaseType::kVec3, 6, kPoolNaN);
-    const std::vector<Value> i1 = MakePlane(BaseType::kInt, 2, kPoolNaN);
+    const std::vector<Value> f0 = src.Make(BaseType::kFloat, 0, 1);
+    const std::vector<Value> f1 = src.Make(BaseType::kFloat, 1, 9);
+    const std::vector<Value> v2 = src.Make(BaseType::kVec2, 2, 4);
+    const std::vector<Value> v3 = src.Make(BaseType::kVec3, 1, 6);
+    const std::vector<Value> i1 = src.Make(BaseType::kInt, 2, 2);
 
     struct Case {
       BaseType out;
@@ -247,18 +345,27 @@ TEST(SimdKernels, CtorBitIdentical) {
       for (std::uint32_t mask : kMasks) {
         std::vector<Value> want = MakeDstPlane(MakeType(c.out));
         std::vector<Value> got = MakeDstPlane(MakeType(c.out));
-        ExactAlu alu_want, alu_got;
-        EvalCtorBatch(alu_want, c.args, BatchDst{want.data(), 1}, mask);
-        EvalCtorBatchSimd(alu_got, c.args, BatchDst{got.data(), 1}, mask,
+        const auto alu_want = MakeAlu(model);
+        const auto alu_got = MakeAlu(model);
+        EvalCtorBatch(*alu_want, c.args, BatchDst{want.data(), 1}, mask);
+        EvalCtorBatchSimd(*alu_got, c.args, BatchDst{got.data(), 1}, mask,
                           level);
         ExpectPlanesBitEq(want, got);
-        ExpectCountsEq(alu_want.counts(), alu_got.counts(), "ctor");
+        ExpectCountsEq(alu_want->counts(), alu_got->counts(), "ctor");
       }
     }
   }
 }
 
-TEST(SimdKernels, BuiltinsBitIdentical) {
+TEST(SimdKernels, CtorBitIdentical) {
+  CtorDifferential(Model::kExact, {kPoolNaN});
+}
+
+// `nan_pool` feeds the ops that only compare/blend/round/copy NaNs, `pool`
+// the arithmetic chains (see the pool comments above).
+void BuiltinsDifferential(Model model, PlaneSource nan_pool,
+                          PlaneSource pool) {
+  SCOPED_TRACE(ModelName(model));
   const TextureFn no_tex;
   struct Case {
     Builtin b;
@@ -307,23 +414,105 @@ TEST(SimdKernels, BuiltinsBitIdentical) {
       std::vector<BatchSrc> args;
       int salt = 0;
       for (BaseType at : c.args) {
-        arg_planes.push_back(MakePlane(
-            at, salt,
-            c.nan_inputs ? std::span<const float>(kPoolNaN)
-                         : std::span<const float>(kPoolArith)));
+        const int operand = static_cast<int>(arg_planes.size());
+        arg_planes.push_back(
+            (c.nan_inputs ? nan_pool : pool).Make(at, operand, salt));
         salt += 13;
       }
       for (const auto& p : arg_planes) args.push_back(BatchSrc{p.data(), 1});
       for (std::uint32_t mask : kMasks) {
         std::vector<Value> want = MakeDstPlane(MakeType(c.result));
         std::vector<Value> got = MakeDstPlane(MakeType(c.result));
-        ExactAlu alu_want, alu_got;
-        EvalBuiltinBatch(c.b, MakeType(c.result), args, alu_want, no_tex,
+        const auto alu_want = MakeAlu(model);
+        const auto alu_got = MakeAlu(model);
+        EvalBuiltinBatch(c.b, MakeType(c.result), args, *alu_want, no_tex,
                          BatchDst{want.data(), 1}, mask);
-        EvalBuiltinBatchSimd(c.b, MakeType(c.result), args, alu_got, no_tex,
+        EvalBuiltinBatchSimd(c.b, MakeType(c.result), args, *alu_got, no_tex,
                              BatchDst{got.data(), 1}, mask, level);
         ExpectPlanesBitEq(want, got);
-        ExpectCountsEq(alu_want.counts(), alu_got.counts(), "builtin");
+        ExpectCountsEq(alu_want->counts(), alu_got->counts(), "builtin");
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, BuiltinsBitIdentical) {
+  BuiltinsDifferential(Model::kExact, {kPoolNaN}, {kPoolArith});
+}
+
+// The same differentials under the shipped VideoCore IV model, whose round
+// mode is the denormal flush: the SIMD kernels flush after every rounded op
+// in the scalar kernels' order (fract/mix/dot/normalize/matrixCompMult
+// included), so cells and counts match on operands whose results are
+// denormal. kPoolTiny is NaN-safe for every op (one NaN pattern), so it
+// feeds both argument classes; the cross planes pair each tiny value with
+// every other.
+TEST(SimdKernelsVc4, ArithBitIdentical) {
+  ArithDifferential(Model::kVideoCore, {kPoolArith});
+  ArithDifferential(Model::kVideoCore, {kPoolTiny, true});
+}
+
+TEST(SimdKernelsVc4, NegBitIdentical) {
+  NegDifferential(Model::kVideoCore, {kPoolNaN});
+  NegDifferential(Model::kVideoCore, {kPoolTiny, true});
+}
+
+TEST(SimdKernelsVc4, CtorBitIdentical) {
+  CtorDifferential(Model::kVideoCore, {kPoolTiny, true});
+}
+
+TEST(SimdKernelsVc4, BuiltinsBitIdentical) {
+  BuiltinsDifferential(Model::kVideoCore, {kPoolNaN}, {kPoolArith});
+  BuiltinsDifferential(Model::kVideoCore, {kPoolTiny, true},
+                       {kPoolTiny, true});
+}
+
+// Mali-400's reduced mantissa needs the virtual Round(): every entry must
+// fall back to its scalar kernel at any tier and still match.
+TEST(SimdKernelsVc4, MaliFallsBackAndMatches) {
+  ArithDifferential(Model::kMali, {kPoolTiny, true});
+  NegDifferential(Model::kMali, {kPoolTiny, true});
+  BuiltinsDifferential(Model::kMali, {kPoolTiny, true}, {kPoolTiny, true});
+}
+
+// The flush is real, not merely the same in both kernels: results that are
+// denormal under ExactAlu come out as the zero of their sign under
+// VideoCore IV, at every tier.
+TEST(SimdKernelsVc4, DenormalResultsFlushToSignedZero) {
+  const float tiny = 1e-20f;  // tiny * tiny = 1e-40, a denormal
+  std::vector<Value> a(kVmLanes, Value{MakeType(BaseType::kVec4)});
+  std::vector<Value> b(kVmLanes, Value{MakeType(BaseType::kVec4)});
+  for (int l = 0; l < kVmLanes; ++l) {
+    for (int k = 0; k < 4; ++k) {
+      a[static_cast<std::size_t>(l)].SetF(k, k % 2 == 0 ? tiny : -tiny);
+      b[static_cast<std::size_t>(l)].SetF(k, k < 2 ? tiny : 0.0f);
+    }
+  }
+  const BatchSrc as{a.data(), 1};
+  const BatchSrc bs{b.data(), 1};
+  const TextureFn no_tex;
+  for (simd::Level level : HostLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    for (Model model : {Model::kExact, Model::kVideoCore}) {
+      SCOPED_TRACE(ModelName(model));
+      const bool flush = model == Model::kVideoCore;
+      const auto alu = MakeAlu(model);
+      std::vector<Value> mul = MakeDstPlane(MakeType(BaseType::kVec4));
+      EvalArithBatchSimd(*alu, BinOp::kMul, as, bs, BatchDst{mul.data(), 1},
+                         ~0u, level);
+      std::vector<Value> dot = MakeDstPlane(MakeType(BaseType::kFloat));
+      const BatchSrc dot_args[] = {as, as};
+      EvalBuiltinBatchSimd(Builtin::kDot, MakeType(BaseType::kFloat),
+                           dot_args, *alu, no_tex, BatchDst{dot.data(), 1},
+                           ~0u, level);
+      for (int l = 0; l < kVmLanes; ++l) {
+        const Value& m = mul[static_cast<std::size_t>(l)];
+        EXPECT_EQ(Bits(m.F(0)), flush ? 0u : Bits(tiny * tiny));
+        EXPECT_EQ(Bits(m.F(1)), flush ? 0x80000000u : Bits(-tiny * tiny));
+        // dot(a, a): four denormal products, each flushed before the add.
+        const float d = tiny * tiny;
+        EXPECT_EQ(Bits(dot[static_cast<std::size_t>(l)].F(0)),
+                  flush ? 0u : Bits(d + d + d + d));
       }
     }
   }
@@ -377,7 +566,11 @@ OpCounts Minus(const OpCounts& a, const OpCounts& b) {
   return d;
 }
 
-void RunShaderAB(AluModel& alu_s, AluModel& alu_b, simd::Level batch_level) {
+// Runs the shader per lane on `alu_s` and batched at `batch_level` on
+// `alu_b`; returns through `simd_batches` how many of the batches ran with
+// a SIMD tier in effect.
+void RunShaderAB(AluModel& alu_s, AluModel& alu_b, simd::Level batch_level,
+                 std::uint64_t* simd_batches) {
   CompileResult cr = CompileGlsl(kVectorHeavySrc, Stage::kFragment);
   ASSERT_TRUE(cr.ok) << cr.info_log;
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
@@ -449,13 +642,15 @@ void RunShaderAB(AluModel& alu_s, AluModel& alu_b, simd::Level batch_level) {
     }
     ExpectCountsEq(want, alu_b.counts(), "batch vs scalar sum");
   }
+  *simd_batches = batch.simd_batches();
 }
 
 TEST(SimdVm, ExactAluBatchMatchesScalarSum) {
   for (simd::Level level : HostLevels()) {
     SCOPED_TRACE(simd::LevelName(level));
     ExactAlu alu_s, alu_b;
-    RunShaderAB(alu_s, alu_b, level);
+    std::uint64_t simd_batches = 0;
+    RunShaderAB(alu_s, alu_b, level, &simd_batches);
   }
 }
 
@@ -463,18 +658,35 @@ TEST(SimdVm, Vc4IeeeExactProfileBatchMatchesScalarSum) {
   for (simd::Level level : HostLevels()) {
     SCOPED_TRACE(simd::LevelName(level));
     vc4::Vc4Alu alu_s(vc4::IeeeExact()), alu_b(vc4::IeeeExact());
-    RunShaderAB(alu_s, alu_b, level);
+    std::uint64_t simd_batches = 0;
+    RunShaderAB(alu_s, alu_b, level, &simd_batches);
   }
 }
 
-// The reduced-precision profile is not round-identity: the executor must
-// drop to the scalar path on its own no matter what level the knob asks
-// for, and results must still match the scalar engine exactly.
+// The shipped VideoCore IV profile flushes denormals, a closed-form round
+// mode: the executor runs its SIMD kernels at the requested tier (every
+// batch counts in simd_batches), and results and counts still match the
+// scalar engine exactly.
 TEST(SimdVm, Vc4VideoCoreProfileBatchMatchesScalarSum) {
   for (simd::Level level : HostLevels()) {
     SCOPED_TRACE(simd::LevelName(level));
     vc4::Vc4Alu alu_s(vc4::VideoCoreIV()), alu_b(vc4::VideoCoreIV());
-    RunShaderAB(alu_s, alu_b, level);
+    std::uint64_t simd_batches = 0;
+    RunShaderAB(alu_s, alu_b, level, &simd_batches);
+    EXPECT_EQ(simd_batches,
+              level == simd::Level::kScalar ? 0u : std::uint64_t{kVmLanes});
+  }
+}
+
+// Mali-400's mediump mantissa needs the virtual Round(): the executor must
+// decline SIMD on its own at every requested tier and still match.
+TEST(SimdVm, Vc4Mali400ProfileDeclinesSimdAndMatchesScalarSum) {
+  for (simd::Level level : HostLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    vc4::Vc4Alu alu_s(vc4::Mali400()), alu_b(vc4::Mali400());
+    std::uint64_t simd_batches = 0;
+    RunShaderAB(alu_s, alu_b, level, &simd_batches);
+    EXPECT_EQ(simd_batches, 0u);
   }
 }
 

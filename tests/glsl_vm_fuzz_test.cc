@@ -37,6 +37,7 @@
 //   TSan/ASan (see CMakeLists.txt / MGPU_FUZZ_ITERS).
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -114,11 +115,16 @@ class GlslFuzzer {
   // a_mix joins the scope (so generated code reads two differently-typed
   // arrays), a varying `v_in` is written for the fragment stage, and
   // texture2D is suppressed (the gles2 vertex stage has no sampler).
+  // `tiny_literals` draws half of the float literals from
+  // +/-[1e-30, 1e-19] so products land in the denormal range (the default
+  // literals stay within +/-4 and never reach it); off, the generator's
+  // output is unchanged.
   explicit GlslFuzzer(std::uint64_t seed, Stage stage = Stage::kFragment,
-                      bool whole_draw = false)
+                      bool whole_draw = false, bool tiny_literals = false)
       : rng_(seed),
         stage_(stage),
         whole_draw_(whole_draw),
+        tiny_literals_(tiny_literals),
         in_name_(stage == Stage::kVertex && whole_draw ? "a_in" : "v_in") {}
 
   std::string Generate() {
@@ -163,6 +169,11 @@ class GlslFuzzer {
   }
 
   std::string FloatLit() {
+    if (tiny_literals_ && Chance(50)) {
+      // Log-uniform magnitude in [1e-30, 1e-19], either sign.
+      const double mag = std::pow(10.0, rng_.NextFloat(-30.0f, -19.0f));
+      return StrFormat("(%s%.5e)", Chance(50) ? "-" : "", mag);
+    }
     const float v = rng_.NextFloat(-4.0f, 4.0f);
     return StrFormat("(%.5f)", static_cast<double>(v));
   }
@@ -808,6 +819,7 @@ class GlslFuzzer {
   Rng rng_;
   Stage stage_ = Stage::kFragment;
   bool whole_draw_ = false;
+  bool tiny_literals_ = false;
   const char* in_name_ = "v_in";
   std::vector<Var> scope_;
   std::vector<std::size_t> helpers_sigs_;
@@ -872,8 +884,8 @@ void SetUniforms(Engine& e) {
 // failure tagged with the seed. Vertex-stage programs run the identical
 // sweep with gl_Position as the compared output (no lane ever discards).
 void RunFuzzCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
-                 Stage stage) {
-  GlslFuzzer gen(seed, stage);
+                 Stage stage, bool tiny_literals) {
+  GlslFuzzer gen(seed, stage, /*whole_draw=*/false, tiny_literals);
   const std::string src = gen.Generate();
   SCOPED_TRACE(StrFormat("seed=%llu alu=%s stage=%s",
                          static_cast<unsigned long long>(seed),
@@ -1013,15 +1025,17 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
   }
 }
 
-void RunFuzzSweep(bool vc4_alu, Stage stage, std::uint64_t seed_base) {
+void RunFuzzSweep(bool vc4_alu, Stage stage, std::uint64_t seed_base,
+                  bool tiny_literals = false) {
   for (int i = 0; i < g_fuzz_iters; ++i) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
-    RunFuzzCase(seed, vc4_alu, /*with_jit=*/i < g_jit_iters, stage);
+    RunFuzzCase(seed, vc4_alu, /*with_jit=*/i < g_jit_iters, stage,
+                tiny_literals);
     if (::testing::Test::HasFailure()) {
       // Stop at the first failing seed and log everything needed to
       // reproduce it: the seed drives both the program generator and the
       // per-lane inputs, so one integer replays the whole case.
-      GlslFuzzer gen(seed, stage);
+      GlslFuzzer gen(seed, stage, /*whole_draw=*/false, tiny_literals);
       // The batched VM resolves its SIMD tier the same way (auto unless
       // MGPU_SIMD overrides), so naming it here makes the repro line
       // sufficient to replay the exact kernel selection.
@@ -1048,6 +1062,14 @@ TEST(VmFuzzDifferentialTest, SeededProgramsExactAlu) {
 
 TEST(VmFuzzDifferentialTest, SeededProgramsVc4Alu) {
   RunFuzzSweep(/*vc4_alu=*/true, Stage::kFragment, kFragSeedBase);
+}
+
+// VideoCore IV flushes denormal results; literals down to 1e-30 drive
+// products into that range, so the batched engine's flushing SIMD kernels
+// meet the scalar engines' per-op flush on values where it matters.
+TEST(VmFuzzDifferentialTest, SeededProgramsVc4AluTinyLiterals) {
+  RunFuzzSweep(/*vc4_alu=*/true, Stage::kFragment, kFragSeedBase,
+               /*tiny_literals=*/true);
 }
 
 // The vertex corpus through the same four-engine, every-tail sweep: this is

@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "glsl/compile.h"
 #include "glsl/interp.h"
 #include "glsl/ir.h"
+#include "glsl/jit.h"
 #include "glsl/vm.h"
 #include "vc4/alu.h"
 #include "vc4/profiles.h"
@@ -502,6 +504,70 @@ TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
     VmExec vm(LowerToBytecode(*shader), alu_b);
     EXPECT_THROW(interp.Run(), ShaderRuntimeError);
     EXPECT_THROW(vm.Run(), ShaderRuntimeError);
+  }
+}
+
+// Integer negation wraps: -INT_MIN is INT_MIN on every engine (the tree
+// walker, the scalar VM, the batched VM and, where a host compiler exists,
+// the compiled module) instead of overflowing a signed int.
+TEST(VmDifferentialTest, IntMinNegationWrapsOnEveryEngine) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  auto shader = testutil::MustCompile(R"(
+precision highp float;
+uniform int u_i;
+uniform ivec2 u_v;
+void main() {
+  int n = -u_i;
+  ivec2 m = -u_v;
+  gl_FragColor = vec4(float(n), float(m.x), float(m.y), 0.0);
+}
+)");
+  const std::array<float, 4> want = {-2147483648.0f, -2147483648.0f, -7.0f,
+                                     0.0f};
+  const auto set_uniforms = [&](auto& exec) {
+    exec.GlobalAt(exec.GlobalSlot("u_i")).SetI(0, kMin);
+    Value& v = exec.GlobalAt(exec.GlobalSlot("u_v"));
+    v.SetI(0, kMin);
+    v.SetI(1, 7);
+  };
+  const auto expect_color = [&](const Value& c, const char* engine) {
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(FloatToBits(c.F(k)),
+                FloatToBits(want[static_cast<std::size_t>(k)]))
+          << engine << " component " << k;
+    }
+  };
+
+  ExactAlu alu_tree, alu_vm, alu_batch;
+  ShaderExec tree(*shader, alu_tree);
+  set_uniforms(tree);
+  ASSERT_TRUE(tree.Run());
+  expect_color(tree.GlobalAt(tree.GlobalSlot("gl_FragColor")), "tree");
+
+  const std::shared_ptr<const VmProgram> prog = LowerToBytecode(*shader);
+  VmExec vm(prog, alu_vm);
+  set_uniforms(vm);
+  ASSERT_TRUE(vm.Run());
+  expect_color(vm.GlobalAt(vm.GlobalSlot("gl_FragColor")), "scalar vm");
+
+  VmExec batch(prog, alu_batch);
+  set_uniforms(batch);
+  const int color = batch.GlobalSlot("gl_FragColor");
+  ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
+  for (int l = 0; l < kVmLanes; ++l) {
+    expect_color(batch.LaneGlobalAt(color, l), "batched vm");
+  }
+
+  if (!jit::Available()) return;
+  const std::shared_ptr<const jit::Module> mod = jit::CompileProgram(*prog);
+  ASSERT_NE(mod, nullptr);
+  ExactAlu alu_jit;
+  VmExec jitted(prog, alu_jit);
+  jitted.SetJit(mod);
+  set_uniforms(jitted);
+  ASSERT_EQ(jitted.RunBatch(kVmLanes), ~0u);
+  for (int l = 0; l < kVmLanes; ++l) {
+    expect_color(jitted.LaneGlobalAt(color, l), "compiled");
   }
 }
 
