@@ -1,12 +1,25 @@
 // Micro-benchmark M2: simulator throughput on this machine — GLSL compile
 // time, fragment-shader interpretation rate, and full kernel-dispatch rate.
 // Documents the sim-vs-silicon gap DESIGN.md's sizing note relies on.
+//
+// Also writes BENCH_interp_micro.json, whatever --benchmark_filter selects
+// (`--benchmark_filter=^$` runs none of the Google benchmarks):
+// the lowered register and instruction counts of the shipped AddI32, AddF32
+// and SgemmF32 kernels (deterministic, gated exactly in CI, so a register
+// allocation regression fails the build) and the time LowerToBytecode takes
+// on AddF32 (a timing, reported only).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "compute/kernel.h"
+#include "compute/ops.h"
 #include "glsl/compile.h"
 #include "glsl/interp.h"
 #include "glsl/ir.h"
@@ -116,6 +129,58 @@ void BM_TextureSampleNearest(benchmark::State& state) {
 }
 BENCHMARK(BM_TextureSampleNearest);
 
+// Lowered size of the shipped kernels, and the lowering cost every program
+// link pays once per context that links it.
+void WriteLoweringMetrics() {
+  using compute::ElemType;
+  namespace ops = compute::ops;
+  bench::JsonBenchWriter json("interp_micro");
+  const struct {
+    const char* name;
+    compute::Kernel::Options kernel;
+  } kernels[] = {{"add_i32", ops::AddKernel(ElemType::kI32)},
+                 {"add_f32", ops::AddKernel(ElemType::kF32)},
+                 {"sgemm_f32", ops::GemmKernel(ElemType::kF32, 48)}};
+  for (const auto& k : kernels) {
+    auto r = glsl::CompileGlsl(compute::Kernel::FragmentSource(k.kernel),
+                               glsl::Stage::kFragment);
+    if (!r.ok) {
+      std::fprintf(stderr, "%s: compile failed\n%s", k.name,
+                   r.info_log.c_str());
+      continue;
+    }
+    const auto prog = glsl::LowerToBytecode(*r.shader);
+    json.Add(std::string("lowered_regs_") + k.name,
+             static_cast<double>(prog->reg_types.size()), "count");
+    json.Add(std::string("lowered_code_") + k.name,
+             static_cast<double>(prog->code.size()), "count");
+    std::printf("%-10s lowered: %zu registers, %zu instructions\n", k.name,
+                prog->reg_types.size(), prog->code.size());
+    if (std::string(k.name) != "add_f32") continue;
+    // Best of 5 batches of 100 lowerings.
+    double best = 1e9;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < 100; ++i) {
+        benchmark::DoNotOptimize(glsl::LowerToBytecode(*r.shader));
+      }
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - t0;
+      best = std::min(best, dt.count() / 100);
+    }
+    json.Add("lower_add_f32", best, "s");
+    std::printf("add_f32    LowerToBytecode: %.1f us\n", best * 1e6);
+  }
+  if (!json.Write()) std::fprintf(stderr, "could not write BENCH json\n");
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  WriteLoweringMetrics();
+  return 0;
+}

@@ -11,9 +11,7 @@ namespace mgpu::compute {
 using gles2::GLint;
 using gles2::GLuint;
 
-namespace {
-
-std::string BuildFragmentSource(const Kernel::Options& opt) {
+std::string Kernel::FragmentSource(const Options& opt) {
   std::string src = KernelPreamble();
   // Unpack functions for every distinct input type plus the output type.
   std::set<ElemType> types;
@@ -32,12 +30,10 @@ std::string BuildFragmentSource(const Kernel::Options& opt) {
   return src;
 }
 
-}  // namespace
-
 Kernel::Kernel(Device& device, Options options)
     : device_(device), options_(std::move(options)) {
   gles2::Context& gl = device_.gl();
-  fragment_source_ = BuildFragmentSource(options_);
+  fragment_source_ = FragmentSource(options_);
 
   vs_ = gl.CreateShader(gles2::GL_VERTEX_SHADER);
   gl.ShaderSource(vs_, PassthroughVertexShader());

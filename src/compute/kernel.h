@@ -36,6 +36,9 @@ class Kernel {
   // Compiles and links the program; throws std::runtime_error with the
   // driver info log on failure.
   Kernel(Device& device, Options options);
+
+  // The fragment shader text a Kernel with `options` compiles.
+  [[nodiscard]] static std::string FragmentSource(const Options& options);
   ~Kernel();
 
   Kernel(const Kernel&) = delete;

@@ -36,48 +36,67 @@ vec4 gp_kernel(vec2 gp_pos) {
 )";
 
 template <typename T>
-void RunBinary(Device& d, ElemType t, const char* body,
-               std::span<const T> a, std::span<const T> b,
-               std::span<T> out) {
+void RunBinary(Device& d, ElemType t, std::span<const T> a,
+               std::span<const T> b, std::span<T> out) {
   PackedBuffer ba(d, t, a.size());
   PackedBuffer bb(d, t, b.size());
   PackedBuffer bo(d, t, out.size());
   ba.Upload(a);
   bb.Upload(b);
-  Kernel k(d, {.name = std::string("add_") + ElemTypeName(t),
-               .inputs = {{"u_a", t}, {"u_b", t}},
-               .output = t,
-               .extra_decls = "",
-               .body = body});
+  Kernel k(d, AddKernel(t));
   k.Run(bo, {&ba, &bb});
   bo.Download(out);
 }
 
 }  // namespace
 
+Kernel::Options AddKernel(ElemType t) {
+  const char* body = t == ElemType::kU8   ? kAddU8Body
+                     : t == ElemType::kI8 ? kAddI8Body
+                                          : kAdd32Body;
+  return {.name = std::string("add_") + ElemTypeName(t),
+          .inputs = {{"u_a", t}, {"u_b", t}},
+          .output = t,
+          .extra_decls = "",
+          .body = body};
+}
+
 void AddF32(Device& d, std::span<const float> a, std::span<const float> b,
             std::span<float> out) {
-  RunBinary(d, ElemType::kF32, kAdd32Body, a, b, out);
+  RunBinary(d, ElemType::kF32, a, b, out);
 }
 
 void AddI32(Device& d, std::span<const std::int32_t> a,
             std::span<const std::int32_t> b, std::span<std::int32_t> out) {
-  RunBinary(d, ElemType::kI32, kAdd32Body, a, b, out);
+  RunBinary(d, ElemType::kI32, a, b, out);
 }
 
 void AddU32(Device& d, std::span<const std::uint32_t> a,
             std::span<const std::uint32_t> b, std::span<std::uint32_t> out) {
-  RunBinary(d, ElemType::kU32, kAdd32Body, a, b, out);
+  RunBinary(d, ElemType::kU32, a, b, out);
 }
 
 void AddU8(Device& d, std::span<const std::uint8_t> a,
            std::span<const std::uint8_t> b, std::span<std::uint8_t> out) {
-  RunBinary(d, ElemType::kU8, kAddU8Body, a, b, out);
+  RunBinary(d, ElemType::kU8, a, b, out);
 }
 
 void AddI8(Device& d, std::span<const std::int8_t> a,
            std::span<const std::int8_t> b, std::span<std::int8_t> out) {
-  RunBinary(d, ElemType::kI8, kAddI8Body, a, b, out);
+  RunBinary(d, ElemType::kI8, a, b, out);
+}
+
+Kernel::Options SaxpyKernel() {
+  return {.name = "saxpy",
+          .inputs = {{"u_x", ElemType::kF32}, {"u_y", ElemType::kF32}},
+          .output = ElemType::kF32,
+          .extra_decls = "uniform float u_alpha;",
+          .body = R"(
+float gp_kernel(vec2 gp_pos) {
+  float i = gp_linear_index();
+  return u_alpha * gp_fetch_u_x(i) + gp_fetch_u_y(i);
+}
+)"};
 }
 
 void SaxpyF32(Device& d, float alpha, std::span<const float> x,
@@ -87,19 +106,27 @@ void SaxpyF32(Device& d, float alpha, std::span<const float> x,
   PackedBuffer bo(d, ElemType::kF32, out.size());
   bx.Upload(x);
   by.Upload(y);
-  Kernel k(d, {.name = "saxpy",
-               .inputs = {{"u_x", ElemType::kF32}, {"u_y", ElemType::kF32}},
-               .output = ElemType::kF32,
-               .extra_decls = "uniform float u_alpha;",
-               .body = R"(
-float gp_kernel(vec2 gp_pos) {
-  float i = gp_linear_index();
-  return u_alpha * gp_fetch_u_x(i) + gp_fetch_u_y(i);
-}
-)"});
+  Kernel k(d, SaxpyKernel());
   k.SetUniform1f("u_alpha", alpha);
   k.Run(bo, {&bx, &by});
   bo.Download(out);
+}
+
+Kernel::Options GemmKernel(ElemType t, int n) {
+  return {.name = std::string("gemm_") + ElemTypeName(t),
+          .inputs = {{"u_a", t}, {"u_b", t}},
+          .output = t,
+          .extra_decls = StrFormat("#define GP_K %d", n),
+          .body = R"(
+float gp_kernel(vec2 gp_pos) {
+  float acc = 0.0;
+  for (int k = 0; k < GP_K; ++k) {
+    acc += gp_fetch2_u_a(float(k), gp_pos.y) *
+           gp_fetch2_u_b(gp_pos.x, float(k));
+  }
+  return acc;
+}
+)"};
 }
 
 namespace {
@@ -112,20 +139,7 @@ void GemmImpl(Device& d, ElemType t, int n, std::span<const T> a,
   PackedBuffer bo(d, t, n, n);
   ba.Upload(a);
   bb.Upload(b);
-  Kernel k(d, {.name = std::string("gemm_") + ElemTypeName(t),
-               .inputs = {{"u_a", t}, {"u_b", t}},
-               .output = t,
-               .extra_decls = StrFormat("#define GP_K %d", n),
-               .body = R"(
-float gp_kernel(vec2 gp_pos) {
-  float acc = 0.0;
-  for (int k = 0; k < GP_K; ++k) {
-    acc += gp_fetch2_u_a(float(k), gp_pos.y) *
-           gp_fetch2_u_b(gp_pos.x, float(k));
-  }
-  return acc;
-}
-)"});
+  Kernel k(d, GemmKernel(t, n));
   k.Run(bo, {&ba, &bb});
   bo.Download(out);
 }
@@ -142,18 +156,12 @@ void GemmI32(Device& d, int n, std::span<const std::int32_t> a,
   GemmImpl(d, ElemType::kI32, n, a, b, out);
 }
 
-void Conv3x3U8(Device& d, int w, int h, std::span<const std::uint8_t> img,
-               std::span<const float> weights, std::span<std::uint8_t> out) {
-  PackedBuffer bi(d, ElemType::kU8, w, h);
-  PackedBuffer bo(d, ElemType::kU8, w, h);
-  bi.Upload(img);
-  // Each RGBA texel covers 4 horizontal pixels; the kernel gathers the
-  // left/center/right texels of three rows and convolves each lane.
-  Kernel k(d, {.name = "conv3x3_u8",
-               .inputs = {{"u_img", ElemType::kU8}},
-               .output = ElemType::kU8,
-               .extra_decls = "uniform float u_w[9];",
-               .body = R"(
+Kernel::Options Conv3x3U8Kernel() {
+  return {.name = "conv3x3_u8",
+          .inputs = {{"u_img", ElemType::kU8}},
+          .output = ElemType::kU8,
+          .extra_decls = "uniform float u_w[9];",
+          .body = R"(
 vec4 gp_row_conv(vec4 l, vec4 c, vec4 r, float w0, float w1, float w2) {
   // Convolve the 4 lanes of the center texel with their row neighbors.
   vec4 left = vec4(l.a, c.r, c.g, c.b);
@@ -180,13 +188,39 @@ vec4 gp_kernel(vec2 gp_pos) {
   }
   return clamp(acc, 0.0, 255.0);
 }
-)"});
+)"};
+}
+
+void Conv3x3U8(Device& d, int w, int h, std::span<const std::uint8_t> img,
+               std::span<const float> weights, std::span<std::uint8_t> out) {
+  PackedBuffer bi(d, ElemType::kU8, w, h);
+  PackedBuffer bo(d, ElemType::kU8, w, h);
+  bi.Upload(img);
+  // Each RGBA texel covers 4 horizontal pixels; the kernel gathers the
+  // left/center/right texels of three rows and convolves each lane.
+  Kernel k(d, Conv3x3U8Kernel());
   // Upload the nine weights.
   for (int i = 0; i < 9; ++i) {
     k.SetUniform1f(StrFormat("u_w[%d]", i), weights[static_cast<std::size_t>(i)]);
   }
   k.Run(bo, {&bi});
   bo.Download(out);
+}
+
+Kernel::Options ReduceSumKernel() {
+  return {.name = "reduce4",
+          .inputs = {{"u_src", ElemType::kF32}},
+          .output = ElemType::kF32,
+          .extra_decls = "uniform float u_count;",
+          .body = R"(
+float gp_kernel(vec2 gp_pos) {
+  float j = gp_linear_index();
+  if (j >= u_count) { return 0.0; }
+  float i = j * 4.0;
+  return gp_fetch_u_src(i) + gp_fetch_u_src(i + 1.0) +
+         gp_fetch_u_src(i + 2.0) + gp_fetch_u_src(i + 3.0);
+}
+)"};
 }
 
 float ReduceSumF32(Device& d, std::span<const float> v) {
@@ -202,19 +236,7 @@ float ReduceSumF32(Device& d, std::span<const float> v) {
 
   // The u_count guard zeroes the padding lanes of each level so they never
   // inject out-of-range fetches into the next level.
-  Kernel k(d, {.name = "reduce4",
-               .inputs = {{"u_src", ElemType::kF32}},
-               .output = ElemType::kF32,
-               .extra_decls = "uniform float u_count;",
-               .body = R"(
-float gp_kernel(vec2 gp_pos) {
-  float j = gp_linear_index();
-  if (j >= u_count) { return 0.0; }
-  float i = j * 4.0;
-  return gp_fetch_u_src(i) + gp_fetch_u_src(i + 1.0) +
-         gp_fetch_u_src(i + 2.0) + gp_fetch_u_src(i + 3.0);
-}
-)"});
+  Kernel k(d, ReduceSumKernel());
 
   std::size_t n = host.size();
   while (n > 1) {

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "compute/device.h"
+#include "compute/kernel.h"
 
 namespace mgpu::compute::ops {
 
@@ -50,6 +51,16 @@ void Conv3x3U8(Device& d, int w, int h, std::span<const std::uint8_t> img,
 // --- multi-output min/max via kernel splitting (challenge 8) --------------
 [[nodiscard]] std::pair<float, float> MinMaxF32(Device& d,
                                                 std::span<const float> v);
+
+// --- the kernels behind the ops above -------------------------------------
+// Each op links exactly the Kernel these describe, so tooling can inspect a
+// shipped program (Kernel::FragmentSource, its lowered bytecode) without
+// running the op.
+[[nodiscard]] Kernel::Options AddKernel(ElemType t);  // AddF32 ... AddI8
+[[nodiscard]] Kernel::Options SaxpyKernel();
+[[nodiscard]] Kernel::Options GemmKernel(ElemType t, int n);  // n x n
+[[nodiscard]] Kernel::Options Conv3x3U8Kernel();
+[[nodiscard]] Kernel::Options ReduceSumKernel();
 
 }  // namespace mgpu::compute::ops
 

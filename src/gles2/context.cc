@@ -1692,6 +1692,10 @@ void Context::Clear(GLbitfield mask) {
 void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
                          GLenum format, GLenum type, void* pixels) {
   Sync();  // readback must observe every deferred draw
+  if (w < 0 || h < 0) {
+    SetError(GL_INVALID_VALUE);
+    return;
+  }
   // The ONLY guaranteed readback path in ES 2.0 (paper limitation #7): the
   // framebuffer, as RGBA8. There is no glGetTexImage.
   if (format != GL_RGBA || type != GL_UNSIGNED_BYTE) {
@@ -1703,15 +1707,17 @@ void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
     SetError(GL_INVALID_FRAMEBUFFER_OPERATION);
     return;
   }
+  // Source coordinates and byte offsets in 64 bits: a rect near INT_MAX
+  // must read zeros past the framebuffer, not wrap back into it.
   auto* dst = static_cast<std::uint8_t*>(pixels);
-  const int row_bytes = w * 4;
-  const int stride = (row_bytes + pack_alignment_ - 1) / pack_alignment_ *
-                     pack_alignment_;
+  const std::int64_t row_bytes = std::int64_t{w} * 4;
+  const std::int64_t stride = (row_bytes + pack_alignment_ - 1) /
+                              pack_alignment_ * pack_alignment_;
   for (GLsizei row = 0; row < h; ++row) {
-    const int sy = y + row;
+    const std::int64_t sy = std::int64_t{y} + row;
     for (GLsizei col = 0; col < w; ++col) {
-      const int sx = x + col;
-      std::uint8_t* out = dst + row * stride + col * 4;
+      const std::int64_t sx = std::int64_t{x} + col;
+      std::uint8_t* out = dst + row * stride + std::int64_t{col} * 4;
       if (sx < 0 || sy < 0 || sx >= rt.width || sy >= rt.height) {
         out[0] = out[1] = out[2] = out[3] = 0;
         continue;

@@ -1,6 +1,8 @@
 #include "gles2/texture.h"
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 namespace mgpu::gles2 {
@@ -146,8 +148,10 @@ GLenum Texture::TexSubImage2D(GLint level, GLint xoffset, GLint yoffset,
   if (level != 0) return GL_INVALID_VALUE;
   if (!has_storage()) return GL_INVALID_OPERATION;
   if (format != format_) return GL_INVALID_OPERATION;
-  if (xoffset < 0 || yoffset < 0 || xoffset + width > width_ ||
-      yoffset + height > height_) {
+  // In 64 bits: xoffset + width must not wrap past the check.
+  if (xoffset < 0 || yoffset < 0 || width < 0 || height < 0 ||
+      std::int64_t{xoffset} + width > width_ ||
+      std::int64_t{yoffset} + height > height_) {
     return GL_INVALID_VALUE;
   }
   const int bpp = ExternalBytesPerPixel(format, type);
@@ -159,8 +163,9 @@ GLenum Texture::TexSubImage2D(GLint level, GLint xoffset, GLint yoffset,
       (row_bytes + unpack_alignment - 1) / unpack_alignment * unpack_alignment;
   std::vector<std::uint8_t> row(static_cast<std::size_t>(width) * 4);
   for (GLsizei y = 0; y < height; ++y) {
-    if (!ConvertRowToRgba8(format, type, src + y * stride, width,
-                           row.data())) {
+    if (!ConvertRowToRgba8(format, type,
+                           src + static_cast<std::ptrdiff_t>(y) * stride,
+                           width, row.data())) {
       return GL_INVALID_ENUM;
     }
     std::memcpy(rgba8_.data() +

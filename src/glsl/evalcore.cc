@@ -11,9 +11,25 @@ namespace mgpu::glsl {
 
 namespace {
 
-// Integer negation that wraps (-INT_MIN == INT_MIN) instead of overflowing.
+// Integer arithmetic that wraps modulo 2^32 instead of overflowing: the
+// operands can come from tenant-set uniforms, so every result must be
+// defined. -INT_MIN == INT_MIN, and INT_MIN / -1 == INT_MIN (the wrapped
+// quotient) rather than a SIGFPE; division by zero yields 0.
 inline std::int32_t WrapNeg(std::int32_t x) {
   return static_cast<std::int32_t>(0u - static_cast<std::uint32_t>(x));
+}
+inline std::int32_t WrapArith(BinOp op, std::int32_t a, std::int32_t b) {
+  const auto ua = static_cast<std::uint32_t>(a);
+  const auto ub = static_cast<std::uint32_t>(b);
+  switch (op) {
+    case BinOp::kAdd: return static_cast<std::int32_t>(ua + ub);
+    case BinOp::kSub: return static_cast<std::int32_t>(ua - ub);
+    case BinOp::kMul: return static_cast<std::int32_t>(ua * ub);
+    default:
+      if (b == 0) return 0;
+      if (b == -1) return WrapNeg(a);
+      return a / b;
+  }
 }
 
 }  // namespace
@@ -213,10 +229,10 @@ void EvalArithInto(AluModel& alu, BinOp op, const Value& l, const Value& r,
       const std::int32_t b = r.I(ri);
       alu.Count(1);
       switch (op) {
-        case BinOp::kAdd: out.SetI(i, a + b); break;
-        case BinOp::kSub: out.SetI(i, a - b); break;
-        case BinOp::kMul: out.SetI(i, a * b); break;
-        case BinOp::kDiv: out.SetI(i, b == 0 ? 0 : a / b); break;
+        case BinOp::kAdd:
+        case BinOp::kSub:
+        case BinOp::kMul:
+        case BinOp::kDiv: out.SetI(i, WrapArith(op, a, b)); break;
         case BinOp::kLt: out.SetB(i, a < b); break;
         case BinOp::kGt: out.SetB(i, a > b); break;
         case BinOp::kLe: out.SetB(i, a <= b); break;
@@ -323,7 +339,7 @@ void EvalIncDecInto(AluModel& alu, const LRef& ref, bool increment, bool post,
       updated.SetF(i, alu.Add(old.F(i), delta));
     } else {
       alu.Count(1);
-      updated.SetI(i, old.I(i) + static_cast<std::int32_t>(delta));
+      updated.SetI(i, WrapArith(BinOp::kAdd, old.I(i), increment ? 1 : -1));
     }
   }
   WriteRef(ref, updated);
@@ -344,7 +360,8 @@ void EvalIncDecVar(AluModel& alu, Value& var, bool increment, bool post,
     } else {
       alu.Count(1);
       const std::int32_t old = var.I(i);
-      const std::int32_t updated = old + static_cast<std::int32_t>(delta);
+      const std::int32_t updated =
+          WrapArith(BinOp::kAdd, old, increment ? 1 : -1);
       var.SetI(i, updated);
       out.SetI(i, post ? old : updated);
     }
@@ -495,7 +512,7 @@ void EvalArithBatch(AluModel& alu, BinOp op, const BatchSrc& l,
   }
 
   // Integer component-wise arithmetic (one counted alu op per component,
-  // division-by-zero guarded to 0, both matching EvalArithInto).
+  // wrapping like EvalArithInto).
   ForEachLane(mask, [&](int lane) {
     const Value& a = l.at(lane);
     const Value& b = r.at(lane);
@@ -505,10 +522,10 @@ void EvalArithBatch(AluModel& alu, BinOp op, const BatchSrc& l,
       const std::int32_t y = b.I(i * rs);
       alu.Count(1);
       switch (op) {
-        case BinOp::kAdd: o.SetI(i, x + y); break;
-        case BinOp::kSub: o.SetI(i, x - y); break;
-        case BinOp::kMul: o.SetI(i, x * y); break;
-        case BinOp::kDiv: o.SetI(i, y == 0 ? 0 : x / y); break;
+        case BinOp::kAdd:
+        case BinOp::kSub:
+        case BinOp::kMul:
+        case BinOp::kDiv: o.SetI(i, WrapArith(op, x, y)); break;
         default: break;
       }
     }

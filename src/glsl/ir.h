@@ -6,11 +6,13 @@
 // no recursion, no per-invocation allocation, no scoped frames.
 //
 // Design notes:
-//  - Values live in a flat register file typed at lowering time. Every
-//    VarDecl (local or parameter) owns a dedicated register; expression
-//    temporaries get fresh registers. Since GLSL ES 1.00 statically rejects
-//    recursion (sema), each function's frame is allocated exactly once and
-//    calls are a jump plus argument copies — no dynamic frames.
+//  - Values live in a flat register file typed at lowering time. Lowering
+//    gives every VarDecl (local or parameter) and every expression
+//    temporary a register of its own; register allocation (regalloc.h) then
+//    folds registers whose live ranges never meet into one slot. Since GLSL
+//    ES 1.00 statically rejects recursion (sema), each function's frame is
+//    allocated exactly once and calls are a jump plus argument copies — no
+//    dynamic frames.
 //  - Structured control flow (if/for/while/ternary/&&/||) is lowered to
 //    conditional branches; `discard` and the loop-iteration guard are
 //    dedicated ops.
@@ -104,7 +106,9 @@ struct VmInst {
 }
 
 struct VmFunction {
-  std::uint32_t entry = 0;             // pc of the first instruction
+  // pc of the first instruction. Only functions some kCall targets have a
+  // body; the entry of one every call site inlined stays 0 (never used).
+  std::uint32_t entry = 0;
   std::uint32_t ret_reg = kOperandNone;  // register holding the return value
 };
 
@@ -134,7 +138,10 @@ struct VmProgram {
   // into main, mirroring ShaderExec::Run.
   std::uint32_t run_entry = 0;
   std::vector<VmFunction> functions;
-  std::vector<Type> reg_types;       // register file layout
+  // Register file layout, after register allocation: one slot per group of
+  // lowered registers of one Type whose live ranges never meet. Its size is
+  // what the batched VM multiplies by kVmLanes per shading worker.
+  std::vector<Type> reg_types;
   std::vector<Value> consts;         // literal pool
   std::vector<std::uint32_t> arg_ops;  // flattened ctor/builtin operand lists
   std::vector<std::string> messages;   // trap texts
@@ -166,9 +173,11 @@ struct VmProgram {
   bool uniform_control_flow = true;
 
   // Static per-invocation cost bound in VM instructions (lower.cc,
-  // ComputeStaticCost): straight-line code counted once per call site, each
-  // constant-trip `for` loop multiplied by its trip count. A link-time
-  // work estimate for draw scheduling, saturating at 2^62.
+  // ComputeStaticCost), taken on the final code after register allocation
+  // has deleted its self-copies, dead copies and jumps to the next pc:
+  // straight-line code counted once per call site, each constant-trip `for`
+  // loop multiplied by its trip count. A link-time work estimate for draw
+  // scheduling, saturating at 2^62.
   std::uint64_t static_cost = 0;
 
   // True when any instruction can raise a runtime trap: a loop guard (the
@@ -197,6 +206,11 @@ struct VmProgram {
 // Lowers an analyzed shader to bytecode. Total for any sema-valid shader;
 // constructs that only fail at runtime in the interpreter (e.g. calling an
 // undefined prototype) lower to kTrap so behaviour matches when executed.
+// The steps, in order: lowering (function bodies only for kCall targets),
+// SoA tagging, the lane analysis, register allocation (regalloc.h), then
+// the static cost on the final code. Set MGPU_LANE_DEBUG=1 for one stderr
+// line per program with its classification and its register and
+// instruction counts after/before allocation.
 [[nodiscard]] std::shared_ptr<const VmProgram> LowerToBytecode(
     const CompiledShader& cs);
 

@@ -322,8 +322,9 @@ bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
     return true;
   }
 
-  // Integer component-wise arithmetic: exact under every profile; division
-  // by zero yields 0 like the kernel.
+  // Integer component-wise arithmetic: exact under every profile and
+  // wrapping like the kernel — +,-,* through unsigned, x / 0 == 0 and
+  // INT_MIN / -1 == INT_MIN (negation through unsigned).
   LaneLoopOpen(b);
   b += "    int* d=" + Ptr(in.dst, "int") + ";const int* a=" +
        Ptr(in.a, "const int") + ";const int* c=" + Ptr(in.b, "const int") +
@@ -334,17 +335,16 @@ bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
     const std::string ci = std::to_string(i * rs);
     switch (op) {
       case BinOp::kAdd:
-        b += "    d[" + di + "]=a[" + ai + "]+c[" + ci + "];\n";
-        break;
       case BinOp::kSub:
-        b += "    d[" + di + "]=a[" + ai + "]-c[" + ci + "];\n";
-        break;
       case BinOp::kMul:
-        b += "    d[" + di + "]=a[" + ai + "]*c[" + ci + "];\n";
+        b += "    d[" + di + "]=(int)((unsigned)a[" + ai + "]" +
+             (op == BinOp::kAdd ? "+" : op == BinOp::kSub ? "-" : "*") +
+             "(unsigned)c[" + ci + "]);\n";
         break;
       default:
-        b += "    d[" + di + "]=(c[" + ci + "]==0)?0:a[" + ai + "]/c[" + ci +
-             "];\n";
+        b += "    d[" + di + "]=(c[" + ci + "]==0)?0:(c[" + ci +
+             "]==-1)?(int)(0u-(unsigned)a[" + ai + "]):a[" + ai + "]/c[" +
+             ci + "];\n";
         break;
     }
   }

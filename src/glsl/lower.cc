@@ -13,6 +13,7 @@
 #include "glsl/builtins.h"
 #include "glsl/evalcore.h"
 #include "glsl/ir.h"
+#include "glsl/regalloc.h"
 
 namespace mgpu::glsl {
 namespace {
@@ -238,16 +239,28 @@ class Lowerer {
     if (main_def == nullptr) {
       EmitTrap("shader has no executable main()");
     } else {
-      VmInst call = MakeInst(VmOp::kCall);
-      call.aux = fn_index_.at(main_def);
-      Emit(call);
+      EmitCall(fn_index_.at(main_def));
     }
     Emit(MakeInst(VmOp::kHalt));
 
-    // Function bodies (iterate the TU so the emission order is stable).
-    for (const auto& fn : cs_.tu->functions) {
-      const auto it = fn_index_.find(fn.get());
-      if (it != fn_index_.end()) LowerFunction(*fn, it->second);
+    // Function bodies, only for functions a kCall targets: main, and the
+    // callees of calls that were not inlined. The body of a function every
+    // call site inlined would be unreachable, so it is not emitted (its
+    // VmFunction::entry stays 0). Sweeps in TU order until no newly called
+    // body remains, so the layout is stable.
+    std::vector<bool> lowered(prog_->functions.size(), false);
+    for (bool emitted = true; emitted;) {
+      emitted = false;
+      for (const auto& fn : cs_.tu->functions) {
+        const auto it = fn_index_.find(fn.get());
+        if (it == fn_index_.end() || !called_[it->second] ||
+            lowered[it->second]) {
+          continue;
+        }
+        lowered[it->second] = true;
+        LowerFunction(*fn, it->second);
+        emitted = true;
+      }
     }
     return prog_;
   }
@@ -305,6 +318,13 @@ class Lowerer {
     Emit(t);
   }
 
+  void EmitCall(std::uint32_t fn_idx) {
+    VmInst c = MakeInst(VmOp::kCall);
+    c.aux = fn_idx;
+    Emit(c);
+    called_[fn_idx] = true;
+  }
+
   void EmitCopy(std::uint32_t dst, std::uint32_t src) {
     if (dst == src) return;
     VmInst c = MakeInst(VmOp::kCopy);
@@ -334,6 +354,7 @@ class Lowerer {
       const std::uint32_t idx =
           static_cast<std::uint32_t>(prog_->functions.size());
       prog_->functions.push_back(f);
+      called_.push_back(false);
       fn_index_[fn.get()] = idx;
       auto& params = param_regs_[fn.get()];
       for (const auto& p : fn->params) {
@@ -957,9 +978,7 @@ class Lowerer {
       loops_.swap(saved_loops);
       current_fn_ = saved_fn;
     } else {
-      VmInst c = MakeInst(VmOp::kCall);
-      c.aux = fn_idx;
-      Emit(c);
+      EmitCall(fn_idx);
     }
     // Phase 3 — copy-out in argument order.
     for (std::size_t i = 0; i < call.args.size(); ++i) {
@@ -1158,6 +1177,7 @@ class Lowerer {
   const CompiledShader& cs_;
   std::shared_ptr<VmProgram> prog_;
   std::unordered_map<const FunctionDecl*, std::uint32_t> fn_index_;
+  std::vector<bool> called_;  // per function: some kCall targets it
   std::unordered_map<const FunctionDecl*, std::vector<std::uint32_t>>
       param_regs_;
   std::unordered_map<const VarDecl*, std::uint32_t> var_regs_;
@@ -1482,33 +1502,6 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
       prog.uniform_control_flow = false;
     }
   }
-  // Opt-in classification log (MGPU_LANE_DEBUG=1): one line per lowered
-  // program, for inspecting why a shader runs lockstep vs masked and how
-  // much of it has whole-instruction SoA kernels.
-  if (std::getenv("MGPU_LANE_DEBUG") != nullptr) {
-    int nd = 0;
-    for (const std::uint8_t b : prog.divergent_branch) nd += b;
-    int soa = 0;
-    int soa_eligible = 0;
-    int simd = 0;
-    for (const VmInst& in : prog.code) {
-      if (in.op != VmOp::kArith && in.op != VmOp::kNeg &&
-          in.op != VmOp::kCtor && in.op != VmOp::kBuiltin) {
-        continue;
-      }
-      ++soa_eligible;
-      if (in.soa != 0) ++soa;
-      if (in.soa == 2) ++simd;
-    }
-    std::fprintf(stderr,
-                 "lane-analysis: stage=%s uniform=%d divergent_branches=%d "
-                 "code=%zu soa_kernels=%d/%d simd_tagged=%d "
-                 "simd_default=%s\n",
-                 prog.stage == Stage::kVertex ? "vertex" : "fragment",
-                 prog.uniform_control_flow ? 1 : 0, nd, prog.code.size(),
-                 soa, soa_eligible, simd,
-                 simd::LevelName(simd::Resolve(-1)));
-  }
   prog.lane_global_index.assign(n_globals, -1);
   prog.lane_global_count = 0;
   for (std::size_t i = 0; i < n_globals; ++i) {
@@ -1583,18 +1576,63 @@ void ComputeStaticCost(VmProgram& prog,
                                 end_after(prog.run_entry));
 }
 
+// Opt-in classification log (MGPU_LANE_DEBUG=1): one line per lowered
+// program, for inspecting why a shader runs lockstep vs masked, how much of
+// it has whole-instruction SoA kernels, and what register allocation
+// (regalloc.h) made of the register file and the code.
+void LogLaneAnalysis(const VmProgram& prog, std::size_t regs_before,
+                     std::size_t code_before) {
+  int nd = 0;
+  for (const std::uint8_t b : prog.divergent_branch) nd += b;
+  int soa = 0;
+  int soa_eligible = 0;
+  int simd = 0;
+  for (const VmInst& in : prog.code) {
+    if (in.op != VmOp::kArith && in.op != VmOp::kNeg &&
+        in.op != VmOp::kCtor && in.op != VmOp::kBuiltin) {
+      continue;
+    }
+    ++soa_eligible;
+    if (in.soa != 0) ++soa;
+    if (in.soa == 2) ++simd;
+  }
+  std::fprintf(stderr,
+               "lane-analysis: stage=%s uniform=%d divergent_branches=%d "
+               "regs=%zu/%zu code=%zu/%zu soa_kernels=%d/%d simd_tagged=%d "
+               "simd_default=%s\n",
+               prog.stage == Stage::kVertex ? "vertex" : "fragment",
+               prog.uniform_control_flow ? 1 : 0, nd, prog.reg_types.size(),
+               regs_before, prog.code.size(), code_before, soa, soa_eligible,
+               simd, simd::LevelName(simd::Resolve(-1)));
+}
+
 }  // namespace
 
 std::shared_ptr<const VmProgram> LowerToBytecode(const CompiledShader& cs) {
   Lowerer lowerer(cs);
-  std::shared_ptr<const VmProgram> prog = lowerer.Lower();
+  std::shared_ptr<const VmProgram> lowered = lowerer.Lower();
   // Safe cast: Lower() is the sole owner at this point; the const view is
-  // what escapes. Tagging runs first so the lane-analysis debug log can
-  // report SoA kernel coverage.
-  TagSoaEligibility(const_cast<VmProgram&>(*prog));
-  AnalyzeLaneBatching(const_cast<VmProgram&>(*prog), cs);
-  ComputeStaticCost(const_cast<VmProgram&>(*prog), lowerer.const_loops());
-  return prog;
+  // what escapes.
+  VmProgram& prog = const_cast<VmProgram&>(*lowered);
+  const std::size_t regs_before = prog.reg_types.size();
+  const std::size_t code_before = prog.code.size();
+  TagSoaEligibility(prog);
+  AnalyzeLaneBatching(prog, cs);
+  // Register allocation rewrites registers and deletes only non-counting
+  // instructions, so the tags and the lane analysis above carry over (the
+  // pass remaps divergent_branch); the cost bound is taken on the final
+  // code.
+  const std::vector<std::uint32_t> pc_map = AllocateRegisters(prog);
+  std::vector<ConstTripLoop> loops = lowerer.const_loops();
+  for (ConstTripLoop& l : loops) {
+    l.head = pc_map[l.head];
+    l.end = pc_map[l.end];
+  }
+  ComputeStaticCost(prog, loops);
+  if (std::getenv("MGPU_LANE_DEBUG") != nullptr) {
+    LogLaneAnalysis(prog, regs_before, code_before);
+  }
+  return lowered;
 }
 
 }  // namespace mgpu::glsl

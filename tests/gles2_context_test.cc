@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -171,6 +172,37 @@ TEST(ContextTest, ReadPixelsOnlyRgbaUnsignedByte) {
   std::vector<float> fdata(16 * 4);
   ctx.ReadPixels(0, 0, 4, 4, GL_RGBA, GL_FLOAT, fdata.data());
   EXPECT_EQ(ctx.GetError(), GL_INVALID_ENUM);
+}
+
+// Read-back rects are computed in 64 bits: a rect starting near INT_MAX
+// reads zeros (it lies past the framebuffer) instead of wrapping back into
+// it, and a negative size is GL_INVALID_VALUE with nothing written.
+TEST(ContextTest, ReadPixelsRectNearIntMaxReadsZerosNegativeSizeRejected) {
+  Context ctx(SmallConfig());
+  ctx.ClearColor(1.0f, 1.0f, 1.0f, 1.0f);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  constexpr GLint kMax = std::numeric_limits<GLint>::max();
+  std::vector<std::uint8_t> px(4 * 4, 0xCD);
+  ctx.ReadPixels(kMax - 2, 0, 4, 1, GL_RGBA, GL_UNSIGNED_BYTE, px.data());
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  EXPECT_EQ(px, std::vector<std::uint8_t>(4 * 4, 0)) << "x near INT_MAX";
+  px.assign(4 * 4, 0xCD);
+  ctx.ReadPixels(0, kMax - 2, 1, 4, GL_RGBA, GL_UNSIGNED_BYTE, px.data());
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  EXPECT_EQ(px, std::vector<std::uint8_t>(4 * 4, 0)) << "y near INT_MAX";
+
+  px.assign(4 * 4, 0xCD);
+  for (const auto& [w, h] : {std::pair<GLsizei, GLsizei>{-1, 1}, {1, -1},
+                             {std::numeric_limits<GLsizei>::min(), 2}}) {
+    ctx.ReadPixels(0, 0, w, h, GL_RGBA, GL_UNSIGNED_BYTE, px.data());
+    EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE) << w << "x" << h;
+  }
+  EXPECT_EQ(px, std::vector<std::uint8_t>(4 * 4, 0xCD)) << "wrote on error";
+  // A rect straddling the edge reads the inside and zeros past it.
+  ctx.ReadPixels(2, 0, 4, 1, GL_RGBA, GL_UNSIGNED_BYTE, px.data());
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  EXPECT_EQ(px, (std::vector<std::uint8_t>{255, 255, 255, 255, 255, 255, 255,
+                                           255, 0, 0, 0, 0, 0, 0, 0, 0}));
 }
 
 TEST(ContextTest, MissingVertexShaderFailsLink) {

@@ -4,6 +4,7 @@
 #include "gles2/texture.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -115,6 +116,38 @@ TEST(TextureTest, TexSubImageOutOfBoundsRejected) {
   EXPECT_EQ(t.TexSubImage2D(0, 3, 3, 2, 2, GL_RGBA, GL_UNSIGNED_BYTE,
                             patch.data(), 1),
             GL_INVALID_VALUE);
+}
+
+// The rect check must not wrap: xoffset + width near INT_MAX used to pass
+// an int comparison and write far outside the texel store. Negative sizes
+// are invalid too. Every rejected call leaves the texels untouched.
+TEST(TextureTest, TexSubImageOverflowingRectRejectedNoWrite) {
+  Texture t = MakeRgba(4, 4, std::vector<std::uint8_t>(64, 7));
+  constexpr GLint kMax = std::numeric_limits<GLint>::max();
+  const std::vector<std::uint8_t> patch(64, 0xAB);
+  const struct {
+    GLint x, y;
+    GLsizei w, h;
+  } rects[] = {{kMax - 1, 0, 2, 1}, {0, kMax - 1, 1, 2}, {kMax, kMax, 1, 1},
+               {1, 0, kMax, 1},     {0, 1, 1, kMax},     {0, 0, -1, 1},
+               {0, 0, 1, -1},       {2, 2, -4, -4}};
+  for (const auto& r : rects) {
+    EXPECT_EQ(t.TexSubImage2D(0, r.x, r.y, r.w, r.h, GL_RGBA,
+                              GL_UNSIGNED_BYTE, patch.data(), 1),
+              GL_INVALID_VALUE)
+        << r.x << "," << r.y << " " << r.w << "x" << r.h;
+  }
+  for (int y = 0; y < 4; ++y) {
+    for (int x = 0; x < 4; ++x) {
+      EXPECT_EQ(t.TexelAt(x, y), (std::array<std::uint8_t, 4>{7, 7, 7, 7}));
+    }
+  }
+  // The last in-bounds rect is still accepted.
+  EXPECT_EQ(t.TexSubImage2D(0, 3, 3, 1, 1, GL_RGBA, GL_UNSIGNED_BYTE,
+                            patch.data(), 1),
+            GL_NO_ERROR);
+  EXPECT_EQ(t.TexelAt(3, 3),
+            (std::array<std::uint8_t, 4>{0xAB, 0xAB, 0xAB, 0xAB}));
 }
 
 TEST(TextureTest, DefaultMinFilterMakesIncomplete) {

@@ -5,20 +5,26 @@
 // (expressions, control flow, functions, arrays, swizzled stores) plus
 // VM-specific hazards (register clobbering across calls, side effects in
 // argument lists, discard inside helpers).
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/strings.h"
+#include "compute/kernel.h"
+#include "compute/ops.h"
 #include "gles2/context.h"
 #include "glsl/compile.h"
 #include "glsl/interp.h"
 #include "glsl/ir.h"
 #include "glsl/jit.h"
+#include "glsl/regalloc.h"
 #include "glsl/vm.h"
 #include "vc4/alu.h"
 #include "vc4/profiles.h"
@@ -535,6 +541,95 @@ void main() {
       EXPECT_EQ(FloatToBits(c.F(k)),
                 FloatToBits(want[static_cast<std::size_t>(k)]))
           << engine << " component " << k;
+    }
+  };
+
+  ExactAlu alu_tree, alu_vm, alu_batch;
+  ShaderExec tree(*shader, alu_tree);
+  set_uniforms(tree);
+  ASSERT_TRUE(tree.Run());
+  expect_color(tree.GlobalAt(tree.GlobalSlot("gl_FragColor")), "tree");
+
+  const std::shared_ptr<const VmProgram> prog = LowerToBytecode(*shader);
+  VmExec vm(prog, alu_vm);
+  set_uniforms(vm);
+  ASSERT_TRUE(vm.Run());
+  expect_color(vm.GlobalAt(vm.GlobalSlot("gl_FragColor")), "scalar vm");
+
+  VmExec batch(prog, alu_batch);
+  set_uniforms(batch);
+  const int color = batch.GlobalSlot("gl_FragColor");
+  ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
+  for (int l = 0; l < kVmLanes; ++l) {
+    expect_color(batch.LaneGlobalAt(color, l), "batched vm");
+  }
+
+  if (!jit::Available()) return;
+  const std::shared_ptr<const jit::Module> mod = jit::CompileProgram(*prog);
+  ASSERT_NE(mod, nullptr);
+  ExactAlu alu_jit;
+  VmExec jitted(prog, alu_jit);
+  jitted.SetJit(mod);
+  set_uniforms(jitted);
+  ASSERT_EQ(jitted.RunBatch(kVmLanes), ~0u);
+  for (int l = 0; l < kVmLanes; ++l) {
+    expect_color(jitted.LaneGlobalAt(color, l), "compiled");
+  }
+}
+
+// Integer +, -, *, / and ++/-- wrap modulo 2^32 on every engine, with
+// INT_MIN / -1 == INT_MIN: operands a tenant sets through uniforms must
+// never overflow a signed int or raise SIGFPE. Covers scalar and vector
+// arithmetic, whole-variable ++/-- (kIncDecVar) and ++/-- through a
+// swizzled l-value (kIncDec). Each output component sums four checks.
+TEST(VmDifferentialTest, IntArithmeticWrapsOnEveryEngine) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  auto shader = testutil::MustCompile(R"(
+precision highp float;
+uniform int u_max;
+uniform int u_min;
+uniform int u_m1;
+uniform ivec2 u_v;
+float bit(bool b, float w) { return b ? w : 0.0; }
+void main() {
+  int add = u_max + 1;
+  int sub = u_min - 1;
+  int mul = u_max * 2;
+  int div = u_min / u_m1;
+  int inc = u_max;
+  inc++;
+  int dec = u_min;
+  --dec;
+  ivec2 v = u_v;
+  v.x++;
+  v.y--;
+  ivec2 w = u_v + ivec2(1);
+  ivec2 q = u_v / ivec2(u_m1);
+  gl_FragColor = vec4(
+      bit(add == u_min, 1.0) + bit(sub == u_max, 2.0) +
+          bit(mul == -2, 4.0) + bit(div == u_min, 8.0),
+      bit(inc == u_min, 1.0) + bit(dec == u_max, 2.0) +
+          bit(v.x == u_min, 4.0) + bit(v.y == u_max, 8.0),
+      bit(w.x == u_min, 1.0) + bit(w.y == u_min + 1, 2.0) +
+          bit(q.x == -u_max, 4.0) + bit(q.y == u_min, 8.0),
+      float(div / 65536));
+}
+)");
+  const std::array<float, 4> want = {15.0f, 15.0f, 15.0f, -32768.0f};
+  const auto set_uniforms = [&](auto& exec) {
+    exec.GlobalAt(exec.GlobalSlot("u_max")).SetI(0, kMax);
+    exec.GlobalAt(exec.GlobalSlot("u_min")).SetI(0, kMin);
+    exec.GlobalAt(exec.GlobalSlot("u_m1")).SetI(0, -1);
+    Value& v = exec.GlobalAt(exec.GlobalSlot("u_v"));
+    v.SetI(0, kMax);
+    v.SetI(1, kMin);
+  };
+  const auto expect_color = [&](const Value& c, const char* engine) {
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(FloatToBits(c.F(k)),
+                FloatToBits(want[static_cast<std::size_t>(k)]))
+          << engine << " component " << k << " = " << c.F(k);
     }
   };
 
@@ -1134,6 +1229,290 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
             << "round " << round << " lane " << l << " comp " << k;
       }
     }
+  }
+}
+
+// --- register allocation (regalloc.h) -------------------------------------
+
+// Every compute kernel the library ships, plus the kernel of
+// examples/mandelbrot.cpp (a loop with an early return).
+std::vector<compute::Kernel::Options> ShippedKernels() {
+  using compute::ElemType;
+  namespace ops = compute::ops;
+  std::vector<compute::Kernel::Options> k;
+  for (const ElemType t : {ElemType::kF32, ElemType::kI32, ElemType::kU32,
+                           ElemType::kU8, ElemType::kI8}) {
+    k.push_back(ops::AddKernel(t));
+  }
+  k.push_back(ops::GemmKernel(ElemType::kF32, 48));
+  k.push_back(ops::GemmKernel(ElemType::kI32, 48));
+  k.push_back(ops::Conv3x3U8Kernel());
+  k.push_back(ops::ReduceSumKernel());
+  k.push_back(ops::SaxpyKernel());
+  k.push_back({.name = "mandelbrot",
+               .inputs = {},
+               .output = ElemType::kI32,
+               .extra_decls = "#define GP_MAX_ITER 96\n"
+                              "uniform vec2 u_center;\n"
+                              "uniform vec2 u_scale;",
+               .body = R"(
+float gp_kernel(vec2 gp_pos) {
+  vec2 c = u_center + (gp_pos / gp_out_size - 0.5) * u_scale;
+  vec2 z = vec2(0.0);
+  for (int i = 0; i < GP_MAX_ITER; ++i) {
+    z = vec2(z.x * z.x - z.y * z.y, 2.0 * z.x * z.y) + c;
+    if (dot(z, z) > 4.0) { return float(i); }
+  }
+  return float(GP_MAX_ITER);
+}
+)"});
+  return k;
+}
+
+std::shared_ptr<const VmProgram> LowerKernel(
+    const compute::Kernel::Options& k) {
+  auto shader =
+      testutil::MustCompile(compute::Kernel::FragmentSource(k));
+  return shader != nullptr ? LowerToBytecode(*shader) : nullptr;
+}
+
+// The batched VM keeps kVmLanes copies of every register per shading
+// worker, so the register file is memory and cold-start time. The shipped
+// kernels inline the pack/unpack library into hundreds of temporaries;
+// allocation keeps each under 64 registers.
+TEST(RegAllocTest, ShippedComputeKernelsFitIn64Registers) {
+  for (const compute::Kernel::Options& k : ShippedKernels()) {
+    SCOPED_TRACE(k.name);
+    const auto prog = LowerKernel(k);
+    ASSERT_NE(prog, nullptr);
+    EXPECT_LE(prog->reg_types.size(), 64u);
+  }
+}
+
+// No instruction that reads its operands after writing (part of) its
+// destination may find an operand in the destination's register: kCtor
+// clears the destination first, kShuffle and the linear-algebra multiplies
+// write cells another cell still reads, kBuiltin and kExtract follow the
+// same rule. Checked over the shipped kernels, the conformance corpus and a
+// linear-algebra program whose operands die at those instructions.
+TEST(RegAllocTest, DestinationNeverSharesAnOperandRegister) {
+  const std::string linalg = R"(
+precision highp float;
+uniform mat3 u_m;
+uniform vec3 u_v;
+void main() {
+  mat3 m = u_m * 2.0;
+  vec3 a = m * u_v;
+  vec3 b = a * m;
+  mat3 p = m * m;
+  vec2 s = b.zx;
+  vec4 c = vec4(s, p[1].x, a.y);
+  gl_FragColor = c + vec4(clamp(b.x, 0.0, 1.0));
+}
+)";
+  std::vector<std::pair<std::string, std::string>> sources = {
+      {"linalg", linalg}};
+  for (const compute::Kernel::Options& k : ShippedKernels()) {
+    sources.emplace_back(k.name, compute::Kernel::FragmentSource(k));
+  }
+  for (const Case& c : ConformanceCorpus()) {
+    sources.emplace_back(c.label, c.source);
+  }
+  for (const auto& [label, src] : sources) {
+    SCOPED_TRACE(label);
+    auto shader = testutil::MustCompile(src);
+    ASSERT_NE(shader, nullptr);
+    const auto prog = LowerToBytecode(*shader);
+    for (std::size_t pc = 0; pc < prog->code.size(); ++pc) {
+      const VmInst& in = prog->code[pc];
+      if ((in.dst & ~kOperandIndexMask) != kSpaceReg) continue;
+      std::vector<std::uint32_t> operands;
+      switch (in.op) {
+        case VmOp::kCtor:
+        case VmOp::kBuiltin:
+          operands.assign(prog->arg_ops.begin() + in.aux,
+                          prog->arg_ops.begin() + in.aux + in.n);
+          break;
+        case VmOp::kShuffle:
+          operands = {in.a};
+          break;
+        case VmOp::kExtract:
+          operands = {in.a, in.b};
+          break;
+        case VmOp::kArith:
+          if (in.soa == 0) operands = {in.a, in.b};  // linear algebra
+          break;
+        default:
+          break;
+      }
+      for (const std::uint32_t op : operands) {
+        EXPECT_NE(op, in.dst) << "pc " << pc << " op "
+                              << static_cast<int>(in.op);
+      }
+    }
+  }
+  Case c{"linalg", linalg, {}, {}};
+  c.funiforms = {{"u_m", {1.5f, -2.0f, 0.25f, 3.0f, 0.5f, -1.0f, 2.0f, 4.0f,
+                          -0.75f}},
+                 {"u_v", {0.5f, -1.25f, 2.0f}}};
+  ExpectEnginesAgree(c);
+}
+
+// Variables written through refs keep a register of their own: liveness
+// cannot see a kWriteRef, so a store into a variable whose last direct read
+// is behind it must not land in a temporary that is still live. Covers a
+// dynamic-index store and a swizzled store into dead variables, checked
+// against the tree-walk oracle on the scalar and batched engines, and by
+// the one direct write (the declaration) each such register keeps.
+TEST(RegAllocTest, RefTargetsKeepTheirOwnRegister) {
+  Case c{"ref stores into dead variables", R"(
+precision highp float;
+uniform float u_x;
+uniform int u_i;
+void main() {
+  vec4 v = vec4(u_x);
+  float s = v.y;
+  vec4 w = vec4(s, 1.0, 2.0, 3.0);
+  v[u_i] = 9.0;
+  vec4 q = vec4(u_x + 1.0);
+  float t = q.x;
+  vec4 r = vec4(t, t * 2.0, 5.0, 6.0);
+  q.xy = vec2(7.0, 8.0);
+  gl_FragColor = w + r;
+}
+)",
+         {{"u_x", {0.5f}}},
+         {{"u_i", {2}}}};
+  ExpectEnginesAgree(c);
+  auto shader = testutil::MustCompile(c.source);
+  const auto prog = LowerToBytecode(*shader);
+  std::vector<std::uint32_t> ref_targets;
+  for (const VmInst& in : prog->code) {
+    if (in.op == VmOp::kRefVar) ref_targets.push_back(in.a);
+  }
+  ASSERT_EQ(ref_targets.size(), 2u);
+  for (const std::uint32_t reg : ref_targets) {
+    int writes = 0;
+    for (const VmInst& in : prog->code) {
+      const bool value_op = in.op != VmOp::kRefVar &&
+                            in.op != VmOp::kRefIndex &&
+                            in.op != VmOp::kRefSwizzle &&
+                            in.op != VmOp::kWriteRef;
+      if (value_op && in.dst == reg) ++writes;
+    }
+    EXPECT_EQ(writes, 1) << "register " << (reg & kOperandIndexMask);
+  }
+
+  ExactAlu alu_s, alu_b;
+  VmExec scalar(prog, alu_s);
+  VmExec batch(prog, alu_b);
+  for (VmExec* e : {&scalar, &batch}) {
+    e->GlobalAt(e->GlobalSlot("u_x")).SetF(0, 0.5f);
+    e->GlobalAt(e->GlobalSlot("u_i")).SetI(0, 2);
+  }
+  ASSERT_TRUE(scalar.Run());
+  ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
+  const int color = scalar.GlobalSlot("gl_FragColor");
+  for (int l = 0; l < kVmLanes; ++l) {
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(FloatToBits(batch.LaneGlobalAt(color, l).F(k)),
+                FloatToBits(scalar.GlobalAt(color).F(k)))
+          << "lane " << l << " comp " << k;
+    }
+  }
+}
+
+// Beyond the inline depth every user call is a kCall: return values travel
+// in each function's ret_reg, which stays the function's own (written only
+// inside its body), and results match the oracle.
+TEST(RegAllocTest, NonInlinedCallsKeepReturnRegisters) {
+  std::string src = DeepCallChain(65);
+  src.replace(src.find("void main()"), std::string::npos, R"(
+uniform float u_x;
+uniform float u_deep;
+float mix3(float a, float b, float c) { float t = a * b; return t + c; }
+float twice(float x) { return mix3(x, 2.0, 0.0); }
+void main() {
+  float d = 0.0;
+  if (u_deep > 0.5) { d = f1(); }
+  float x = twice(u_x) + mix3(u_x, u_x, 1.0);
+  gl_FragColor = vec4(x, d, twice(x), mix3(x, x, x));
+}
+)");
+  Case c{"non-inlined calls", src, {{"u_x", {1.5f}}, {"u_deep", {0.0f}}}, {}};
+  ExpectEnginesAgree(c);
+  auto shader = testutil::MustCompile(src);
+  const auto prog = LowerToBytecode(*shader);
+  int calls = 0;
+  for (const VmInst& in : prog->code) calls += in.op == VmOp::kCall;
+  EXPECT_GT(calls, 4) << "expected the calls not to be inlined";
+  // Bodies are laid out back to back: a function's body ends where the next
+  // emitted one begins.
+  std::vector<std::uint32_t> starts;
+  for (const VmFunction& f : prog->functions) {
+    if (f.entry > prog->run_entry) starts.push_back(f.entry);
+  }
+  std::sort(starts.begin(), starts.end());
+  for (const VmFunction& f : prog->functions) {
+    if (f.ret_reg == kOperandNone || f.entry <= prog->run_entry) continue;
+    const auto next = std::upper_bound(starts.begin(), starts.end(), f.entry);
+    const std::size_t end =
+        next != starts.end() ? *next : prog->code.size();
+    for (std::size_t pc = 0; pc < prog->code.size(); ++pc) {
+      const VmInst& in = prog->code[pc];
+      if (in.dst != f.ret_reg || in.op == VmOp::kRefVar) continue;
+      EXPECT_TRUE(pc >= f.entry && pc < end)
+          << "ret_reg written at pc " << pc << " outside [" << f.entry
+          << ", " << end << ")";
+    }
+  }
+}
+
+VmInst Arith(BinOp op, std::uint32_t dst, std::uint32_t a, std::uint32_t b) {
+  VmInst in = MakeInst(VmOp::kArith);
+  in.u8 = static_cast<std::uint8_t>(op);
+  in.dst = dst;
+  in.a = a;
+  in.b = b;
+  return in;
+}
+
+// A register the run chunk reads before writing carries its value from the
+// previous run (lowering emits none today; the pass must stay correct if it
+// ever does). It keeps its own register, so a temporary defined after its
+// last read cannot overwrite the carried value.
+TEST(RegAllocTest, RegisterReadBeforeWrittenKeepsItsValueAcrossRuns) {
+  const std::uint32_t r0 = kSpaceReg | 0, r1 = kSpaceReg | 1,
+                      r2 = kSpaceReg | 2, r3 = kSpaceReg | 3;
+  const std::uint32_t one = kSpaceConst | 0;
+  auto prog = std::make_shared<VmProgram>();
+  prog->globals = {{"gl_FragColor", MakeType(BaseType::kVec4)}};
+  prog->consts = {Value::MakeFloat(1.0f)};
+  prog->reg_types.assign(4, MakeType(BaseType::kFloat));
+  VmInst color = MakeInst(VmOp::kCtor);
+  color.dst = kSpaceGlobal | 0;
+  color.type = MakeType(BaseType::kVec4);
+  color.n = 1;
+  color.aux = 0;
+  prog->arg_ops = {r3};
+  prog->code = {MakeInst(VmOp::kHalt),            // const-init chunk
+                Arith(BinOp::kAdd, r0, r0, one),  // run: r0 += 1 (carried)
+                Arith(BinOp::kMul, r1, r0, one),  // last read of r0
+                Arith(BinOp::kAdd, r2, r1, one),
+                Arith(BinOp::kAdd, r3, r2, r2),
+                color,
+                MakeInst(VmOp::kHalt)};
+  prog->const_init_entry = 0;
+  prog->run_entry = 1;
+  (void)AllocateRegisters(*prog);
+  EXPECT_EQ(prog->reg_types.size(), 3u);  // r0 alone, r1..r3 in two
+
+  ExactAlu alu;
+  VmExec vm(prog, alu);
+  const int slot = vm.GlobalSlot("gl_FragColor");
+  for (const float want : {4.0f, 6.0f, 8.0f}) {
+    ASSERT_TRUE(vm.Run());
+    EXPECT_EQ(vm.GlobalAt(slot).F(0), want);
   }
 }
 
