@@ -1896,33 +1896,25 @@ bool Context::ShadeVerticesBatched(
     vm.SetJit(want_jit ? prog->vs_jit : nullptr);
   }
 
-  // Lane plumbing, resolved once per program and cached: per-lane Value*
-  // tables into vvm's planes. Uniform (non-lane) slots resolve to the
-  // shared store, so per-draw uniform sync needs nothing extra here.
+  // Lane plumbing, resolved once per program and cached: plane views into
+  // vvm. Uniform (non-lane) slots resolve to the shared store, so per-draw
+  // uniform sync needs nothing extra here.
   ShadeStateCache::VertexState* vstate =
       shade_cache_.FindVertex(current_program_);
   if (vstate == nullptr) {
     vstate = &shade_cache_.InsertVertex(current_program_);
-    const auto lane_srcs = [&vm](int slot) {
-      std::array<const Value*, kFragBatchWidth> p{};
-      if (slot >= 0) {
-        for (int l = 0; l < glsl::kVmLanes; ++l) {
-          p[static_cast<std::size_t>(l)] = &vm.LaneGlobalAt(slot, l);
-        }
-      }
-      return p;
+    const auto plane = [&vm](int slot) {
+      return slot >= 0 ? vm.LanePlane(slot) : glsl::BatchDst{};
     };
-    vstate->position = lane_srcs(prog->vs_position_slot);
-    vstate->point_size = lane_srcs(prog->vs_point_size_slot);
+    vstate->position = plane(prog->vs_position_slot);
+    vstate->point_size = plane(prog->vs_point_size_slot);
     vstate->attribs.clear();
     vstate->attribs.reserve(prog->attribs.size());
     for (const AttribInfo& ai : prog->attribs) {
       ShadeStateCache::VertexState::AttribLanes al;
       al.location = ai.location;
       al.cells = std::min(ai.type.CellCount(), 4);
-      for (int l = 0; l < glsl::kVmLanes; ++l) {
-        al.dst[static_cast<std::size_t>(l)] = &vm.LaneGlobalAt(ai.vs_slot, l);
-      }
+      al.dst = plane(ai.vs_slot);
       vstate->attribs.push_back(al);
     }
     vstate->varyings.clear();
@@ -1931,9 +1923,7 @@ bool Context::ShadeVerticesBatched(
       ShadeStateCache::VertexState::VaryingSrc vl;
       vl.cells = link.cells;
       vl.offset = link.offset;
-      for (int l = 0; l < glsl::kVmLanes; ++l) {
-        vl.src[static_cast<std::size_t>(l)] = &vm.LaneGlobalAt(link.vs_slot, l);
-      }
+      vl.src = plane(link.vs_slot);
       vstate->varyings.push_back(vl);
     }
   }
@@ -2030,40 +2020,20 @@ bool Context::ShadeVerticesBatched(
       }
 
       // Gather: decode each enabled attribute's array elements straight
-      // into the lane planes — FetchAttribute's per-component conversion
-      // with the base/stride/type resolution hoisted out of the loop.
-      // Components past the array size keep the (0,0,0,1) defaults the
-      // scalar path writes.
+      // into the lane planes (cell c of lane l at dst.at(c, l)) —
+      // FetchAttribute's per-component conversion with the base/stride/type
+      // resolution hoisted out of the loop. Components past the array size
+      // keep the (0,0,0,1) defaults the scalar path writes.
       for (std::size_t k = 0; k < vstate->attribs.size(); ++k) {
         const ShadeStateCache::VertexState::AttribLanes& al =
             vstate->attribs[k];
         const ShadeStateCache::VertexState::AttribSource& s =
             vstate->sources[k];
+        const glsl::BatchDst& dst = al.dst;
         if (s.base == nullptr) {
-          for (int l = 0; l < n; ++l) {
-            Value& dst = *al.dst[static_cast<std::size_t>(l)];
-            for (int c = 0; c < al.cells; ++c) {
-              dst.SetF(c, s.constant[static_cast<std::size_t>(c)]);
-            }
-          }
-          continue;
-        }
-        if (s.type == GL_FLOAT) {
-          // Float arrays need no per-component conversion: blit the element
-          // straight into the lane's cell plane (Cell is a 4-byte union
-          // whose .f member SetF writes), then default-fill the tail. One
-          // memcpy per lane, not per component — the dominant gather shape
-          // (tightly packed vec2/vec3/vec4 positions) hits this.
-          const int n_copy = std::min(al.cells, s.size);
-          for (int l = 0; l < n; ++l) {
-            const std::uint8_t* src =
-                s.base + static_cast<std::ptrdiff_t>(s.stride) *
-                             vidx[static_cast<std::size_t>(l)];
-            Value& dst = *al.dst[static_cast<std::size_t>(l)];
-            std::memcpy(dst.data(), src,
-                        static_cast<std::size_t>(n_copy) * 4);
-            for (int c = n_copy; c < al.cells; ++c) {
-              dst.SetF(c, c == 3 ? 1.0f : 0.0f);
+          for (int c = 0; c < al.cells; ++c) {
+            for (int l = 0; l < n; ++l) {
+              dst.at(c, l).f = s.constant[static_cast<std::size_t>(c)];
             }
           }
           continue;
@@ -2072,17 +2042,13 @@ bool Context::ShadeVerticesBatched(
           const std::uint8_t* src =
               s.base + static_cast<std::ptrdiff_t>(s.stride) *
                            vidx[static_cast<std::size_t>(l)];
-          Value& dst = *al.dst[static_cast<std::size_t>(l)];
           for (int c = 0; c < al.cells; ++c) {
             float v = c == 3 ? 1.0f : 0.0f;
             if (c < s.size) {
               switch (s.type) {
-                case GL_FLOAT: {
-                  float f;
-                  std::memcpy(&f, src + c * 4, 4);
-                  v = f;
+                case GL_FLOAT:
+                  std::memcpy(&v, src + c * 4, 4);
                   break;
-                }
                 case GL_UNSIGNED_BYTE: {
                   const std::uint8_t b = src[c];
                   v = s.normalized ? b / 255.0f : static_cast<float>(b);
@@ -2112,7 +2078,7 @@ bool Context::ShadeVerticesBatched(
                   break;
               }
             }
-            dst.SetF(c, v);
+            dst.at(c, l).f = v;
           }
         }
       }
@@ -2141,20 +2107,21 @@ bool Context::ShadeVerticesBatched(
         RasterVertex& out = verts[static_cast<std::size_t>(b0) + li];
         out.clip = {0.0f, 0.0f, 0.0f, 1.0f};
         out.point_size = 1.0f;
-        if (vstate->position[0] != nullptr) {
-          const Value& pos = *vstate->position[li];
-          out.clip = {pos.F(0), pos.F(1), pos.F(2), pos.F(3)};
+        if (vstate->position.base != nullptr) {
+          const glsl::BatchDst& pos = vstate->position;
+          out.clip = {pos.at(0, l).f, pos.at(1, l).f, pos.at(2, l).f,
+                      pos.at(3, l).f};
         }
-        if (vstate->point_size[0] != nullptr) {
-          out.point_size = vstate->point_size[li]->F(0);
+        if (vstate->point_size.base != nullptr) {
+          out.point_size = vstate->point_size.at(0, l).f;
           if (out.point_size <= 0.0f) out.point_size = 1.0f;
         }
         out.varyings.resize(static_cast<std::size_t>(prog->varying_cells));
         for (const ShadeStateCache::VertexState::VaryingSrc& vl :
              vstate->varyings) {
-          const Value& v = *vl.src[li];
           for (int c = 0; c < vl.cells; ++c) {
-            out.varyings[static_cast<std::size_t>(vl.offset + c)] = v.F(c);
+            out.varyings[static_cast<std::size_t>(vl.offset + c)] =
+                vl.src.at(c, l).f;
           }
         }
       }
@@ -3085,28 +3052,25 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   }
 
   // Batched engine: the rasterizer appends covered fragments into the
-  // worker's SoA batch; the flush scatters the planes into the VM's
-  // per-lane globals, runs the whole batch through one instruction-stream
+  // worker's SoA batch; the flush copies its rows into the VM's lane-major
+  // global planes, runs the whole batch through one instruction-stream
   // pass, replays the deferred TMU accesses in lane order (reproducing the
   // scalar engine's fragment-sequential texture-cache order), and drains
   // surviving lanes to the framebuffer in emission order.
   w.engine->SetTextureFn(MakeBatchTextureFn(wp));
   glsl::VmExec& vm = *w.vm;
-  constexpr int kW = kFragBatchWidth;
-  const auto lane_ptrs = [&vm](int slot) {
-    std::array<Value*, kW> p{};
-    if (slot >= 0) {
-      for (int l = 0; l < kW; ++l) p[static_cast<std::size_t>(l)] =
-          &vm.LaneGlobalAt(slot, l);
-    }
-    return p;
+  // Plane views of the per-fragment globals (a null base when the shader
+  // never declares one): the flush writes inputs and reads gl_FragColor
+  // straight from the planes, cell c of lane l at view.at(c, l).
+  const auto plane = [&vm](int slot) {
+    return slot >= 0 ? vm.LanePlane(slot) : glsl::BatchDst{};
   };
-  const std::array<Value*, kW> fc = lane_ptrs(prog->fs_frag_coord_slot);
-  const std::array<Value*, kW> ff = lane_ptrs(prog->fs_front_facing_slot);
-  const std::array<Value*, kW> pc = lane_ptrs(prog->fs_point_coord_slot);
-  const std::array<Value*, kW> col = lane_ptrs(color_slot);
+  const glsl::BatchDst fc = plane(prog->fs_frag_coord_slot);
+  const glsl::BatchDst ff = plane(prog->fs_front_facing_slot);
+  const glsl::BatchDst pc = plane(prog->fs_point_coord_slot);
+  const glsl::BatchDst col = plane(color_slot);
   struct LaneVaryingDst {
-    std::array<Value*, kW> value;
+    glsl::BatchDst value;
     int cells;
     int offset;
   };
@@ -3114,7 +3078,7 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   varying_dsts.reserve(prog->varyings.size());
   for (const VaryingLink& link : prog->varyings) {
     LaneVaryingDst d;
-    d.value = lane_ptrs(link.fs_slot);
+    d.value = plane(link.fs_slot);
     d.cells = link.cells;
     d.offset = link.offset;
     varying_dsts.push_back(d);
@@ -3143,27 +3107,34 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
       return;
     }
     try {
-      for (int l = 0; l < n; ++l) {
-        const std::size_t li = static_cast<std::size_t>(l);
-        if (fc[0] != nullptr) {
-          Value* const v = fc[li];
-          v->SetF(0, static_cast<float>(b.x[li]) + 0.5f);
-          v->SetF(1, static_cast<float>(b.y[li]) + 0.5f);
-          v->SetF(2, b.depth[li]);
-          v->SetF(3, 1.0f);
+      if (fc.base != nullptr) {
+        for (int l = 0; l < n; ++l) {
+          const std::size_t li = static_cast<std::size_t>(l);
+          fc.at(0, l).f = static_cast<float>(b.x[li]) + 0.5f;
+          fc.at(1, l).f = static_cast<float>(b.y[li]) + 0.5f;
+          fc.at(2, l).f = b.depth[li];
+          fc.at(3, l).f = 1.0f;
         }
-        if (ff[0] != nullptr) ff[li]->SetB(0, b.front[li] != 0);
-        if (pc[0] != nullptr) {
-          pc[li]->SetF(0, b.point_s[li]);
-          pc[li]->SetF(1, b.point_t[li]);
+      }
+      if (ff.base != nullptr) {
+        for (int l = 0; l < n; ++l) {
+          ff.at(0, l).i = b.front[static_cast<std::size_t>(l)] != 0 ? 1 : 0;
         }
-        for (const LaneVaryingDst& vd : varying_dsts) {
-          Value* const v = vd.value[li];
-          for (int c = 0; c < vd.cells; ++c) {
-            v->SetF(c, b.varyings[static_cast<std::size_t>(vd.offset + c) *
-                                      kFragBatchWidth +
-                                  li]);
-          }
+      }
+      if (pc.base != nullptr) {
+        for (int l = 0; l < n; ++l) {
+          pc.at(0, l).f = b.point_s[static_cast<std::size_t>(l)];
+          pc.at(1, l).f = b.point_t[static_cast<std::size_t>(l)];
+        }
+      }
+      // Varyings arrive cell-major (cell c's lanes contiguous), the planes'
+      // own layout: one row per cell.
+      for (const LaneVaryingDst& vd : varying_dsts) {
+        for (int c = 0; c < vd.cells; ++c) {
+          const float* src =
+              &b.varyings[static_cast<std::size_t>(vd.offset + c) *
+                          kFragBatchWidth];
+          for (int l = 0; l < n; ++l) vd.value.at(c, l).f = src[l];
         }
       }
       const std::uint32_t kept = wp->vm->RunBatch(n);
@@ -3191,9 +3162,9 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
         if (((kept >> static_cast<unsigned>(l)) & 1u) == 0) continue;
         const std::size_t li = static_cast<std::size_t>(l);
         std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
-        if (col[0] != nullptr) {
-          const Value& cv = *col[li];
-          color = {cv.F(0), cv.F(1), cv.F(2), cv.F(3)};
+        if (col.base != nullptr) {
+          color = {col.at(0, l).f, col.at(1, l).f, col.at(2, l).f,
+                   col.at(3, l).f};
         }
         WritePixel(draw_rt_, b.x[li], b.y[li], b.depth[li], color,
                    /*depth_valid=*/true, wp->active_journal);

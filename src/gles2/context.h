@@ -99,12 +99,12 @@ struct ContextConfig {
   // Parallel shading requires the bytecode VM engine and a forkable
   // AluModel; otherwise the draw falls back to the serial path.
   int shader_threads = 0;
-  // SIMD tier for the batched VM's SoA kernels: -1 = auto (MGPU_SIMD env
+  // SIMD tier for the batched VM's plane kernels: -1 = auto (MGPU_SIMD env
   // override, else the detected hardware level), 0/1/2 = force
   // scalar/SSE2/AVX2 (clamped to what the host supports). The tier engages
   // under the exact and VideoCore IV ALUs (identity / denormal-flush
   // rounding); reduced-mantissa models such as Mali-400 always run the
-  // scalar kernels. Results are bit-identical at every tier by construction
+  // scalar tier. Results are bit-identical at every tier by construction
   // (see src/glsl/simd.h); this knob exists for A/B benchmarking and CI's
   // SIMD-off leg.
   int simd = -1;
@@ -118,8 +118,8 @@ struct ContextConfig {
   // kCompiled): -1 = auto (the MGPU_VERTEX_BATCH env override if set — 0
   // disables — else on), 0 = force the scalar per-vertex reference loop,
   // 1 = force on. When on, vertex shading gathers enabled attributes into
-  // the vertex VM's SoA lane planes and runs up to kVmLanes vertices per
-  // RunBatch pass (inheriting the SoA kernels, the SIMD fast paths and the
+  // the vertex VM's lane-major planes and runs up to kVmLanes vertices per
+  // RunBatch pass (inheriting the plane kernels at every SIMD tier and the
   // compiled engine), scattering gl_Position / gl_PointSize / varyings
   // back in lane order — bit-identical to the scalar loop in framebuffer
   // bytes, op counts and trap diagnostics (see README). Mirrors `simd` /
@@ -356,22 +356,22 @@ class ShadeStateCache {
     std::uint64_t last_use = 0;
   };
 
-  // Cached vertex-stage lane plumbing for the batched vertex path: per-lane
-  // Value* tables into the program's own vertex VM lane planes — attribute
+  // Cached vertex-stage lane plumbing for the batched vertex path: plane
+  // views (glsl::BatchDst) into the program's own vertex VM — attribute
   // gather destinations, and gl_Position / gl_PointSize / varying scatter
   // sources. The vertex stage runs on the calling thread against the
   // program's long-lived vvm, so entries depend only on the linked program
   // and are keyed by program id alone; the same invalidation points as the
   // worker entries (relink, delete, engine/thread switch) keep the cached
-  // pointers alive exactly as long as the planes they aim into.
+  // views alive exactly as long as the planes they aim into.
   struct VertexState {
     struct AttribLanes {
-      std::array<glsl::Value*, kFragBatchWidth> dst{};
+      glsl::BatchDst dst;
       int location = -1;  // index into the context's attribute bindings
       int cells = 0;      // components the shader-side declaration holds
     };
     struct VaryingSrc {
-      std::array<const glsl::Value*, kFragBatchWidth> src{};
+      glsl::BatchDst src;
       int cells = 0;
       int offset = 0;  // cell offset into RasterVertex::varyings
     };
@@ -395,12 +395,12 @@ class ShadeStateCache {
     std::vector<AttribLanes> attribs;
     std::vector<AttribSource> sources;
     std::vector<VaryingSrc> varyings;
-    // Builtin scatter sources; all-null when the stage never declares the
-    // builtin. A slot without a per-lane plane (never written) resolves
-    // every lane to the shared store — the same value the scalar loop
-    // would read.
-    std::array<const glsl::Value*, kFragBatchWidth> position{};
-    std::array<const glsl::Value*, kFragBatchWidth> point_size{};
+    // Builtin scatter sources; a null base when the stage never declares
+    // the builtin. A slot without a per-lane plane (never written) resolves
+    // to the shared store with lane stride 0 — the same value the scalar
+    // loop would read.
+    glsl::BatchDst position;
+    glsl::BatchDst point_size;
     std::uint64_t last_use = 0;
   };
 
@@ -680,7 +680,7 @@ class Context {
                       std::array<float, 4>* out) const;
   // Lane-batched vertex stage (batched engines with vertex_batch on):
   // gathers attributes for chunks of up to kVmLanes vertices straight into
-  // the vertex VM's SoA lane planes, executes one RunBatch pass per chunk,
+  // the vertex VM's lane-major planes, executes one RunBatch pass per chunk,
   // and scatters clip position / point size / varyings back into `verts`
   // in lane order. Returns false after fully reporting a draw abort
   // (attribute fetch failure, watchdog trip, shader trap) with the same

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace mgpu::gles2 {
 namespace {
@@ -14,6 +15,18 @@ bool IsPowerOfTwo(GLsizei v) { return v > 0 && (v & (v - 1)) == 0; }
 std::uint8_t Expand(int value, int bits) {
   const int max = (1 << bits) - 1;
   return static_cast<std::uint8_t>((value * 255 + max / 2) / max);
+}
+
+// floor(x) as a texel coordinate. A shader can compute any coordinate, and
+// a bare cast of NaN, an infinity or a value outside the int range is
+// undefined; those give INT_MIN, the value x86's truncating convert has
+// always produced here, so sampled texels do not change.
+int FloorToTexel(float x) {
+  const float f = std::floor(x);
+  if (!(f >= -2147483648.0f && f < 2147483648.0f)) {
+    return std::numeric_limits<int>::min();
+  }
+  return static_cast<int>(f);
 }
 
 }  // namespace
@@ -260,8 +273,8 @@ std::array<float, 4> Texture::FetchTexel(int x, int y) const {
 
 long long Texture::NearestTexelIndex(float s, float t) const {
   if (!has_storage()) return -1;
-  int x = static_cast<int>(std::floor(s * static_cast<float>(width_)));
-  int y = static_cast<int>(std::floor(t * static_cast<float>(height_)));
+  int x = FloorToTexel(s * static_cast<float>(width_));
+  int y = FloorToTexel(t * static_cast<float>(height_));
   x = WrapCoord(x, width_, wrap_s_);
   y = WrapCoord(y, height_, wrap_t_);
   return static_cast<long long>(y) * width_ + x;
@@ -270,8 +283,8 @@ long long Texture::NearestTexelIndex(float s, float t) const {
 std::array<float, 4> Texture::Sample(float s, float t, float /*lod*/) const {
   if (!IsComplete()) return {0.0f, 0.0f, 0.0f, 1.0f};
   if (mag_filter_ == GL_NEAREST) {
-    int x = static_cast<int>(std::floor(s * static_cast<float>(width_)));
-    int y = static_cast<int>(std::floor(t * static_cast<float>(height_)));
+    int x = FloorToTexel(s * static_cast<float>(width_));
+    int y = FloorToTexel(t * static_cast<float>(height_));
     x = WrapCoord(x, width_, wrap_s_);
     y = WrapCoord(y, height_, wrap_t_);
     return FetchTexel(x, y);
@@ -279,8 +292,8 @@ std::array<float, 4> Texture::Sample(float s, float t, float /*lod*/) const {
   // Bilinear.
   const float u = s * static_cast<float>(width_) - 0.5f;
   const float v = t * static_cast<float>(height_) - 0.5f;
-  const int x0 = static_cast<int>(std::floor(u));
-  const int y0 = static_cast<int>(std::floor(v));
+  const int x0 = FloorToTexel(u);
+  const int y0 = FloorToTexel(v);
   const float fu = u - static_cast<float>(x0);
   const float fv = v - static_cast<float>(y0);
   const int xs[2] = {WrapCoord(x0, width_, wrap_s_),

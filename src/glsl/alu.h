@@ -50,6 +50,17 @@ inline float FlushDenormal(float x) {
   return (u & 0x7f800000u) == 0 ? std::bit_cast<float>(u & 0x80000000u) : x;
 }
 
+// The one NaN every rounded float op produces. Which NaN an IEEE op returns
+// depends on operand order when two NaNs meet (x86 keeps the first), and a
+// compiler may commute a scalar a + b while an intrinsic fixes the order; so
+// every rounding step (RoundResult, Round, the plane kernels' vector round,
+// the compiled engine's generated rounding) maps any NaN to this pattern,
+// and no engine or SIMD tier can disagree on a NaN's bits.
+inline constexpr std::uint32_t kCanonicalNanBits = 0x7fc00000u;
+inline float CanonicalizeNan(float x) {
+  return x != x ? std::bit_cast<float>(kCanonicalNanBits) : x;
+}
+
 class AluModel {
  public:
   virtual ~AluModel() = default;
@@ -76,13 +87,14 @@ class AluModel {
 
   // Rounds an ALU result through the model's round mode: inline for
   // kIdentity and kFlushDenormals, the virtual Round() for kModel. Always
-  // equal to Round(x) (subclasses keep the mode consistent with Round()).
+  // equal to Round(x) (subclasses keep the mode consistent with Round()),
+  // and every NaN comes out canonical (CanonicalizeNan).
   float RoundResult(float x) {
     switch (round_mode_) {
       case RoundMode::kIdentity:
-        return x;
+        return CanonicalizeNan(x);
       case RoundMode::kFlushDenormals:
-        return FlushDenormal(x);
+        return CanonicalizeNan(FlushDenormal(x));
       default:
         return Round(x);
     }
@@ -142,9 +154,10 @@ class AluModel {
   // Rounds an ALU result to the modeled register precision. The exact model
   // returns x unchanged; VideoCore-class profiles flush denormals and
   // reduced-precision ones (e.g. a mediump-only fragment pipe, paper §IV-E
-  // footnote 1) also drop mantissa bits. The hot paths call RoundResult(),
-  // which reaches this only under RoundMode::kModel.
-  virtual float Round(float x) { return x; }
+  // footnote 1) also drop mantissa bits. Every override maps NaN to the
+  // canonical NaN, like this identity model does. The hot paths call
+  // RoundResult(), which reaches this only under RoundMode::kModel.
+  virtual float Round(float x) { return CanonicalizeNan(x); }
 
   // Creates an independent model with the same precision behaviour and zeroed
   // counters, for use as a per-worker counter shard by the multithreaded

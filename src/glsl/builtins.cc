@@ -4,11 +4,8 @@
 #include <cmath>
 #include <set>
 
-#if MGPU_SIMD_X86
-#include <immintrin.h>
-#endif
-
 #include "common/strings.h"
+#include "glsl/lanes.h"
 
 namespace mgpu::glsl {
 namespace {
@@ -334,367 +331,252 @@ BuiltinResolution ResolveBuiltin(const std::string& name,
 
 namespace {
 
-// Scalar min/max with pinned-down bit behaviour, modeled on glibc's
-// x86-64 fminf/fmaxf (ucomiss + MINSS/MAXSS + quiet-bit probe):
-//   * both operands ordered  -> MINSS/MAXSS semantics: strict compare,
-//     SECOND operand on equality — which is what yields
-//     fmin(+0,-0) == -0 and fmin(-0,+0) == +0;
-//   * exactly one *quiet* NaN -> the other operand;
-//   * a signaling NaN or two NaNs -> the ADDSS result, i.e. the first NaN
-//     operand with the quiet bit set (computed bitwise here: spelling it
-//     `x + y` would let the compiler commute the operands and change which
-//     payload survives between compilations).
-// The builtins route min/max/clamp through these helpers instead of libm so
-// the SIMD vector emulation (FminEmu/FmaxEmu below) matches the scalar
-// kernels bit for bit on any libc — the semantics are defined HERE, not by
-// whatever fminf the host links. On glibc/x86-64 they are bit-identical to
-// the libm calls they replace.
-inline bool NanBits(std::uint32_t u) {
-  return (u & 0x7fffffffu) > 0x7f800000u;
-}
-inline float QuietFirstNan(std::uint32_t ux, std::uint32_t uy) {
-  return std::bit_cast<float>((NanBits(ux) ? ux : uy) | 0x00400000u);
-}
-inline float FminScalar(float x, float y) {
-  const std::uint32_t ux = std::bit_cast<std::uint32_t>(x);
-  const std::uint32_t uy = std::bit_cast<std::uint32_t>(y);
-  if (!NanBits(ux) && !NanBits(uy)) return x < y ? x : y;
-  if (!NanBits(uy) && (ux & 0x00400000u) != 0) return y;
-  if (!NanBits(ux) && (uy & 0x00400000u) != 0) return x;
-  return QuietFirstNan(ux, uy);
-}
-inline float FmaxScalar(float x, float y) {
-  const std::uint32_t ux = std::bit_cast<std::uint32_t>(x);
-  const std::uint32_t uy = std::bit_cast<std::uint32_t>(y);
-  if (!NanBits(ux) && !NanBits(uy)) return x > y ? x : y;
-  if (!NanBits(uy) && (ux & 0x00400000u) != 0) return y;
-  if (!NanBits(ux) && (uy & 0x00400000u) != 0) return x;
-  return QuietFirstNan(ux, uy);
-}
-
-// Applies `fn` component-wise over the float components of `a`, writing the
-// results into `dst` (pre-typed with the result type, which for these
-// builtins always matches `a`'s shape).
+// Maps fn over cells k < n one lane at a time: the SFU-routed and
+// transcendental builtins, whose per-op precision model and sfu counts stay
+// per lane at every tier.
 template <typename F>
-void MapUnaryInto(Value& dst, const Value& a, F&& fn) {
-  for (int i = 0; i < a.count(); ++i) dst.SetF(i, fn(a.F(i)));
-}
-
-// Applies `fn` component-wise over `a` and `b`, broadcasting `b` when it is a
-// scalar and `a` is a vector.
-template <typename F>
-void MapBinaryInto(Value& dst, const Value& a, const Value& b, F&& fn) {
-  const bool broadcast = b.count() == 1 && a.count() > 1;
-  for (int i = 0; i < a.count(); ++i) {
-    dst.SetF(i, fn(a.F(i), b.F(broadcast ? 0 : i)));
+void MapLanes1(const BatchDst& d, const BatchSrc& a, int n, std::uint32_t mask,
+               F&& fn) {
+  for (int k = 0; k < n; ++k) {
+    ForEachLane(mask, [&](int l) { d.at(k, l).f = fn(a.at(k, l).f); });
   }
 }
 
-// --- lane-batched map helpers ---------------------------------------------
-// Shape flags (component counts, broadcast) are hoisted out of the lane
-// loop; the per-lane component loop applies the same `fn` in the same order
-// a lane-sequential scalar evaluation would.
-
+// Binary form; `b` broadcasts its cell 0 when it is a scalar against a
+// wider result.
 template <typename F>
-void MapUnaryBatch(const BatchDst& dst, const BatchSrc& a, std::uint32_t mask,
-                   F&& fn) {
-  const int n = a.base->count();
-  ForEachLane(mask, [&](int l) {
-    const Value& av = a.at(l);
-    Value& d = dst.at(l);
-    for (int i = 0; i < n; ++i) d.SetF(i, fn(av.F(i)));
-  });
+void MapLanes2(const BatchDst& d, const BatchSrc& a, const BatchSrc& b, int n,
+               std::uint32_t mask, F&& fn) {
+  const int bs = b.count() == 1 && n > 1 ? 0 : 1;
+  for (int k = 0; k < n; ++k) {
+    ForEachLane(mask, [&](int l) {
+      d.at(k, l).f = fn(a.at(k, l).f, b.at(k * bs, l).f);
+    });
+  }
 }
 
-template <typename F>
-void MapBinaryBatch(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
-                    std::uint32_t mask, F&& fn) {
-  const int n = a.base->count();
-  const int bs = b.base->count() == 1 && n > 1 ? 0 : 1;
-  ForEachLane(mask, [&](int l) {
-    const Value& av = a.at(l);
-    const Value& bv = b.at(l);
-    Value& d = dst.at(l);
-    for (int i = 0; i < n; ++i) d.SetF(i, fn(av.F(i), bv.F(i * bs)));
-  });
-}
-
-template <typename F>
-void MapTernaryBatch(const BatchDst& dst, const BatchSrc& a,
-                     const BatchSrc& b, const BatchSrc& c, std::uint32_t mask,
-                     F&& fn) {
-  const int n = a.base->count();
-  const int bs = b.base->count() == 1 && n > 1 ? 0 : 1;
-  const int cs = c.base->count() == 1 && n > 1 ? 0 : 1;
-  ForEachLane(mask, [&](int l) {
-    const Value& av = a.at(l);
-    const Value& bv = b.at(l);
-    const Value& cv = c.at(l);
-    Value& d = dst.at(l);
-    for (int i = 0; i < n; ++i) {
-      d.SetF(i, fn(av.F(i), bv.F(i * bs), cv.F(i * cs)));
-    }
-  });
-}
-
-void CopyCellsInto(Value& dst, const Value& src) {
-  for (int i = 0; i < src.count(); ++i) dst.data()[i] = src.data()[i];
-}
-
-float DotProduct(const Value& a, const Value& b, AluModel& alu) {
-  float acc = alu.Mul(a.F(0), b.F(0));
+// One lane's dot product, op for op like the vector tiers' DotRows.
+float DotLane(const BatchSrc& a, const BatchSrc& b, int l, AluModel& alu) {
+  float acc = alu.Mul(a.at(0, l).f, b.at(0, l).f);
   for (int i = 1; i < a.count(); ++i) {
-    acc = alu.Add(acc, alu.Mul(a.F(i), b.F(i)));
+    acc = alu.Add(acc, alu.Mul(a.at(i, l).f, b.at(i, l).f));
   }
   return acc;
 }
 
-void TextureFetchInto(Value& dst, const TextureFn& texture, AluModel& alu,
-                      int unit, float s, float t, float lod) {
+void TextureFetchInto(const BatchDst& dst, int l, const TextureFn& texture,
+                      AluModel& alu, int unit, float s, float t, float lod) {
   alu.CountTmu(1);
   std::array<float, 4> rgba{0.0f, 0.0f, 0.0f, 1.0f};
   if (texture) rgba = texture(unit, s, t, lod);
-  for (int i = 0; i < 4; ++i) dst.SetF(i, rgba[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 4; ++i) {
+    dst.at(i, l).f = rgba[static_cast<std::size_t>(i)];
+  }
+}
+
+// ALU ops per lane of the BuiltinRows builtins over an n-cell result.
+std::uint64_t RowsOps(Builtin b, int n) {
+  const auto un = static_cast<std::uint64_t>(n);
+  switch (b) {
+    case Builtin::kFract:
+    case Builtin::kClamp:
+      return 2 * un;
+    case Builtin::kMix:
+      return 4 * un;
+    case Builtin::kCross:
+      return 9;
+    default:
+      return un;
+  }
 }
 
 }  // namespace
 
-bool IsSoaBuiltin(Builtin b) { return b < Builtin::kTexture2D; }
-
 void EvalBuiltinBatch(Builtin b, Type result_type,
                       std::span<const BatchSrc> argp, AluModel& alu,
                       const TextureFn& texture, const BatchDst& dst,
-                      std::uint32_t mask) {
+                      std::uint32_t mask, simd::Level level) {
   (void)result_type;  // dst carries it; kept for signature symmetry
-  // Convenience view: args(i) is the i-th argument's lane plane.
   const auto args = [&](std::size_t i) -> const BatchSrc& { return argp[i]; };
-  constexpr float kPi = 3.14159265358979323846f;
+  const int n = dst.count();
+  const std::uint64_t lanes = LaneCount(mask);
+  // Per-lane scratch rows (lane stride 1) for dot products and differences;
+  // the cases that use them clear them first, so every lane a vector step
+  // reads is defined.
+  std::array<Cell, 4 * kVmLanes> tmp;
+  const BatchDst tmp_row{tmp.data(), MakeType(BaseType::kFloat), kVmLanes, 1};
+  const auto rows = [&] {
+    alu.CountAlu(RowsOps(b, n) * lanes);
+    WithTier(alu, level, dst,
+             [&](const auto& t) { BuiltinRows(t, b, argp, dst, n, mask); });
+  };
+  // dot(a, b) of every live lane into tmp_row.
+  const auto dots = [&](const BatchSrc& a, const BatchSrc& c) {
+    alu.CountAlu((2 * static_cast<std::uint64_t>(a.count()) - 1) * lanes);
+    WithTier(alu, level, tmp_row, [&](const auto& t) {
+      DotRows(t, a, c, a.count(), tmp.data(), 1, mask);
+    });
+  };
   switch (b) {
     case Builtin::kRadians:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Mul(x, kPi / 180.0f); });
     case Builtin::kDegrees:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Mul(x, 180.0f / kPi); });
-    case Builtin::kSin:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Sin(x); });
-    case Builtin::kCos:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Cos(x); });
-    case Builtin::kTan:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Tan(x); });
-    case Builtin::kAsin:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Asin(x); });
-    case Builtin::kAcos:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Acos(x); });
-    case Builtin::kAtan:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Atan(x); });
-    case Builtin::kAtan2:
-      return MapBinaryBatch(dst, args(0), args(1), mask,
-                            [&](float y, float x) { return alu.Atan2(y, x); });
-    case Builtin::kPow:
-      return MapBinaryBatch(dst, args(0), args(1), mask,
-                            [&](float x, float y) { return alu.Pow(x, y); });
-    case Builtin::kExp:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Exp(x); });
-    case Builtin::kLog:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Log(x); });
-    case Builtin::kExp2:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Exp2(x); });
-    case Builtin::kLog2:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Log2(x); });
-    case Builtin::kSqrt:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Sqrt(x); });
-    case Builtin::kInverseSqrt:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.RecipSqrt(x); });
-
     case Builtin::kAbs:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return std::fabs(x);
-      });
     case Builtin::kSign:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-      });
     case Builtin::kFloor:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return std::floor(x);
-      });
     case Builtin::kCeil:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return std::ceil(x);
-      });
     case Builtin::kFract:
-      // x - floor(x), one ALU op for the floor and one for the subtract.
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return alu.Sub(x, std::floor(x));
-      });
+    case Builtin::kMin:
+    case Builtin::kMax:
+    case Builtin::kClamp:
+    case Builtin::kMix:
+    case Builtin::kStep:
+    case Builtin::kMatrixCompMult:
+    case Builtin::kCross:
+      rows();
+      return;
+
+    case Builtin::kSin:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Sin(x); });
+    case Builtin::kCos:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Cos(x); });
+    case Builtin::kTan:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Tan(x); });
+    case Builtin::kAsin:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Asin(x); });
+    case Builtin::kAcos:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Acos(x); });
+    case Builtin::kAtan:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Atan(x); });
+    case Builtin::kAtan2:
+      return MapLanes2(dst, args(0), args(1), n, mask,
+                       [&](float y, float x) { return alu.Atan2(y, x); });
+    case Builtin::kPow:
+      return MapLanes2(dst, args(0), args(1), n, mask,
+                       [&](float x, float y) { return alu.Pow(x, y); });
+    case Builtin::kExp:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Exp(x); });
+    case Builtin::kLog:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Log(x); });
+    case Builtin::kExp2:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Exp2(x); });
+    case Builtin::kLog2:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Log2(x); });
+    case Builtin::kSqrt:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.Sqrt(x); });
+    case Builtin::kInverseSqrt:
+      return MapLanes1(dst, args(0), n, mask,
+                       [&](float x) { return alu.RecipSqrt(x); });
     case Builtin::kMod:
       // mod(x, y) = x - y * floor(x / y), per spec.
-      return MapBinaryBatch(dst, args(0), args(1), mask, [&](float x, float y) {
+      return MapLanes2(dst, args(0), args(1), n, mask, [&](float x, float y) {
         const float q = alu.Div(x, y);
         alu.Count(1);
         return alu.Sub(x, alu.Mul(y, std::floor(q)));
       });
-    case Builtin::kMin:
-      return MapBinaryBatch(dst, args(0), args(1), mask, [&](float x, float y) {
-        alu.Count(1);
-        return FminScalar(x, y);
-      });
-    case Builtin::kMax:
-      return MapBinaryBatch(dst, args(0), args(1), mask, [&](float x, float y) {
-        alu.Count(1);
-        return FmaxScalar(x, y);
-      });
-    case Builtin::kClamp:
-      return MapTernaryBatch(dst, args(0), args(1), args(2), mask,
-                             [&](float x, float lo, float hi) {
-                               alu.Count(2);
-                               return FminScalar(FmaxScalar(x, lo), hi);
-                             });
-    case Builtin::kMix:
-      return MapTernaryBatch(dst, args(0), args(1), args(2), mask,
-                             [&](float x, float y, float a) {
-                               return alu.Add(alu.Mul(x, alu.Sub(1.0f, a)),
-                                              alu.Mul(y, a));
-                             });
-    case Builtin::kStep:
-      // step(edge, x): note argument order (edge first).
-      return MapBinaryBatch(dst, args(1), args(0), mask,
-                            [&](float x, float edge) {
-                              alu.Count(1);
-                              return x < edge ? 0.0f : 1.0f;
-                            });
     case Builtin::kSmoothstep: {
       // t = clamp((x-e0)/(e1-e0), 0, 1); t*t*(3-2t).
       const BatchSrc& e0 = args(0);
       const BatchSrc& e1 = args(1);
       const BatchSrc& x = args(2);
-      const int n = x.base->count();
-      const int es = e0.base->count() == 1 && n > 1 ? 0 : 1;
-      ForEachLane(mask, [&](int l) {
-        const Value& e0v = e0.at(l);
-        const Value& e1v = e1.at(l);
-        const Value& xv = x.at(l);
-        Value& out = dst.at(l);
-        for (int i = 0; i < n; ++i) {
-          const float a = e0v.F(i * es);
-          const float bb = e1v.F(i * es);
-          float t = alu.Div(alu.Sub(xv.F(i), a), alu.Sub(bb, a));
+      const int es = e0.count() == 1 && n > 1 ? 0 : 1;
+      for (int i = 0; i < n; ++i) {
+        ForEachLane(mask, [&](int l) {
+          const float a = e0.at(i * es, l).f;
+          const float bb = e1.at(i * es, l).f;
+          float t = alu.Div(alu.Sub(x.at(i, l).f, a), alu.Sub(bb, a));
           alu.Count(2);
           t = FminScalar(FmaxScalar(t, 0.0f), 1.0f);
-          out.SetF(i,
-                   alu.Mul(alu.Mul(t, t), alu.Sub(3.0f, alu.Mul(2.0f, t))));
-        }
-      });
+          dst.at(i, l).f =
+              alu.Mul(alu.Mul(t, t), alu.Sub(3.0f, alu.Mul(2.0f, t)));
+        });
+      }
       return;
     }
 
     case Builtin::kLength:
-      ForEachLane(mask, [&](int l) {
-        const float d = DotProduct(args(0).at(l), args(0).at(l), alu);
-        dst.at(l).SetF(0, alu.Sqrt(d));
-      });
+      tmp.fill(Cell{});
+      dots(args(0), args(0));
+      ForEachLane(mask, [&](int l) { dst.at(0, l).f = alu.Sqrt(tmp[l].f); });
       return;
     case Builtin::kDistance: {
-      // The difference scratch is hoisted and reused per lane (its cells
-      // are fully overwritten each lane).
-      Value diff(args(0).base->type());
-      ForEachLane(mask, [&](int l) {
-        MapBinaryInto(diff, args(0).at(l), args(1).at(l),
-                      [&](float x, float y) { return alu.Sub(x, y); });
-        dst.at(l).SetF(0, alu.Sqrt(DotProduct(diff, diff, alu)));
+      tmp.fill(Cell{});
+      const int m = args(0).count();
+      const BatchDst diff{tmp.data(), args(0).type, kVmLanes, 1};
+      alu.CountAlu(static_cast<std::uint64_t>(m) * lanes);
+      WithTier(alu, level, diff, [&](const auto& t) {
+        ArithRows(t, BinOp::kSub, args(0), 1, args(1), 1, diff, m, mask);
+      });
+      dots(diff, diff);
+      ForEachLane(mask, [&](int l) { dst.at(0, l).f = alu.Sqrt(tmp[l].f); });
+      return;
+    }
+    case Builtin::kDot: {
+      const BatchSrc& a = args(0);
+      alu.CountAlu((2 * static_cast<std::uint64_t>(a.count()) - 1) * lanes);
+      WithTier(alu, level, dst, [&](const auto& t) {
+        DotRows(t, a, args(1), a.count(), dst.row(0), dst.lane_stride, mask);
       });
       return;
     }
-    case Builtin::kDot:
-      ForEachLane(mask, [&](int l) {
-        dst.at(l).SetF(0, DotProduct(args(0).at(l), args(1).at(l), alu));
-      });
-      return;
-    case Builtin::kCross:
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        const Value& c = args(1).at(l);
-        Value& out = dst.at(l);
-        out.SetF(0,
-                 alu.Sub(alu.Mul(a.F(1), c.F(2)), alu.Mul(a.F(2), c.F(1))));
-        out.SetF(1,
-                 alu.Sub(alu.Mul(a.F(2), c.F(0)), alu.Mul(a.F(0), c.F(2))));
-        out.SetF(2,
-                 alu.Sub(alu.Mul(a.F(0), c.F(1)), alu.Mul(a.F(1), c.F(0))));
-      });
-      return;
     case Builtin::kNormalize:
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        const float inv = alu.RecipSqrt(DotProduct(a, a, alu));
-        MapUnaryInto(dst.at(l), a, [&](float x) { return alu.Mul(x, inv); });
+      tmp.fill(Cell{});
+      dots(args(0), args(0));
+      ForEachLane(mask, [&](int l) { tmp[l].f = alu.RecipSqrt(tmp[l].f); });
+      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
+      WithTier(alu, level, dst, [&](const auto& t) {
+        ArithRows(t, BinOp::kMul, args(0), 1, tmp_row, 0, dst, n, mask);
       });
       return;
     case Builtin::kFaceforward:
       ForEachLane(mask, [&](int l) {
-        const float d = DotProduct(args(2).at(l), args(1).at(l), alu);
+        const float d = DotLane(args(2), args(1), l, alu);
         alu.Count(1);
-        if (d < 0.0f) {
-          CopyCellsInto(dst.at(l), args(0).at(l));
-        } else {
-          MapUnaryInto(dst.at(l), args(0).at(l),
-                       [&](float x) { return alu.Sub(0.0f, x); });
+        for (int i = 0; i < n; ++i) {
+          const float x = args(0).at(i, l).f;
+          dst.at(i, l).f = d < 0.0f ? x : alu.Sub(0.0f, x);
         }
       });
       return;
     case Builtin::kReflect:
-      ForEachLane(mask, [&](int l) {
-        const float d = DotProduct(args(1).at(l), args(0).at(l), alu);
-        const float two_d = alu.Mul(2.0f, d);
-        MapBinaryInto(dst.at(l), args(0).at(l), args(1).at(l),
-                      [&](float i, float nn) {
-                        return alu.Sub(i, alu.Mul(two_d, nn));
-                      });
+      tmp.fill(Cell{});
+      dots(args(1), args(0));
+      alu.CountAlu((1 + 2 * static_cast<std::uint64_t>(n)) * lanes);
+      WithTier(alu, level, dst, [&](const auto& t) {
+        ReflectRows(t, args(0), args(1), tmp_row, dst, n, mask);
       });
       return;
     case Builtin::kRefract:
       ForEachLane(mask, [&](int l) {
-        const float eta = args(2).at(l).F(0);
-        const float d = DotProduct(args(1).at(l), args(0).at(l), alu);
+        const float eta = args(2).at(0, l).f;
+        const float d = DotLane(args(1), args(0), l, alu);
         const float k = alu.Sub(
             1.0f,
             alu.Mul(alu.Mul(eta, eta), alu.Sub(1.0f, alu.Mul(d, d))));
         alu.Count(1);
-        Value& out = dst.at(l);
         if (k < 0.0f) {
           // Zero vector; written explicitly because the VM's destination
           // register may hold a stale value.
-          for (int i = 0; i < args(0).at(l).count(); ++i) out.SetF(i, 0.0f);
+          for (int i = 0; i < n; ++i) dst.at(i, l).f = 0.0f;
           return;
         }
         const float coeff = alu.Add(alu.Mul(eta, d), alu.Sqrt(k));
-        MapBinaryInto(out, args(0).at(l), args(1).at(l),
-                      [&](float i, float nn) {
-                        return alu.Sub(alu.Mul(eta, i), alu.Mul(coeff, nn));
-                      });
+        for (int i = 0; i < n; ++i) {
+          dst.at(i, l).f = alu.Sub(alu.Mul(eta, args(0).at(i, l).f),
+                                   alu.Mul(coeff, args(1).at(i, l).f));
+        }
       });
       return;
-    case Builtin::kMatrixCompMult:
-      return MapBinaryBatch(dst, args(0), args(1), mask,
-                            [&](float x, float y) { return alu.Mul(x, y); });
 
     case Builtin::kLessThan:
     case Builtin::kLessThanEqual:
@@ -702,115 +584,88 @@ void EvalBuiltinBatch(Builtin b, Type result_type,
     case Builtin::kGreaterThanEqual:
     case Builtin::kEqual:
     case Builtin::kNotEqual: {
-      const int n = args(0).base->count();
-      const bool is_float = args(0).base->scalar() == BaseType::kFloat;
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        const Value& c = args(1).at(l);
-        Value& out = dst.at(l);
-        for (int i = 0; i < n; ++i) {
-          alu.Count(1);
+      if (args(0).scalar() == BaseType::kFloat) {
+        rows();
+        return;
+      }
+      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
+      for (int i = 0; i < n; ++i) {
+        ForEachLane(mask, [&](int l) {
+          const std::int32_t x = args(0).at(i, l).i;
+          const std::int32_t y = args(1).at(i, l).i;
           bool r = false;
-          if (is_float) {
-            const float x = a.F(i);
-            const float y = c.F(i);
-            switch (b) {
-              case Builtin::kLessThan: r = x < y; break;
-              case Builtin::kLessThanEqual: r = x <= y; break;
-              case Builtin::kGreaterThan: r = x > y; break;
-              case Builtin::kGreaterThanEqual: r = x >= y; break;
-              case Builtin::kEqual: r = x == y; break;
-              default: r = x != y; break;
-            }
-          } else {
-            const std::int32_t x = a.I(i);
-            const std::int32_t y = c.I(i);
-            switch (b) {
-              case Builtin::kLessThan: r = x < y; break;
-              case Builtin::kLessThanEqual: r = x <= y; break;
-              case Builtin::kGreaterThan: r = x > y; break;
-              case Builtin::kGreaterThanEqual: r = x >= y; break;
-              case Builtin::kEqual: r = x == y; break;
-              default: r = x != y; break;
-            }
+          switch (b) {
+            case Builtin::kLessThan: r = x < y; break;
+            case Builtin::kLessThanEqual: r = x <= y; break;
+            case Builtin::kGreaterThan: r = x > y; break;
+            case Builtin::kGreaterThanEqual: r = x >= y; break;
+            case Builtin::kEqual: r = x == y; break;
+            default: r = x != y; break;
           }
-          out.SetB(i, r);
-        }
-      });
+          dst.at(i, l).i = r ? 1 : 0;
+        });
+      }
       return;
     }
-    case Builtin::kAny: {
-      const int n = args(0).base->count();
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        bool r = false;
-        for (int i = 0; i < n; ++i) r = r || a.B(i);
-        alu.Count(n);
-        dst.at(l).SetB(0, r);
-      });
-      return;
-    }
+    case Builtin::kAny:
     case Builtin::kAll: {
-      const int n = args(0).base->count();
+      const int m = args(0).count();
+      const bool any = b == Builtin::kAny;
+      alu.CountAlu(static_cast<std::uint64_t>(m) * lanes);
       ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        bool r = true;
-        for (int i = 0; i < n; ++i) r = r && a.B(i);
-        alu.Count(n);
-        dst.at(l).SetB(0, r);
+        bool r = !any;
+        for (int i = 0; i < m; ++i) {
+          const bool v = args(0).at(i, l).i != 0;
+          r = any ? (r || v) : (r && v);
+        }
+        dst.at(0, l).i = r ? 1 : 0;
       });
       return;
     }
-    case Builtin::kNot: {
-      const int n = args(0).base->count();
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        Value& out = dst.at(l);
-        for (int i = 0; i < n; ++i) out.SetB(i, !a.B(i));
-        alu.Count(n);
-      });
+    case Builtin::kNot:
+      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
+      for (int i = 0; i < n; ++i) {
+        ForEachLane(mask, [&](int l) {
+          dst.at(i, l).i = args(0).at(i, l).i != 0 ? 0 : 1;
+        });
+      }
       return;
-    }
 
-    // Texture builtins are reachable only through the single-lane scalar
-    // wrapper (EvalBuiltinInto): the batched VM replays them per lane to
-    // keep TMU cache-access order fragment-sequential (IsSoaBuiltin).
+    // Texture builtins: the batched VM calls this one lane at a time (see
+    // IsSoaBuiltin), so each fetch is attributed to its fragment.
     case Builtin::kTexture2D:
       ForEachLane(mask, [&](int l) {
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         args(1).at(l).F(0), args(1).at(l).F(1), 0.0f);
+        TextureFetchInto(dst, l, texture, alu, args(0).at(0, l).i,
+                         args(1).at(0, l).f, args(1).at(1, l).f, 0.0f);
       });
       return;
     case Builtin::kTexture2DBias:
     case Builtin::kTexture2DLod:
       ForEachLane(mask, [&](int l) {
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         args(1).at(l).F(0), args(1).at(l).F(1),
-                         args(2).at(l).F(0));
+        TextureFetchInto(dst, l, texture, alu, args(0).at(0, l).i,
+                         args(1).at(0, l).f, args(1).at(1, l).f,
+                         args(2).at(0, l).f);
       });
       return;
     case Builtin::kTexture2DProj3:
     case Builtin::kTexture2DProj3Bias:
     case Builtin::kTexture2DProjLod3:
-      ForEachLane(mask, [&](int l) {
-        const Value& uv = args(1).at(l);
-        const float q = uv.F(2);
-        const float lod = argp.size() > 2 ? args(2).at(l).F(0) : 0.0f;
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         alu.Div(uv.F(0), q), alu.Div(uv.F(1), q), lod);
-      });
-      return;
     case Builtin::kTexture2DProj4:
     case Builtin::kTexture2DProj4Bias:
-    case Builtin::kTexture2DProjLod4:
+    case Builtin::kTexture2DProjLod4: {
+      const bool proj3 = b == Builtin::kTexture2DProj3 ||
+                         b == Builtin::kTexture2DProj3Bias ||
+                         b == Builtin::kTexture2DProjLod3;
       ForEachLane(mask, [&](int l) {
-        const Value& uv = args(1).at(l);
-        const float q = uv.F(3);
-        const float lod = argp.size() > 2 ? args(2).at(l).F(0) : 0.0f;
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         alu.Div(uv.F(0), q), alu.Div(uv.F(1), q), lod);
+        const BatchSrc& uv = args(1);
+        const float q = uv.at(proj3 ? 2 : 3, l).f;
+        const float lod = argp.size() > 2 ? args(2).at(0, l).f : 0.0f;
+        TextureFetchInto(dst, l, texture, alu, args(0).at(0, l).i,
+                         alu.Div(uv.at(0, l).f, q), alu.Div(uv.at(1, l).f, q),
+                         lod);
       });
       return;
+    }
   }
 }
 
@@ -821,10 +676,10 @@ void EvalBuiltinInto(Builtin b, Type result_type,
   // semantics serves the tree-walking oracle, the scalar VM, and the
   // batched VM alike.
   std::array<BatchSrc, kMaxBuiltinArgs> av;
-  for (std::size_t i = 0; i < argp.size(); ++i) av[i] = BatchSrc{argp[i], 0};
+  for (std::size_t i = 0; i < argp.size(); ++i) av[i] = BatchSrc::Of(*argp[i]);
   EvalBuiltinBatch(b, result_type,
                    std::span<const BatchSrc>(av.data(), argp.size()), alu,
-                   texture, BatchDst{&dst, 0}, 0x1u);
+                   texture, BatchDst::Of(dst), 0x1u, simd::Level::kScalar);
 }
 
 Value EvalBuiltin(Builtin b, Type result_type,
@@ -834,418 +689,5 @@ Value EvalBuiltin(Builtin b, Type result_type,
   EvalBuiltinInto(b, result_type, args, alu, texture, out);
   return out;
 }
-
-bool IsSimdBuiltin(Builtin b) {
-  switch (b) {
-    case Builtin::kAbs:
-    case Builtin::kFloor:
-    case Builtin::kCeil:
-    case Builtin::kFract:
-    case Builtin::kMin:
-    case Builtin::kMax:
-    case Builtin::kClamp:
-    case Builtin::kMix:
-    case Builtin::kStep:
-    case Builtin::kMatrixCompMult:
-    case Builtin::kDot:
-    case Builtin::kNormalize:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD builtin kernels (x86-64; contract in builtins.h / simd.h)
-// ---------------------------------------------------------------------------
-
-#if MGPU_SIMD_X86
-
-namespace {
-
-// Full-width 128-bit load/store over Value cells; callers keep the touched
-// range inside the inline storage (see the evalcore.cc twins).
-inline __m128 LoadF4(const Cell* c) {
-  return _mm_loadu_ps(reinterpret_cast<const float*>(c));
-}
-inline void StoreF4(Cell* c, __m128 v) {
-  _mm_storeu_ps(reinterpret_cast<float*>(c), v);
-}
-
-// Bitwise select: m ? a : b per element (m is a full-width compare mask).
-inline __m128 Select(__m128 m, __m128 a, __m128 b) {
-  return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
-}
-
-// Exact vector emulations of FminScalar/FmaxScalar above (which pin down
-// glibc's x86-64 fminf/fmaxf bit behaviour). Per element:
-//   ordered            -> MINPS/MAXPS (strict compare, second operand on
-//                         equality — MINPS is defined exactly as the
-//                         scalar helper's `x < y ? x : y`);
-//   one quiet NaN      -> the other operand;
-//   sNaN or two NaNs   -> the first NaN operand, quieted (the ADDPS rule,
-//                         computed bitwise like the scalar helper).
-template <bool kMin>
-inline __m128 MinMaxEmu(__m128 x, __m128 y) {
-  const __m128 ordered = kMin ? _mm_min_ps(x, y) : _mm_max_ps(x, y);
-  const __m128 x_nan = _mm_cmpunord_ps(x, x);
-  const __m128 y_nan = _mm_cmpunord_ps(y, y);
-  const __m128i qbit = _mm_set1_epi32(0x00400000);
-  // Quiet-NaN flags (only meaningful where *_nan holds).
-  const __m128 x_quiet = _mm_and_ps(
-      x_nan, _mm_castsi128_ps(_mm_cmpeq_epi32(
-                 _mm_and_si128(_mm_castps_si128(x), qbit), qbit)));
-  const __m128 y_quiet = _mm_and_ps(
-      y_nan, _mm_castsi128_ps(_mm_cmpeq_epi32(
-                 _mm_and_si128(_mm_castps_si128(y), qbit), qbit)));
-  // First-NaN-quieted, the result wherever a signaling NaN or two NaNs
-  // appear.
-  const __m128 quieted = _mm_or_ps(Select(x_nan, x, y), _mm_castsi128_ps(qbit));
-  const __m128 add_path =
-      _mm_or_ps(_mm_and_ps(x_nan, y_nan),
-                _mm_or_ps(_mm_andnot_ps(x_quiet, x_nan),
-                          _mm_andnot_ps(y_quiet, y_nan)));
-  __m128 r = ordered;
-  r = Select(_mm_andnot_ps(y_nan, x_nan), y, r);  // x the only NaN -> y
-  r = Select(_mm_andnot_ps(x_nan, y_nan), x, r);  // y the only NaN -> x
-  return Select(add_path, quieted, r);
-}
-inline __m128 FminEmu(__m128 x, __m128 y) { return MinMaxEmu<true>(x, y); }
-inline __m128 FmaxEmu(__m128 x, __m128 y) { return MinMaxEmu<false>(x, y); }
-
-// Map helpers mirroring MapUnaryBatch/MapBinaryBatch/MapTernaryBatch with
-// the component loop taken 4 floats at a time. `bs`/`cs` are the scalar-
-// broadcast strides (0 = splat that operand's first component).
-template <typename Op>
-void SimdMapUnary(const BatchDst& dst, const BatchSrc& a, int n,
-                  std::uint32_t mask, Op op) {
-  ForEachLane(mask, [&](int l) {
-    const Cell* ac = a.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(LoadF4(ac + i)));
-  });
-}
-
-template <typename Op>
-void SimdMapBinary(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
-                   int n, int bs, std::uint32_t mask, Op op) {
-  if (bs == 0) {
-    ForEachLane(mask, [&](int l) {
-      const Cell* ac = a.at(l).data();
-      const __m128 vb = _mm_set1_ps(b.at(l).F(0));
-      Cell* oc = dst.at(l).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(LoadF4(ac + i), vb));
-    });
-    return;
-  }
-  ForEachLane(mask, [&](int l) {
-    const Cell* ac = a.at(l).data();
-    const Cell* bc = b.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      StoreF4(oc + i, op(LoadF4(ac + i), LoadF4(bc + i)));
-    }
-  });
-}
-
-template <typename Op>
-void SimdMapTernary(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
-                    const BatchSrc& c, int n, int bs, int cs,
-                    std::uint32_t mask, Op op) {
-  ForEachLane(mask, [&](int l) {
-    const Cell* ac = a.at(l).data();
-    const Cell* bc = b.at(l).data();
-    const Cell* cc = c.at(l).data();
-    const __m128 vb0 = bs ? _mm_setzero_ps() : _mm_set1_ps(b.at(l).F(0));
-    const __m128 vc0 = cs ? _mm_setzero_ps() : _mm_set1_ps(c.at(l).F(0));
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      const __m128 vb = bs ? LoadF4(bc + i) : vb0;
-      const __m128 vc = cs ? LoadF4(cc + i) : vc0;
-      StoreF4(oc + i, op(LoadF4(ac + i), vb, vc));
-    }
-  });
-}
-
-// Gathers component i of four lanes' values into one vector (element k of
-// the result holds lane v[k]'s component — each SIMD element replays its
-// own lane, which is what keeps sequential accumulation chains exact).
-inline __m128 GatherComp(const Value* const v[4], int i) {
-  return _mm_set_ps(v[3]->F(i), v[2]->F(i), v[1]->F(i), v[0]->F(i));
-}
-
-// Scalar twin of simd::Round4 for the kernels' leftover-lane code.
-template <bool kFlush>
-inline float Round1(float x) {
-  if constexpr (kFlush) {
-    return FlushDenormal(x);
-  } else {
-    return x;
-  }
-}
-
-// dot(a, b) across lanes, 4 live lanes per step: element k replays lane
-// lanes[g+k]'s exact mul/add chain in order, rounding every op like
-// DotProduct's alu.Mul/alu.Add, so results match the scalar kernel bit for
-// bit. Leftover lanes run the same chain in plain scalar code (this TU is
-// compiled for baseline x86-64 — no FMA — so no contraction can alter
-// either path).
-template <bool kFlush>
-void SimdDotLanes(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
-                  int n, std::uint32_t mask) {
-  int lanes[32];
-  int c = 0;
-  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-    lanes[c++] = std::countr_zero(m);
-  }
-  const auto mul = [](__m128 x, __m128 y) {
-    return simd::Round4<kFlush>(_mm_mul_ps(x, y));
-  };
-  int g = 0;
-  for (; g + 4 <= c; g += 4) {
-    const Value* av[4];
-    const Value* bv[4];
-    for (int k = 0; k < 4; ++k) {
-      av[k] = &a.at(lanes[g + k]);
-      bv[k] = &b.at(lanes[g + k]);
-    }
-    __m128 acc = mul(GatherComp(av, 0), GatherComp(bv, 0));
-    for (int i = 1; i < n; ++i) {
-      acc = simd::Round4<kFlush>(
-          _mm_add_ps(acc, mul(GatherComp(av, i), GatherComp(bv, i))));
-    }
-    alignas(16) float r[4];
-    _mm_store_ps(r, acc);
-    for (int k = 0; k < 4; ++k) dst.at(lanes[g + k]).SetF(0, r[k]);
-  }
-  for (; g < c; ++g) {
-    const Value& avv = a.at(lanes[g]);
-    const Value& bvv = b.at(lanes[g]);
-    float acc = Round1<kFlush>(avv.F(0) * bvv.F(0));
-    for (int i = 1; i < n; ++i) {
-      const float p = Round1<kFlush>(avv.F(i) * bvv.F(i));
-      acc = Round1<kFlush>(acc + p);
-    }
-    dst.at(lanes[g]).SetF(0, acc);
-  }
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#define MGPU_SIMD_AVX2_TIER 1
-// floor/ceil/fract need the SSE4.1+ round instructions, so they vectorize
-// only on the cpuid-gated AVX2 tier; these functions carry the target
-// attribute instead of per-TU flags. No lambdas inside (a lambda body would
-// not inherit the target and the always_inline intrinsics would fail to
-// inline into it), and no raw float arithmetic (the FMA contraction the
-// attribute enables could otherwise alter results vs the baseline TU).
-__attribute__((target("avx2"))) void FloorLanesAvx2(const BatchDst& dst,
-                                                    const BatchSrc& a, int n,
-                                                    std::uint32_t mask,
-                                                    bool ceil) {
-  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-    const int l = std::countr_zero(m);
-    const Cell* ac = a.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      const __m128 x = LoadF4(ac + i);
-      // ROUNDPS quiets signaling NaNs, but the scalar kernel's std::floor
-      // (inlined by GCC as SSE2 integer manipulation) returns every NaN
-      // unchanged — blend NaN elements through untouched.
-      const __m128 r = ceil ? _mm_ceil_ps(x) : _mm_floor_ps(x);
-      const __m128 nan = _mm_cmpunord_ps(x, x);
-      StoreF4(oc + i, _mm_or_ps(_mm_and_ps(nan, x), _mm_andnot_ps(nan, r)));
-    }
-  }
-}
-
-template <bool kFlush>
-__attribute__((target("avx2"))) void FractLanesAvx2(const BatchDst& dst,
-                                                    const BatchSrc& a, int n,
-                                                    std::uint32_t mask) {
-  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-    const int l = std::countr_zero(m);
-    const Cell* ac = a.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      const __m128 x = LoadF4(ac + i);
-      // NaN passthrough on the floor (see FloorLanesAvx2): the subtract
-      // then computes x - x for NaN elements, exactly like the scalar
-      // kernel's alu.Sub(x, std::floor(x)) — same operands on both sides,
-      // so the propagated payload is identical no matter which operand the
-      // hardware picks. The difference rounds like that alu.Sub.
-      const __m128 f = _mm_floor_ps(x);
-      const __m128 nan = _mm_cmpunord_ps(x, x);
-      const __m128 fl =
-          _mm_or_ps(_mm_and_ps(nan, x), _mm_andnot_ps(nan, f));
-      StoreF4(oc + i, simd::Round4<kFlush>(_mm_sub_ps(x, fl)));
-    }
-  }
-}
-#else
-#define MGPU_SIMD_AVX2_TIER 0
-#endif
-
-// The vector paths of EvalBuiltinBatchSimd, for an operand shape the entry
-// has already checked. kFlush follows the model's round mode: every op the
-// scalar kernel routes through alu.Add/Sub/Mul rounds through
-// simd::Round4, in the scalar kernel's order; abs/floor/ceil/min/max/
-// clamp/step never round. Returns false where only the scalar kernel
-// applies (floor/ceil/fract below the AVX2 tier).
-template <bool kFlush>
-bool BuiltinSimd(Builtin b, std::span<const BatchSrc> argp, AluModel& alu,
-                 const BatchDst& dst, int n, std::uint32_t mask,
-                 simd::Level level) {
-  const std::uint64_t lanes = std::popcount(mask);
-  switch (b) {
-    case Builtin::kAbs: {
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      const __m128 mask_abs =
-          _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-      SimdMapUnary(dst, argp[0], n, mask,
-                   [&](__m128 x) { return _mm_and_ps(x, mask_abs); });
-      return true;
-    }
-    case Builtin::kFloor:
-    case Builtin::kCeil:
-#if MGPU_SIMD_AVX2_TIER
-      if (level == simd::Level::kAvx2) {
-        alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-        FloorLanesAvx2(dst, argp[0], n, mask, b == Builtin::kCeil);
-        return true;
-      }
-#endif
-      return false;
-    case Builtin::kFract:
-#if MGPU_SIMD_AVX2_TIER
-      if (level == simd::Level::kAvx2) {
-        alu.CountAlu(2 * static_cast<std::uint64_t>(n) * lanes);
-        FractLanesAvx2<kFlush>(dst, argp[0], n, mask);
-        return true;
-      }
-#endif
-      return false;
-    case Builtin::kMin:
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[0], argp[1], n,
-                    argp[1].base->count() == 1 ? 0 : 1, mask, FminEmu);
-      return true;
-    case Builtin::kMax:
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[0], argp[1], n,
-                    argp[1].base->count() == 1 ? 0 : 1, mask, FmaxEmu);
-      return true;
-    case Builtin::kClamp:
-      alu.CountAlu(2 * static_cast<std::uint64_t>(n) * lanes);
-      SimdMapTernary(dst, argp[0], argp[1], argp[2], n,
-                     argp[1].base->count() == 1 ? 0 : 1,
-                     argp[2].base->count() == 1 ? 0 : 1, mask,
-                     [](__m128 x, __m128 lo, __m128 hi) {
-                       return FminEmu(FmaxEmu(x, lo), hi);
-                     });
-      return true;
-    case Builtin::kMix:
-      // Same op sequence as the scalar kernel: x*(1-a) + y*a, four IEEE
-      // ops per component in the same order, each rounded.
-      alu.CountAlu(4 * static_cast<std::uint64_t>(n) * lanes);
-      SimdMapTernary(dst, argp[0], argp[1], argp[2], n,
-                     argp[1].base->count() == 1 ? 0 : 1,
-                     argp[2].base->count() == 1 ? 0 : 1, mask,
-                     [](__m128 x, __m128 y, __m128 a) {
-                       const auto r = [](__m128 v) {
-                         return simd::Round4<kFlush>(v);
-                       };
-                       const __m128 one = _mm_set1_ps(1.0f);
-                       return r(_mm_add_ps(
-                           r(_mm_mul_ps(x, r(_mm_sub_ps(one, a)))),
-                           r(_mm_mul_ps(y, a))));
-                     });
-      return true;
-    case Builtin::kStep:
-      // step(edge, x) = x < edge ? 0 : 1. CMPNLT is true exactly when
-      // !(x < edge), including unordered — the scalar ternary's behaviour
-      // for NaN — so masking an all-ones 1.0f yields the identical result.
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[1], argp[0], n,
-                    argp[0].base->count() == 1 ? 0 : 1, mask,
-                    [](__m128 x, __m128 edge) {
-                      return _mm_and_ps(_mm_cmpnlt_ps(x, edge),
-                                        _mm_set1_ps(1.0f));
-                    });
-      return true;
-    case Builtin::kMatrixCompMult:
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[0], argp[1], n, 1, mask, [](__m128 x, __m128 y) {
-        return simd::Round4<kFlush>(_mm_mul_ps(x, y));
-      });
-      return true;
-    case Builtin::kDot:
-      alu.CountAlu((2 * static_cast<std::uint64_t>(n) - 1) * lanes);
-      SimdDotLanes<kFlush>(dst, argp[0], argp[1], n, mask);
-      return true;
-    case Builtin::kNormalize:
-      // Per lane: the sequential dot chain runs in scalar (exact replay of
-      // DotProduct — baseline TU, no contraction), the 1/sqrt stays on the
-      // virtual SFU path (precision model + sfu count), and only the final
-      // scale-by-inverse map vectorizes.
-      alu.CountAlu((3 * static_cast<std::uint64_t>(n) - 1) * lanes);
-      ForEachLane(mask, [&](int l) {
-        const Value& av = argp[0].at(l);
-        float acc = Round1<kFlush>(av.F(0) * av.F(0));
-        for (int i = 1; i < n; ++i) {
-          const float p = Round1<kFlush>(av.F(i) * av.F(i));
-          acc = Round1<kFlush>(acc + p);
-        }
-        const __m128 inv = _mm_set1_ps(alu.RecipSqrt(acc));
-        const Cell* ac = av.data();
-        Cell* oc = dst.at(l).data();
-        for (int i = 0; i < n; i += 4) {
-          StoreF4(oc + i,
-                  simd::Round4<kFlush>(_mm_mul_ps(LoadF4(ac + i), inv)));
-        }
-      });
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-void EvalBuiltinBatchSimd(Builtin b, Type result_type,
-                          std::span<const BatchSrc> argp, AluModel& alu,
-                          const TextureFn& texture, const BatchDst& dst,
-                          std::uint32_t mask, simd::Level level) {
-  const auto fallback = [&] {
-    EvalBuiltinBatch(b, result_type, argp, alu, texture, dst, mask);
-  };
-  if (level == simd::Level::kScalar || alu.round_mode() == RoundMode::kModel ||
-      !IsSimdBuiltin(b)) {
-    fallback();
-    return;
-  }
-  // Shape guard, hoisted per instruction: the mapped operand must be a
-  // float vector/matrix whose components (and every broadcast source) stay
-  // inside the inline cells. The lowering tag already guarantees this; the
-  // re-check keeps the entry total if the tag predicate ever drifts.
-  const BatchSrc& a0 = b == Builtin::kStep ? argp[1] : argp[0];
-  const int n = a0.base->count();
-  const bool done =
-      a0.base->scalar() == BaseType::kFloat && n >= 2 && n <= Value::kInline &&
-      (alu.round_mode() == RoundMode::kFlushDenormals
-           ? BuiltinSimd<true>(b, argp, alu, dst, n, mask, level)
-           : BuiltinSimd<false>(b, argp, alu, dst, n, mask, level));
-  if (!done) fallback();
-}
-
-#else  // !MGPU_SIMD_X86 — portable builds: the entry forwards verbatim.
-
-void EvalBuiltinBatchSimd(Builtin b, Type result_type,
-                          std::span<const BatchSrc> argp, AluModel& alu,
-                          const TextureFn& texture, const BatchDst& dst,
-                          std::uint32_t mask, simd::Level /*level*/) {
-  EvalBuiltinBatch(b, result_type, argp, alu, texture, dst, mask);
-}
-
-#endif  // MGPU_SIMD_X86
 
 }  // namespace mgpu::glsl

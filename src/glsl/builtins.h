@@ -69,48 +69,32 @@ void EvalBuiltinInto(Builtin b, Type result_type,
                                 std::span<const Value* const> args,
                                 AluModel& alu, const TextureFn& texture);
 
-// Lane-batched (SoA) evaluation: builtin and shape dispatch run once per
-// instruction, then tight per-lane loops evaluate every lane of the batch.
-// This is the ONLY implementation of builtin semantics — EvalBuiltinInto is
-// a single-lane wrapper over it — so the tree-walking oracle, the scalar
-// VM, and the batched VM share one code path and cannot drift in results or
-// AluModel counts. Lanes evaluate in ascending mask order.
+// Lane-batched evaluation over lane-major planes (evalcore.h): builtin and
+// shape dispatch run once per instruction, then one loop per cell over the
+// live lanes. This is the ONLY implementation of builtin semantics —
+// EvalBuiltinInto is a single-lane wrapper over it — so the tree-walking
+// oracle, the scalar VM, and the batched VM share one code path and cannot
+// drift in results or AluModel counts. The ALU-only builtins (abs, sign,
+// floor, ceil, fract, min, max, clamp, mix, step, radians, degrees,
+// matrixCompMult, cross, float vector compares, and the dot products inside
+// dot, length, distance, normalize and reflect) run at `level`'s tier
+// (simd.h) with every rounded op in the scalar order; min/max/clamp follow
+// one pinned NaN/signed-zero rule (FminScalar in lanes.h) on every tier.
+// SFU-routed and transcendental ops, and texture fetches, run one lane at a
+// time at every tier.
 void EvalBuiltinBatch(Builtin b, Type result_type,
                       std::span<const BatchSrc> args, AluModel& alu,
                       const TextureFn& texture, const BatchDst& dst,
-                      std::uint32_t mask);
+                      std::uint32_t mask, simd::Level level);
 
 // True when the batched VM may evaluate `b` through EvalBuiltinBatch for a
 // whole batch at once. Texture builtins are excluded: the gles2 TMU-cache
 // model counts misses in fragment-sequential order, so the batched VM
-// replays them per lane instead (vm.cc), keeping cache-access order — and
-// therefore tmu_miss counts — identical to the scalar engines.
-[[nodiscard]] bool IsSoaBuiltin(Builtin b);
-
-// SIMD entry for the float-dense builtin kernels (abs / floor / ceil /
-// fract / min / max / clamp / mix / step / matrixCompMult / dot /
-// normalize on float vector shapes); every other builtin, shape, or tier
-// falls back to EvalBuiltinBatch internally, so the entry is total. Same
-// contract as the evalcore *Simd entries (evalcore.h): vectorizes under
-// the closed-form round modes only (a kModel ALU falls back), charges ops
-// in bulk via AluModel::CountAlu with totals identical to the scalar
-// kernel, honors the live lane mask for every load/store, and is
-// bit-identical by construction — min/max/clamp emulate the exact libm
-// fmin/fmax NaN/signed-zero semantics, fract/mix/dot/normalize/
-// matrixCompMult round every op the scalar kernel rounds, in its order
-// (dot/normalize replay each lane's sequential accumulation chain), and
-// floor/ceil/fract only vectorize on the AVX2 tier (the round instructions
-// they need are post-SSE2). SFU-routed and texture builtins never take a
-// SIMD path (IsSoaBuiltin + the lowering tag keep them per-lane).
-void EvalBuiltinBatchSimd(Builtin b, Type result_type,
-                          std::span<const BatchSrc> args, AluModel& alu,
-                          const TextureFn& texture, const BatchDst& dst,
-                          std::uint32_t mask, simd::Level level);
-
-// True when EvalBuiltinBatchSimd has a vector path for `b` (a strict
-// subset of IsSoaBuiltin; the lowering tag combines this with the operand
-// shape to mark instructions SIMD-eligible).
-[[nodiscard]] bool IsSimdBuiltin(Builtin b);
+// calls them one lane at a time instead (vm.cc), keeping cache-access
+// order — and therefore tmu_miss counts — identical to the scalar engines.
+[[nodiscard]] inline bool IsSoaBuiltin(Builtin b) {
+  return b < Builtin::kTexture2D;
+}
 
 }  // namespace mgpu::glsl
 

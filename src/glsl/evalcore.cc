@@ -1,11 +1,10 @@
 #include "glsl/evalcore.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
-#if MGPU_SIMD_X86
-#include <immintrin.h>
-#endif
+#include "glsl/lanes.h"
 
 namespace mgpu::glsl {
 
@@ -34,9 +33,10 @@ inline std::int32_t WrapArith(BinOp op, std::int32_t a, std::int32_t b) {
 
 }  // namespace
 
-LRef RefWhole(Value& storage, const Type& t) {
+LRef RefWhole(LaneSlice storage, const Type& t) {
   LRef r;
-  r.storage = &storage;
+  r.storage = storage.base;
+  r.stride = storage.stride;
   r.type = t;
   r.n = t.CellCount() > 16 ? 16 : t.CellCount();
   // Arrays larger than 16 cells are referenced whole only via index steps;
@@ -71,6 +71,7 @@ LRef RefIndex(const LRef& base, const IndexStep& step, int i) {
   if (i >= step.limit) i = step.limit - 1;  // runtime clamp (UB in the spec)
   LRef r;
   r.storage = base.storage;
+  r.stride = base.stride;
   r.type = step.elem_type;
   r.n = step.elem_cells;
   for (int k = 0; k < step.elem_cells; ++k) {
@@ -86,6 +87,7 @@ LRef RefSwizzle(const LRef& base, const Type& result_type,
                 const std::uint8_t* comps, int count) {
   LRef r;
   r.storage = base.storage;
+  r.stride = base.stride;
   r.type = result_type;
   r.n = count;
   for (int k = 0; k < count; ++k) {
@@ -94,39 +96,33 @@ LRef RefSwizzle(const LRef& base, const Type& result_type,
   return r;
 }
 
+namespace {
+
+// Storage cell of reference component i.
+inline Cell& RefCell(const LRef& r, int i) {
+  const int cell = r.n < 0 ? i : r.idx[static_cast<std::size_t>(i)];
+  return r.storage[cell * r.stride];
+}
+inline int RefCount(const LRef& r) { return r.n < 0 ? -r.n : r.n; }
+
+}  // namespace
+
 Value ReadRef(const LRef& r) {
   Value v(r.type);
-  if (r.n < 0) {
-    // Whole large array.
-    for (int i = 0; i < -r.n; ++i) v.data()[i] = r.storage->data()[i];
-    return v;
-  }
-  for (int i = 0; i < r.n; ++i) {
-    v.data()[i] = r.storage->data()[r.idx[static_cast<std::size_t>(i)]];
-  }
+  ReadRefInto(r, LaneSlice::Of(v));
   return v;
 }
 
-void ReadRefInto(const LRef& r, Value& out) {
-  if (r.n < 0) {
-    for (int i = 0; i < -r.n; ++i) out.data()[i] = r.storage->data()[i];
-    return;
-  }
-  Cell* dst = out.data();
-  const Cell* src = r.storage->data();
-  for (int i = 0; i < r.n; ++i) {
-    dst[i] = src[r.idx[static_cast<std::size_t>(i)]];
-  }
+void ReadRefInto(const LRef& r, LaneSlice out) {
+  for (int i = 0; i < RefCount(r); ++i) out.at(i) = RefCell(r, i);
 }
 
 void WriteRef(const LRef& r, const Value& v) {
-  if (r.n < 0) {
-    for (int i = 0; i < -r.n; ++i) r.storage->data()[i] = v.data()[i];
-    return;
-  }
-  for (int i = 0; i < r.n; ++i) {
-    r.storage->data()[r.idx[static_cast<std::size_t>(i)]] = v.data()[i];
-  }
+  for (int i = 0; i < RefCount(r); ++i) RefCell(r, i) = v.data()[i];
+}
+
+void WriteRef(const LRef& r, LaneSlice src) {
+  for (int i = 0; i < RefCount(r); ++i) RefCell(r, i) = src.at(i);
 }
 
 bool EqualAll(const Value& l, const Value& r) {
@@ -329,7 +325,7 @@ void EvalNotInto(AluModel& alu, const Value& v, Value& out) {
 }
 
 void EvalIncDecInto(AluModel& alu, const LRef& ref, bool increment, bool post,
-                    Value& out) {
+                    LaneSlice out) {
   const Value old = ReadRef(ref);
   Value updated(old.type());
   const float delta = increment ? 1.0f : -1.0f;
@@ -343,7 +339,8 @@ void EvalIncDecInto(AluModel& alu, const LRef& ref, bool increment, bool post,
     }
   }
   WriteRef(ref, updated);
-  out = post ? old : updated;
+  const Value& result = post ? old : updated;
+  for (int i = 0; i < result.count(); ++i) out.at(i) = result.data()[i];
 }
 
 void EvalIncDecVar(AluModel& alu, Value& var, bool increment, bool post,
@@ -378,28 +375,59 @@ void EvalExtractInto(const Value& base, const IndexStep& step, int i,
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched (SoA) kernels
+// Lane-batched kernels over lane-major planes
 // ---------------------------------------------------------------------------
+
+std::uint32_t TrueLanes(const BatchSrc& cond, std::uint32_t mask) {
+  if (cond.lane_stride == 0) return cond.base->i != 0 ? mask : 0;
+  std::uint32_t zero = 0;
+#if MGPU_SIMD_X86
+  for (int g = 0; g < kVmLanes; g += 4) {
+    const __m128i c = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(cond.base + g));
+    zero |= static_cast<std::uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(
+                _mm_cmpeq_epi32(c, _mm_setzero_si128()))))
+            << g;
+  }
+#else
+  for (int l = 0; l < kVmLanes; ++l) {
+    zero |= static_cast<std::uint32_t>(cond.base[l].i == 0) << l;
+  }
+#endif
+  return mask & ~zero;
+}
+
+void GatherLane(const BatchSrc& s, int lane, Value& out) {
+  Cell* o = out.data();
+  for (int k = 0; k < out.count(); ++k) o[k] = s.at(k, lane);
+}
+
+void ScatterLane(const Value& v, const BatchDst& d, int lane) {
+  const Cell* c = v.data();
+  for (int k = 0; k < v.count(); ++k) d.at(k, lane) = c[k];
+}
 
 void EvalArithBatch(AluModel& alu, BinOp op, const BatchSrc& l,
                     const BatchSrc& r, const BatchDst& out,
-                    std::uint32_t mask) {
-  const BaseType lb = l.base->type().base;
-  const BaseType rb = r.base->type().base;
+                    std::uint32_t mask, simd::Level level) {
+  const BaseType lb = l.type.base;
+  const BaseType rb = r.type.base;
   const bool is_float = ScalarOf(lb) == BaseType::kFloat;
 
   // Linear-algebra multiplies: the accumulation pattern is the one place
-  // EvalArithInto is not a flat component loop, so replay it per lane — the
-  // dispatch to get here still ran once for the whole batch. The VM's SoA
-  // tag (TagSoaEligibility) routes these shapes to its own per-lane path,
-  // so this branch is normally unreachable from the batched executors; it
-  // is kept so the kernel stays total — if the tag predicate ever drifts,
-  // results remain correct (just unamortized) instead of silently wrong.
+  // EvalArithInto is not a flat component loop, so each lane replays it on
+  // scratch Values.
   if (op == BinOp::kMul &&
       ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
        (IsVector(lb) && IsMatrix(rb)))) {
+    Value a(l.type);
+    Value b(r.type);
+    Value o(out.type);
     ForEachLane(mask, [&](int lane) {
-      EvalArithInto(alu, op, l.at(lane), r.at(lane), out.at(lane));
+      GatherLane(l, lane, a);
+      GatherLane(r, lane, b);
+      EvalArithInto(alu, op, a, b, o);
+      ScatterLane(o, out, lane);
     });
     return;
   }
@@ -408,441 +436,274 @@ void EvalArithBatch(AluModel& alu, BinOp op, const BatchSrc& l,
   // scalar-only in GLSL ES; ==/!= on vectors and matrices reduce through
   // EqualAll). One alu op per lane, same as the scalar loop at n == 1.
   if (op >= BinOp::kLt && op <= BinOp::kNe) {
-    switch (op) {
-      case BinOp::kEq:
-        ForEachLane(mask, [&](int lane) {
-          alu.Count(1);
-          out.at(lane).SetB(0, EqualAll(l.at(lane), r.at(lane)));
-        });
+    alu.CountAlu(LaneCount(mask));
+    if (op == BinOp::kEq || op == BinOp::kNe) {
+      const int n = l.count();
+      if (n != r.count()) {  // EqualAll of differently sized values
+        ForEachLane(mask,
+                    [&](int lane) { out.at(0, lane).i = op == BinOp::kNe; });
         return;
-      case BinOp::kNe:
-        ForEachLane(mask, [&](int lane) {
-          alu.Count(1);
-          out.at(lane).SetB(0, !EqualAll(l.at(lane), r.at(lane)));
-        });
-        return;
-      default:
-        break;
+      }
+      WithTier(alu, level, out, [&](const auto& t) {
+        EqualAllRows(t, is_float, op == BinOp::kNe, l, r, out, n, mask);
+      });
+      return;
     }
     if (is_float) {
-      ForEachLane(mask, [&](int lane) {
-        alu.Count(1);
-        const float a = l.at(lane).F(0);
-        const float b = r.at(lane).F(0);
-        bool v = false;
-        switch (op) {
-          case BinOp::kLt: v = a < b; break;
-          case BinOp::kGt: v = a > b; break;
-          case BinOp::kLe: v = a <= b; break;
-          default: v = a >= b; break;
-        }
-        out.at(lane).SetB(0, v);
-      });
-    } else {
-      ForEachLane(mask, [&](int lane) {
-        alu.Count(1);
-        const std::int32_t a = l.at(lane).I(0);
-        const std::int32_t b = r.at(lane).I(0);
-        bool v = false;
-        switch (op) {
-          case BinOp::kLt: v = a < b; break;
-          case BinOp::kGt: v = a > b; break;
-          case BinOp::kLe: v = a <= b; break;
-          default: v = a >= b; break;
-        }
-        out.at(lane).SetB(0, v);
-      });
+      WithTier(alu, level, out,
+               [&](const auto& t) { CompareRows(t, op, l, r, out, mask); });
+      return;
     }
+    const Cell* ar = l.row(0);
+    const Cell* br = r.row(0);
+    Cell* dr = out.row(0);
+    ForEachLane(mask, [&](int lane) {
+      const std::int32_t a = ar[lane * l.lane_stride].i;
+      const std::int32_t b = br[lane * r.lane_stride].i;
+      bool v = false;
+      switch (op) {
+        case BinOp::kLt: v = a < b; break;
+        case BinOp::kGt: v = a > b; break;
+        case BinOp::kLe: v = a <= b; break;
+        default: v = a >= b; break;
+      }
+      dr[lane * out.lane_stride].i = v ? 1 : 0;
+    });
     return;
   }
 
   // Component-wise arithmetic with scalar broadcast (covers scalars,
-  // vectors, and matrix +-/ and matrix*scalar). Shape flags hoisted: `ls`/
-  // `rs` are per-component index strides, 0 when the operand is a scalar
-  // broadcast against a wider result.
-  const int n = out.base->count();
-  const int ls = l.base->count() == 1 && n > 1 ? 0 : 1;
-  const int rs = r.base->count() == 1 && n > 1 ? 0 : 1;
+  // vectors, and matrix +-/ and matrix*scalar). `ls`/`rs` are per-cell
+  // steps, 0 when the operand is a scalar broadcast against a wider result.
+  const int n = out.count();
+  const int ls = l.count() == 1 && n > 1 ? 0 : 1;
+  const int rs = r.count() == 1 && n > 1 ? 0 : 1;
 
   if (is_float) {
-    // One tight lane loop per op: the switch runs once per instruction,
-    // not once per lane per component.
-    switch (op) {
-      case BinOp::kAdd:
+    alu.CountAlu(static_cast<std::uint64_t>(n) * LaneCount(mask));
+    if (op == BinOp::kDiv) {
+      // a * Recip(b): the reciprocal is the SFU's, one call per component
+      // and lane like the scalar Div; the multiply and its round run at
+      // the tier. Arithmetic operands are at most a mat4 (16 cells).
+      std::array<Cell, Value::kInline * kVmLanes> rcp;
+      std::fill_n(rcp.begin(), n * kVmLanes, Cell{});
+      for (int k = 0; k < n; ++k) {
+        const Cell* br = r.row(k * rs);
         ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Add(a.F(i * ls), b.F(i * rs)));
-          }
+          rcp[static_cast<std::size_t>(k * kVmLanes + lane)].f =
+              alu.Recip(br[lane * r.lane_stride].f);
         });
-        return;
-      case BinOp::kSub:
-        ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Sub(a.F(i * ls), b.F(i * rs)));
-          }
-        });
-        return;
-      case BinOp::kMul:
-        ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Mul(a.F(i * ls), b.F(i * rs)));
-          }
-        });
-        return;
-      default:
-        ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Div(a.F(i * ls), b.F(i * rs)));
-          }
-        });
-        return;
+      }
+      const BatchSrc rcp_src{rcp.data(), out.type, kVmLanes, 1};
+      WithTier(alu, level, out, [&](const auto& t) {
+        ArithRows(t, BinOp::kMul, l, ls, rcp_src, 1, out, n, mask);
+      });
+      return;
     }
+    WithTier(alu, level, out, [&](const auto& t) {
+      ArithRows(t, op, l, ls, r, rs, out, n, mask);
+    });
+    return;
   }
 
   // Integer component-wise arithmetic (one counted alu op per component,
   // wrapping like EvalArithInto).
-  ForEachLane(mask, [&](int lane) {
-    const Value& a = l.at(lane);
-    const Value& b = r.at(lane);
-    Value& o = out.at(lane);
-    for (int i = 0; i < n; ++i) {
-      const std::int32_t x = a.I(i * ls);
-      const std::int32_t y = b.I(i * rs);
-      alu.Count(1);
-      switch (op) {
-        case BinOp::kAdd:
-        case BinOp::kSub:
-        case BinOp::kMul:
-        case BinOp::kDiv: o.SetI(i, WrapArith(op, x, y)); break;
-        default: break;
-      }
-    }
-  });
+  alu.CountAlu(static_cast<std::uint64_t>(n) * LaneCount(mask));
+  for (int k = 0; k < n; ++k) {
+    const Cell* ar = l.row(k * ls);
+    const Cell* br = r.row(k * rs);
+    Cell* dr = out.row(k);
+    ForEachLane(mask, [&](int lane) {
+      dr[lane * out.lane_stride].i = WrapArith(
+          op, ar[lane * l.lane_stride].i, br[lane * r.lane_stride].i);
+    });
+  }
 }
 
 void EvalNegBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                  std::uint32_t mask) {
-  const int n = v.base->count();
-  if (v.base->scalar() == BaseType::kFloat) {
-    ForEachLane(mask, [&](int lane) {
-      const Value& a = v.at(lane);
-      Value& o = out.at(lane);
-      for (int i = 0; i < n; ++i) {
-        alu.Count(1);
-        o.SetF(i, alu.RoundResult(-a.F(i)));
-      }
-    });
+                  std::uint32_t mask, simd::Level level) {
+  const int n = v.count();
+  alu.CountAlu(static_cast<std::uint64_t>(n) * LaneCount(mask));
+  if (v.scalar() == BaseType::kFloat) {
+    WithTier(alu, level, out,
+             [&](const auto& t) { NegRows(t, v, out, n, mask); });
     return;
   }
-  ForEachLane(mask, [&](int lane) {
-    const Value& a = v.at(lane);
-    Value& o = out.at(lane);
-    for (int i = 0; i < n; ++i) {
-      alu.Count(1);
-      o.SetI(i, WrapNeg(a.I(i)));
-    }
-  });
+  for (int k = 0; k < n; ++k) {
+    ForEachLane(mask, [&](int lane) {
+      out.at(k, lane).i = WrapNeg(v.at(k, lane).i);
+    });
+  }
 }
 
 void EvalNotBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
                   std::uint32_t mask) {
+  alu.CountAlu(LaneCount(mask));
   ForEachLane(mask, [&](int lane) {
-    alu.Count(1);
-    out.at(lane).SetB(0, !v.at(lane).B(0));
+    out.at(0, lane).i = v.at(0, lane).i != 0 ? 0 : 1;
   });
 }
 
-void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
-                   const BatchDst& out, std::uint32_t mask) {
-  const BaseType target = out.base->type().base;
-  const int n = out.base->count();
-  const auto clear = [n](Value& o) {
-    Cell* c = o.data();
-    for (int i = 0; i < n; ++i) c[i].i = 0;
-  };
-
-  if (IsScalar(target)) {
-    ForEachLane(mask, [&](int lane) {
-      alu.Count(1);
-      Value& o = out.at(lane);
-      clear(o);
-      o.SetConverted(0, args[0].at(lane), 0);
-    });
-    return;
-  }
-  if (!IsVector(target)) {
-    // Matrix/array targets must never be routed here: TagSoaEligibility
-    // only marks scalar/vector constructors SoA (the VM replays matrix
-    // ctors per lane through EvalCtorInto). Falling through silently would
-    // leave stale register bytes in every lane, so fail loudly instead —
-    // always on, unlike an assert, which Release/NDEBUG would strip.
-    throw ShaderRuntimeError(
-        "internal error: non-scalar/vector constructor reached the SoA "
-        "ctor kernel (SoA tagging drifted from kernel coverage)");
-  }
-  {
-    if (args.size() == 1 && args[0].base->count() == 1) {
-      // Splat.
-      ForEachLane(mask, [&](int lane) {
-        alu.Count(n);
-        Value& o = out.at(lane);
-        const Value& a = args[0].at(lane);
-        for (int i = 0; i < n; ++i) o.SetConverted(i, a, 0);
-      });
-      return;
-    }
-    bool all_float = ScalarOf(target) == BaseType::kFloat;
-    for (std::size_t a = 0; all_float && a < args.size(); ++a) {
-      all_float = args[a].base->scalar() == BaseType::kFloat;
-    }
-    if (all_float) {
-      // The common vecN(f, v, ...) gather: a flat per-lane copy loop.
-      ForEachLane(mask, [&](int lane) {
-        alu.Count(n);
-        Value& o = out.at(lane);
-        int w = 0;
-        for (const BatchSrc& src : args) {
-          const Value& a = src.at(lane);
-          for (int i = 0; i < a.count() && w < n; ++i, ++w) {
-            o.SetF(w, a.F(i));
-          }
-        }
-        while (w < n) o.data()[w++].i = 0;  // malformed ctor tail stays zero
-      });
-      return;
-    }
-    ForEachLane(mask, [&](int lane) {
-      alu.Count(n);
-      Value& o = out.at(lane);
-      clear(o);
-      int w = 0;
-      for (const BatchSrc& src : args) {
-        const Value& a = src.at(lane);
-        for (int i = 0; i < a.count() && w < n; ++i, ++w) {
-          o.SetConverted(w, a, i);
-        }
-      }
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD kernels (x86-64; see the contract in evalcore.h / simd.h)
-// ---------------------------------------------------------------------------
-
-#if MGPU_SIMD_X86
-
 namespace {
 
-// Full-width 128-bit load/store over Value cells. Cells are 4-byte unions
-// with the float member active on every path that reaches these kernels;
-// the intrinsics read/write raw bytes, so punning through the cast is fine.
-// Callers guarantee the touched range stays inside the value's inline
-// storage (count <= Value::kInline == 16 cells; over-read/over-write of
-// cells at index >= count is unobservable by the Value contract).
-inline __m128 LoadF4(const Cell* c) {
-  return _mm_loadu_ps(reinterpret_cast<const float*>(c));
-}
-inline void StoreF4(Cell* c, __m128 v) {
-  _mm_storeu_ps(reinterpret_cast<float*>(c), v);
-}
-
-// Component-wise binary op over every live lane, 4 components per step,
-// each result rounded like AluModel::RoundResult (see simd::Round4).
-// `ls`/`rs` are the scalar-broadcast strides of EvalArithBatch (0 = the
-// operand is a scalar splat against a wider result).
-template <bool kFlush, typename Op>
-inline void ArithSimdLanes(const BatchSrc& l, const BatchSrc& r,
-                           const BatchDst& out, int n, int ls, int rs,
-                           std::uint32_t mask, Op op) {
-  const auto apply = [op](__m128 a, __m128 b) {
-    return simd::Round4<kFlush>(op(a, b));
-  };
-  if (ls == 0) {
-    ForEachLane(mask, [&](int lane) {
-      const __m128 va = _mm_set1_ps(l.at(lane).F(0));
-      const Cell* bc = r.at(lane).data();
-      Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, apply(va, LoadF4(bc + i)));
-    });
-  } else if (rs == 0) {
-    ForEachLane(mask, [&](int lane) {
-      const Cell* ac = l.at(lane).data();
-      const __m128 vb = _mm_set1_ps(r.at(lane).F(0));
-      Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, apply(LoadF4(ac + i), vb));
-    });
-  } else {
-    ForEachLane(mask, [&](int lane) {
-      const Cell* ac = l.at(lane).data();
-      const Cell* bc = r.at(lane).data();
-      Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) {
-        StoreF4(oc + i, apply(LoadF4(ac + i), LoadF4(bc + i)));
-      }
-    });
-  }
-}
-
-template <bool kFlush>
-void ArithSimd(BinOp op, const BatchSrc& l, const BatchSrc& r,
-               const BatchDst& out, int n, int ls, int rs,
-               std::uint32_t mask) {
-  switch (op) {
-    case BinOp::kAdd:
-      ArithSimdLanes<kFlush>(
-          l, r, out, n, ls, rs, mask,
-          [](__m128 a, __m128 b) { return _mm_add_ps(a, b); });
-      return;
-    case BinOp::kSub:
-      ArithSimdLanes<kFlush>(
-          l, r, out, n, ls, rs, mask,
-          [](__m128 a, __m128 b) { return _mm_sub_ps(a, b); });
-      return;
-    default:
-      ArithSimdLanes<kFlush>(
-          l, r, out, n, ls, rs, mask,
-          [](__m128 a, __m128 b) { return _mm_mul_ps(a, b); });
-      return;
-  }
-}
-
-// -x is a pure sign-bit flip (exact for every input including NaN and
-// +/-0), so negation vectorizes as an XOR, then rounds like the scalar
-// kernel's RoundResult(-x).
-template <bool kFlush>
-void NegSimd(const BatchSrc& v, const BatchDst& out, int n,
-             std::uint32_t mask) {
-  const __m128 sign = _mm_set1_ps(-0.0f);
+// One converted cell row: dst cell `w` = src cell `i` converted from the
+// source's category to the destination's (Value::SetConverted, lane-wise).
+void ConvertRow(const BatchSrc& s, int i, const BatchDst& d, int w,
+                std::uint32_t mask) {
+  const BaseType from = s.scalar();
+  const BaseType to = d.scalar();
+  const Cell* sr = s.row(i);
+  Cell* dr = d.row(w);
+  const int sls = s.lane_stride;
+  const int dls = d.lane_stride;
   ForEachLane(mask, [&](int lane) {
-    const Cell* ac = v.at(lane).data();
-    Cell* oc = out.at(lane).data();
-    for (int i = 0; i < n; i += 4) {
-      StoreF4(oc + i, simd::Round4<kFlush>(_mm_xor_ps(LoadF4(ac + i), sign)));
+    const Cell c = sr[lane * sls];
+    Cell& o = dr[lane * dls];
+    if (from == BaseType::kFloat) {
+      switch (to) {
+        case BaseType::kFloat: o.f = c.f; break;
+        case BaseType::kBool: o.i = c.f != 0.0f ? 1 : 0; break;
+        default: o.i = FloatToIntSat(c.f); break;
+      }
+    } else {
+      switch (to) {
+        case BaseType::kFloat: o.f = static_cast<float>(c.i); break;
+        case BaseType::kBool: o.i = c.i != 0 ? 1 : 0; break;
+        default: o.i = c.i; break;
+      }
     }
   });
 }
 
 }  // namespace
 
-void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
-                        const BatchSrc& r, const BatchDst& out,
-                        std::uint32_t mask, simd::Level level) {
-  const BaseType lb = l.base->type().base;
-  const BaseType rb = r.base->type().base;
-  const int n = out.base->count();
-  const bool linalg =
-      op == BinOp::kMul && ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
-                            (IsVector(lb) && IsMatrix(rb)));
-  if (level == simd::Level::kScalar || alu.round_mode() == RoundMode::kModel ||
-      op > BinOp::kMul || linalg || ScalarOf(lb) != BaseType::kFloat ||
-      n < 2 || n > Value::kInline) {
-    EvalArithBatch(alu, op, l, r, out, mask);
-    return;
-  }
-  const int ls = l.base->count() == 1 && n > 1 ? 0 : 1;
-  const int rs = r.base->count() == 1 && n > 1 ? 0 : 1;
-  alu.CountAlu(static_cast<std::uint64_t>(n) *
-               static_cast<unsigned>(std::popcount(mask)));
-  if (alu.round_mode() == RoundMode::kFlushDenormals) {
-    ArithSimd<true>(op, l, r, out, n, ls, rs, mask);
-  } else {
-    ArithSimd<false>(op, l, r, out, n, ls, rs, mask);
-  }
-}
+void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
+                   const BatchDst& out, std::uint32_t mask,
+                   simd::Level level) {
+  const BaseType target = out.type.base;
+  const int n = out.count();
 
-void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                      std::uint32_t mask, simd::Level level) {
-  const int n = v.base->count();
-  if (level == simd::Level::kScalar || alu.round_mode() == RoundMode::kModel ||
-      v.base->scalar() != BaseType::kFloat || n > Value::kInline) {
-    EvalNegBatch(alu, v, out, mask);
-    return;
-  }
-  alu.CountAlu(static_cast<std::uint64_t>(n) *
-               static_cast<unsigned>(std::popcount(mask)));
-  if (alu.round_mode() == RoundMode::kFlushDenormals) {
-    NegSimd<true>(v, out, n, mask);
-  } else {
-    NegSimd<false>(v, out, n, mask);
-  }
-}
-
-void EvalCtorBatchSimd(AluModel& alu, std::span<const BatchSrc> args,
-                       const BatchDst& out, std::uint32_t mask,
-                       simd::Level level) {
-  const BaseType target = out.base->type().base;
-  const int n = out.base->count();
-  bool covered = level != simd::Level::kScalar && IsVector(target) &&
-                 ScalarOf(target) == BaseType::kFloat && n <= 4;
-  for (std::size_t a = 0; covered && a < args.size(); ++a) {
-    // Only float scalar/vector args: keeps every 4-wide copy inside the
-    // destination's inline cells (write range < w + 4 <= n + 3 <= 7).
-    covered = args[a].base->scalar() == BaseType::kFloat &&
-              args[a].base->count() <= 4;
-  }
-  if (!covered) {
-    EvalCtorBatch(alu, args, out, mask);
-    return;
-  }
-  alu.CountAlu(static_cast<std::uint64_t>(n) *
-               static_cast<unsigned>(std::popcount(mask)));
-  if (args.size() == 1 && args[0].base->count() == 1) {
-    // Splat: float -> float SetConverted is a plain copy, so broadcast.
+  if (out.type.IsArray() || (!IsScalar(target) && !IsVector(target))) {
+    // Matrices: each lane replays EvalCtorInto on scratch Values, which
+    // start zeroed like the VM's fresh-value kCtor.
+    std::array<Value, 16> scratch;
+    std::array<const Value*, 16> ptrs;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      scratch[i] = Value(args[i].type);
+      ptrs[i] = &scratch[i];
+    }
+    Value o(out.type);
+    const std::span<const Value* const> argv(ptrs.data(), args.size());
     ForEachLane(mask, [&](int lane) {
-      StoreF4(out.at(lane).data(), _mm_set1_ps(args[0].at(lane).F(0)));
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        GatherLane(args[i], lane, scratch[i]);
+      }
+      for (int k = 0; k < n; ++k) o.data()[k].i = 0;
+      EvalCtorInto(alu, argv, o);
+      ScatterLane(o, out, lane);
     });
     return;
   }
-  // All-float gather: one unaligned 4-wide copy per argument. Components
-  // past an argument's count are overwritten by the next argument's copy or
-  // are beyond n (unobservable), exactly reproducing the scalar gather.
-  ForEachLane(mask, [&](int lane) {
-    Value& o = out.at(lane);
-    Cell* oc = o.data();
-    int w = 0;
-    for (const BatchSrc& src : args) {
-      if (w >= n) break;
-      const Value& a = src.at(lane);
-      StoreF4(oc + w, LoadF4(a.data()));
-      w += a.count();
+
+  alu.CountAlu(static_cast<std::uint64_t>(n) * LaneCount(mask));
+  if (IsScalar(target)) {
+    ConvertRow(args[0], 0, out, 0, mask);
+    return;
+  }
+  const BaseType to = ScalarOf(target);
+  // SetConverted between equal categories, and from bool into int, is a
+  // plain bit move.
+  const auto moves = [to](const BatchSrc& a) {
+    return a.scalar() == to ||
+           (to == BaseType::kInt && a.scalar() == BaseType::kBool);
+  };
+  if (args.size() == 1 && args[0].count() == 1) {
+    // Splat: every cell from the argument's cell 0.
+    if (moves(args[0])) {
+      const std::array<std::uint8_t, 4> cell0{};
+      WithMoveTier(level, out, [&](const auto& t) {
+        MoveRows(t, args[0], out, cell0.data(), n, mask);
+      });
+    } else {
+      for (int w = 0; w < n; ++w) ConvertRow(args[0], 0, out, w, mask);
     }
-    if (w > n) w = n;
-    while (w < n) oc[w++].i = 0;  // malformed ctor tail stays zero
+    return;
+  }
+  // Gather: argument cells fill the destination in order. A malformed
+  // (under-covering) ctor leaves the tail zero.
+  int w = 0;
+  for (const BatchSrc& a : args) {
+    if (w >= n) break;
+    const int take = std::min(a.count(), n - w);
+    if (moves(a)) {
+      WithMoveTier(level, out, [&](const auto& t) {
+        MoveRows(t, a,
+                 BatchDst{out.row(w), out.type, out.cell_stride,
+                          out.lane_stride},
+                 nullptr, take, mask);
+      });
+    } else {
+      for (int i = 0; i < take; ++i) ConvertRow(a, i, out, w + i, mask);
+    }
+    w += take;
+  }
+  if (w < n) {
+    WithMoveTier(level, out,
+                 [&](const auto& t) { ZeroRows(t, out, w, n, mask); });
+  }
+}
+
+void EvalMoveBatch(const BatchSrc& s, const BatchDst& out,
+                   const std::uint8_t* comps, int n, std::uint32_t mask,
+                   simd::Level level) {
+  WithMoveTier(level, out,
+               [&](const auto& t) { MoveRows(t, s, out, comps, n, mask); });
+}
+
+void EvalZeroBatch(const BatchDst& out, std::uint32_t mask,
+                   simd::Level level) {
+  WithMoveTier(level, out, [&](const auto& t) {
+    ZeroRows(t, out, 0, out.count(), mask);
   });
 }
 
-#else  // !MGPU_SIMD_X86 — portable builds: the entries forward verbatim.
-
-void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
-                        const BatchSrc& r, const BatchDst& out,
-                        std::uint32_t mask, simd::Level /*level*/) {
-  EvalArithBatch(alu, op, l, r, out, mask);
+void EvalExtractBatch(const BatchSrc& base, const IndexStep& step,
+                      const BatchSrc& index, const BatchDst& out,
+                      std::uint32_t mask) {
+  ForEachLane(mask, [&](int lane) {
+    int i = index.at(0, lane).i;
+    if (i < 0) i = 0;
+    if (i >= step.limit) i = step.limit - 1;
+    for (int k = 0; k < step.elem_cells; ++k) {
+      out.at(k, lane) = base.at(i * step.elem_cells + k, lane);
+    }
+  });
 }
 
-void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                      std::uint32_t mask, simd::Level /*level*/) {
-  EvalNegBatch(alu, v, out, mask);
+void EvalIncDecVarBatch(AluModel& alu, const BatchDst& var, bool increment,
+                        bool post, const BatchDst& out, std::uint32_t mask) {
+  const float delta = increment ? 1.0f : -1.0f;
+  const bool is_float = var.scalar() == BaseType::kFloat;
+  const int n = var.count();
+  alu.CountAlu(static_cast<std::uint64_t>(n) * LaneCount(mask));
+  for (int k = 0; k < n; ++k) {
+    ForEachLane(mask, [&](int lane) {
+      Cell& v = var.at(k, lane);
+      Cell& o = out.at(k, lane);
+      if (is_float) {
+        const float old = v.f;
+        const float updated = alu.RoundResult(old + delta);
+        v.f = updated;
+        o.f = post ? old : updated;
+      } else {
+        const std::int32_t old = v.i;
+        const std::int32_t updated =
+            WrapArith(BinOp::kAdd, old, increment ? 1 : -1);
+        v.i = updated;
+        o.i = post ? old : updated;
+      }
+    });
+  }
 }
-
-void EvalCtorBatchSimd(AluModel& alu, std::span<const BatchSrc> args,
-                       const BatchDst& out, std::uint32_t mask,
-                       simd::Level /*level*/) {
-  EvalCtorBatch(alu, args, out, mask);
-}
-
-#endif  // MGPU_SIMD_X86
 
 }  // namespace mgpu::glsl

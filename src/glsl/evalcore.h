@@ -40,18 +40,24 @@ struct ShaderRuntimeError : std::runtime_error {
   int lane = -1;
 };
 
-// L-value reference: maps result components onto cells of a storage Value.
-// A negative n (-cell_count) marks a whole array too large for the index
-// map; reads/writes then cover the head cells directly.
+// L-value reference: maps result components onto cells of a variable's
+// storage, cell k at storage[k * stride] — stride 1 for a Value, kVmLanes for
+// one lane of a batched-VM plane. A negative n (-cell_count) marks a whole
+// array too large for the index map; reads/writes then cover the head cells
+// directly.
 struct LRef {
-  Value* storage = nullptr;
+  Cell* storage = nullptr;
+  int stride = 1;
   Type type;
   std::array<std::uint16_t, 16> idx{};
   int n = 0;
 };
 
 // Whole-variable reference.
-[[nodiscard]] LRef RefWhole(Value& storage, const Type& t);
+[[nodiscard]] LRef RefWhole(LaneSlice storage, const Type& t);
+[[nodiscard]] inline LRef RefWhole(Value& storage, const Type& t) {
+  return RefWhole(LaneSlice::Of(storage), t);
+}
 
 // Static metadata of an indexing step over a value of type `bt`:
 // element count limit, cells per element, and the element type.
@@ -73,8 +79,10 @@ struct IndexStep {
 [[nodiscard]] Value ReadRef(const LRef& r);
 void WriteRef(const LRef& r, const Value& v);
 // ReadRef without the zero-initialized temporary: gathers straight into
-// `out` (pre-typed by the caller; the bytecode VM's registers already are).
-void ReadRefInto(const LRef& r, Value& out);
+// `out` (pre-typed by the caller: a VM register or one lane of a plane).
+void ReadRefInto(const LRef& r, LaneSlice out);
+// WriteRef from a strided source (one lane of a plane).
+void WriteRef(const LRef& r, LaneSlice src);
 
 // Deep equality across all components (GLSL == on vectors yields a single
 // bool that is true only when all components match).
@@ -99,7 +107,7 @@ void EvalNotInto(AluModel& alu, const Value& v, Value& out);
 // ++/-- on an l-value; `out` receives the expression's value (old for
 // postfix, updated for prefix).
 void EvalIncDecInto(AluModel& alu, const LRef& ref, bool increment, bool post,
-                    Value& out);
+                    LaneSlice out);
 
 // Whole-variable ++/-- (the VM's fast path for plain loop counters):
 // identical arithmetic and counts as EvalIncDecInto, minus the LRef and
@@ -112,36 +120,81 @@ void EvalExtractInto(const Value& base, const IndexStep& step, int i,
                      Value& out);
 
 // ---------------------------------------------------------------------------
-// Lane-batched (SoA) kernels
+// Lane-batched kernels over lane-major planes
 // ---------------------------------------------------------------------------
 //
 // The batched VM executes a whole fragment batch through one instruction
-// stream; these kernels run one operation for every lane of the batch with
-// operand/shape/op dispatch hoisted OUT of the lane loop — the per-lane
-// generic path re-derives all of that per fragment. Each kernel performs,
-// per lane and in ascending lane order, exactly the AluModel operations the
-// scalar Eval*Into above would, so results and ALU/SFU op counts are
-// byte-identical to per-lane execution by construction (locked down by the
-// seeded differential fuzz harness, tests/glsl_vm_fuzz_test.cc).
+// stream. Its registers and lane-varying globals are planes: cell k of lane
+// l sits at plane[k * kVmLanes + l], so each cell of a register is a row of
+// kVmLanes contiguous floats or ints. Each kernel below dispatches once per
+// instruction on (op, operand shapes), then runs one loop per cell over the
+// live lanes of the mask — 4 lanes per step at the SSE2 tier, 8 at AVX2,
+// one at a time at the scalar tier (simd.h), for scalars and vectors alike.
+// Per lane, a kernel performs exactly the AluModel operations the scalar
+// Eval*Into above would, and rounds every result the way
+// AluModel::RoundResult does, so results and ALU/SFU op counts are
+// byte-identical to per-lane execution by construction (locked down by
+// tests/glsl_simd_test.cc and the seeded differential fuzz harness,
+// tests/glsl_vm_fuzz_test.cc). Ops are charged in bulk through
+// AluModel::CountAlu with the total the scalar ops would accumulate.
+//
+// The live lane mask gates every store: a kernel may compute on dead lanes
+// of a group (their cells are defined, just unobservable) but never writes
+// one, which is what makes masked divergent execution exact. The vector
+// tiers need a closed-form round mode (kIdentity or kFlushDenormals); under
+// a kModel ALU (reduced mantissas, e.g. Mali-400), for `level` kScalar, or
+// for a single-lane destination, the kernels run the scalar tier and round
+// through the virtual Round() per op.
 
-// Strided per-lane operand view: `base` points at lane 0's Value; `stride`
-// is 1 for per-lane storage planes (registers, lane-varying globals) and 0
-// for storage shared by every lane (constants, uniforms). Lane types are
-// identical across a plane, so shape decisions made on `base` hold for all.
+// Lane-major operand view: cell k of lane l at
+// base[k * cell_stride + l * lane_stride]. A plane has cell_stride kVmLanes
+// and lane_stride 1; storage every lane shares (uniforms, constants) and the
+// single lane the scalar engines pass are a plain Value: cell_stride 1,
+// lane_stride 0. The type is the operand's static type, so shape decisions
+// are made once per instruction.
 struct BatchSrc {
-  const Value* base = nullptr;
-  int stride = 0;
-  [[nodiscard]] const Value& at(int lane) const { return base[stride * lane]; }
+  const Cell* base = nullptr;
+  Type type;
+  int cell_stride = 1;
+  int lane_stride = 0;
+
+  [[nodiscard]] static BatchSrc Of(const Value& v) {
+    return {v.data(), v.type(), 1, 0};
+  }
+  [[nodiscard]] int count() const { return type.CellCount(); }
+  [[nodiscard]] BaseType scalar() const { return ScalarOf(type.base); }
+  [[nodiscard]] const Cell* row(int k) const { return base + k * cell_stride; }
+  [[nodiscard]] const Cell& at(int k, int lane) const {
+    return row(k)[lane * lane_stride];
+  }
 };
 struct BatchDst {
-  Value* base = nullptr;
-  int stride = 0;
-  [[nodiscard]] Value& at(int lane) const { return base[stride * lane]; }
+  Cell* base = nullptr;
+  Type type;
+  int cell_stride = 1;
+  int lane_stride = 0;
+
+  [[nodiscard]] static BatchDst Of(Value& v) {
+    return {v.data(), v.type(), 1, 0};
+  }
+  [[nodiscard]] int count() const { return type.CellCount(); }
+  [[nodiscard]] BaseType scalar() const { return ScalarOf(type.base); }
+  [[nodiscard]] Cell* row(int k) const { return base + k * cell_stride; }
+  [[nodiscard]] Cell& at(int k, int lane) const {
+    return row(k)[lane * lane_stride];
+  }
+  // One lane's cells, for per-lane paths (refs, gles2 lane plumbing).
+  [[nodiscard]] LaneSlice lane(int l) const {
+    return {base + l * lane_stride, cell_stride};
+  }
+  operator BatchSrc() const {  // NOLINT: a destination reads as a source
+    return {base, type, cell_stride, lane_stride};
+  }
 };
 
-// Calls f(lane) for each set bit of `mask`, ascending — the lane iteration
-// order every batch kernel (and the VM's per-lane replay) uses, so count
-// accumulation order matches a fragment-sequential scalar run.
+// Calls f(lane) for each set bit of `mask`, ascending — the lane order of
+// every per-lane path, so count accumulation order matches a
+// fragment-sequential scalar run.
 template <typename F>
 void ForEachLane(std::uint32_t mask, F&& f) {
   for (std::uint32_t m = mask; m != 0; m &= m - 1) {
@@ -149,67 +202,57 @@ void ForEachLane(std::uint32_t mask, F&& f) {
   }
 }
 
-// Binary arithmetic / comparison over a lane batch. Dispatches once on
-// (op, operand shapes), then runs tight per-op lane loops mirroring
-// EvalArithInto case for case. Total: the linear-algebra multiplies
-// (mat*mat, mat*vec, vec*mat) replay EvalArithInto per lane inside the
-// loop; everything else (component-wise arithmetic with scalar broadcast,
-// comparisons, vector/matrix ==/!=) runs SoA.
+// The lanes of `mask` whose cell 0 of `cond` is true (nonzero): the branch
+// decision of a whole batch in one pass over the condition's row.
+[[nodiscard]] std::uint32_t TrueLanes(const BatchSrc& cond,
+                                      std::uint32_t mask);
+
+// The lane-slice gather/scatter every per-lane replay goes through: copies
+// lane `lane` of `s` into `out` (pre-typed with s.type), and `v` into lane
+// `lane` of `d`. Linear-algebra multiplies and matrix constructors replay
+// the scalar Eval*Into on these scratch Values.
+void GatherLane(const BatchSrc& s, int lane, Value& out);
+void ScatterLane(const Value& v, const BatchDst& d, int lane);
+
+// Binary arithmetic / comparison: component-wise float and int arithmetic
+// with scalar broadcast, comparisons, vector/matrix ==/!=. The
+// linear-algebra multiplies (mat*mat, mat*vec, vec*mat) replay
+// EvalArithInto per lane through GatherLane/ScatterLane.
 void EvalArithBatch(AluModel& alu, BinOp op, const BatchSrc& l,
                     const BatchSrc& r, const BatchDst& out,
-                    std::uint32_t mask);
+                    std::uint32_t mask, simd::Level level);
 
-// Component-wise negation / scalar logical not over a lane batch.
+// Component-wise negation (float: sign flip, then the round mode) / scalar
+// logical not.
 void EvalNegBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                  std::uint32_t mask);
+                  std::uint32_t mask, simd::Level level);
 void EvalNotBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
                   std::uint32_t mask);
 
-// Scalar/vector constructor over a lane batch (shape analysis hoisted; the
-// all-float gather — the common shader ctor — becomes a flat copy loop).
-// Matrix targets are NOT handled: the lowering tag (VmInst::soa) only
-// routes scalar/vector ctors here, and the VM replays matrix ctors per
-// lane through EvalCtorInto. Every lane's destination is fully cleared
-// first, matching the VM's fresh-value kCtor semantics.
+// Type constructor: scalar and vector targets run as cell-row copies and
+// conversions (the all-float gather is a row copy); matrix targets replay
+// EvalCtorInto per lane. Every lane's destination is fully written,
+// matching the VM's fresh-value kCtor semantics.
 void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
-                   const BatchDst& out, std::uint32_t mask);
+                   const BatchDst& out, std::uint32_t mask, simd::Level level);
 
-// ---------------------------------------------------------------------------
-// SIMD entries (see simd.h for the tier model and bit-identity contract)
-// ---------------------------------------------------------------------------
-//
-// Each *Simd entry vectorizes the stride-1 float fast path of its scalar
-// SoA counterpart and falls back to it internally for every shape, op, or
-// tier it does not cover — the entries are total, so a drifted lowering tag
-// degrades to the scalar kernel instead of misbehaving. The vector paths
-// run for the closed-form round modes (RoundMode::kIdentity and
-// kFlushDenormals, rounding every result like AluModel::RoundResult); a
-// kModel ALU falls back to the scalar kernel. The live lane
-// mask gates every load and store: only cells of live lanes are touched
-// (lane selection IS the mask — per-lane component vectors make masked
-// execution exact by construction). Within a live lane the kernels may
-// read/write cells beyond the value's component count but never beyond its
-// inline storage; those cells are unobservable by contract (value.h).
-//
-// Bulk op accounting goes through AluModel::CountAlu with the identical
-// total the scalar kernel would accumulate one Count(1) at a time.
+// Cell moves: out cell k = s cell (comps ? comps[k] : k) for k < n (kCopy,
+// kShuffle), and all-zero (kZero). Cells move in ascending k, which keeps an
+// in-place shuffle identical to the scalar VM's.
+void EvalMoveBatch(const BatchSrc& s, const BatchDst& out,
+                   const std::uint8_t* comps, int n, std::uint32_t mask,
+                   simd::Level level);
+void EvalZeroBatch(const BatchDst& out, std::uint32_t mask, simd::Level level);
 
-// Covers component-wise float +,-,* (n >= 2). Division (SFU-routed),
-// comparisons, int arithmetic, and linear-algebra shapes fall back.
-void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
-                        const BatchSrc& r, const BatchDst& out,
-                        std::uint32_t mask, simd::Level level);
+// R-value dynamic indexing per lane with the runtime clamp:
+// out = base[index] (index cell 0 of each lane).
+void EvalExtractBatch(const BatchSrc& base, const IndexStep& step,
+                      const BatchSrc& index, const BatchDst& out,
+                      std::uint32_t mask);
 
-// Covers float negation at any width (a sign-bit XOR, then the round
-// mode's flush). Int negation falls back.
-void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                      std::uint32_t mask, simd::Level level);
-
-// Covers the all-float splat and gather paths of float vector constructors
-// whose args are all float scalars/vectors. Everything else falls back.
-void EvalCtorBatchSimd(AluModel& alu, std::span<const BatchSrc> args,
-                       const BatchDst& out, std::uint32_t mask,
-                       simd::Level level);
+// Whole-variable ++/-- over a batch (EvalIncDecVar per lane).
+void EvalIncDecVarBatch(AluModel& alu, const BatchDst& var, bool increment,
+                        bool post, const BatchDst& out, std::uint32_t mask);
 
 }  // namespace mgpu::glsl
 

@@ -273,8 +273,8 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
               u.op == UnOp::kPreInc || u.op == UnOp::kPostInc;
           const bool post =
               u.op == UnOp::kPostInc || u.op == UnOp::kPostDec;
-          Value out;
-          EvalIncDecInto(alu_, ref, inc, post, out);
+          Value out(ref.type);
+          EvalIncDecInto(alu_, ref, inc, post, LaneSlice::Of(out));
           return out;
         }
       }

@@ -85,18 +85,6 @@ struct VmInst {
   std::uint32_t b = kOperandNone;
   std::uint32_t aux = 0;  // jump target / arg-table start / limit / comps
   Type type;              // result/element type where the op needs one
-  // Set at lowering time (TagSoaEligibility in lower.cc); a tri-state the
-  // batched executors dispatch kArith/kNeg/kCtor/kBuiltin on alone — no
-  // runtime type inspection:
-  //   0 — per-lane replay (linear-algebra multiplies, matrix constructors,
-  //       texture builtins);
-  //   1 — the scalar SoA batch kernel covers this op;
-  //   2 — additionally SIMD-eligible: a vector kernel in evalcore/builtins
-  //       covers the shape (stride-1 float fast path). The executor still
-  //       picks simd-vs-scalar-SoA at dispatch time from the effective
-  //       simd::Level (scalar when the AluModel is not round-identity, when
-  //       MGPU_SIMD=0, or on non-x86 builds).
-  std::uint8_t soa = 0;
 };
 
 [[nodiscard]] inline VmInst MakeInst(VmOp op) {
@@ -118,15 +106,6 @@ struct VmGlobal {
   std::string name;
   Type type;
 };
-
-// Maximum width of a fragment/kernel lane batch: RunBatch executes up to
-// this many invocations in lockstep through one instruction stream (paper
-// §II: a QPU shades 16-pixel groups through one program). Must fit a
-// std::uint32_t lane mask. The raster pipeline picks its effective batch
-// fill width at runtime (ContextConfig::fragment_batch_width, swept 8/16/32
-// in bench_fig1_pipeline); this constant only bounds it and sizes the lane
-// storage planes.
-inline constexpr int kVmLanes = 32;
 
 struct VmProgram {
   Stage stage = Stage::kFragment;
@@ -207,8 +186,8 @@ struct VmProgram {
 // constructs that only fail at runtime in the interpreter (e.g. calling an
 // undefined prototype) lower to kTrap so behaviour matches when executed.
 // The steps, in order: lowering (function bodies only for kCall targets),
-// SoA tagging, the lane analysis, register allocation (regalloc.h), then
-// the static cost on the final code. Set MGPU_LANE_DEBUG=1 for one stderr
+// the lane analysis, register allocation (regalloc.h), then the static cost
+// on the final code. Set MGPU_LANE_DEBUG=1 for one stderr
 // line per program with its classification and its register and
 // instruction counts after/before allocation.
 [[nodiscard]] std::shared_ptr<const VmProgram> LowerToBytecode(

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "glsl/alu.h"
 #include "glsl/ast.h"
 #include "glsl/type.h"
 #include "glsl/value.h"
@@ -71,9 +72,9 @@ struct OpInfo {
 // Static operand typing and stride class, the codegen-time mirror of
 // vm.cc's LaneViews space dispatch: registers are per-lane planes,
 // globals are per-lane iff lane_global_index maps them, constants are
-// shared. A per-lane operand is addressed as base + lane * VS cells, which
-// requires the Value's cells to sit in its inline storage — hence the
-// Value::kInline ceiling enforced by Addressable().
+// shared. A per-lane operand's cell k of lane l is base[k * kVmLanes + l]
+// (the generated pointer already carries the + l); a shared one's is
+// base[k].
 [[nodiscard]] OpInfo InfoOf(const VmProgram& p, std::uint32_t operand) {
   const std::uint32_t idx = operand & kOperandIndexMask;
   switch (operand & ~kOperandIndexMask) {
@@ -105,53 +106,51 @@ class Codegen {
     return k;
   }
 
-  // Cell pointer expression for an operand, e.g. "(float*)T[3]+(long)l*VS"
-  // (per-lane plane) or "(const int*)T[7]" (shared storage).
+  // Cell pointer expression for an operand, e.g. "(float*)T[3]+l" (its
+  // lane in a per-lane plane) or "(const int*)T[7]" (shared storage).
   [[nodiscard]] std::string Ptr(std::uint32_t operand, const char* cast) {
     std::string s = "(";
     s += cast;
     s += "*)T[";
     s += std::to_string(Slot(operand));
     s += "]";
-    if (InfoOf(p_, operand).per_lane) s += "+(long)l*VS";
+    if (InfoOf(p_, operand).per_lane) s += "+l";
     return s;
   }
 
-  // Per-lane operands must fit the Value inline storage so the constant
-  // stride VS addresses every lane's cells; shared operands are reached
-  // through their (stable) data() pointer whatever their size.
-  [[nodiscard]] bool Addressable(std::uint32_t operand) const {
-    const OpInfo i = InfoOf(p_, operand);
-    return !i.per_lane || i.type.CellCount() <= Value::kInline;
+  // Index of cell k from an operand's Ptr: one plane row per cell, or the
+  // shared value's k-th cell.
+  [[nodiscard]] std::string Ix(std::uint32_t operand, int k) const {
+    return std::to_string(InfoOf(p_, operand).per_lane ? k * kVmLanes : k);
   }
 
   void LaneLoopOpen(std::string& b) { b += "  for(int l=0;l<N;++l){\n"; }
 
   // Emits one Value::SetConverted(w, src, i) with the categories resolved
   // statically. `df`/`di` name the destination float/int pointers already
-  // declared in the enclosing lane loop; `sf`/`si` likewise for the source.
+  // declared in the enclosing lane loop and `dx` the destination cell
+  // index; `sf`/`si`/`sx` likewise for the source. Float to int goes
+  // through the generated FI, FloatToIntSat's twin.
   void EmitConverted(std::string& b, BaseType dst_cat, BaseType src_cat,
                      const std::string& df, const std::string& di,
-                     const std::string& sf, const std::string& si, int w,
-                     int i) {
-    const std::string ws = std::to_string(w);
-    const std::string is = std::to_string(i);
+                     const std::string& dx, const std::string& sf,
+                     const std::string& si, const std::string& sx) {
     if (src_cat == BaseType::kFloat) {
       if (dst_cat == BaseType::kFloat) {
-        b += "    " + df + "[" + ws + "]=" + sf + "[" + is + "];\n";
+        b += "    " + df + "[" + dx + "]=" + sf + "[" + sx + "];\n";
       } else if (dst_cat == BaseType::kBool) {
-        b += "    " + di + "[" + ws + "]=(" + sf + "[" + is +
+        b += "    " + di + "[" + dx + "]=(" + sf + "[" + sx +
              "]!=0.0f)?1:0;\n";
       } else {
-        b += "    " + di + "[" + ws + "]=(int)" + sf + "[" + is + "];\n";
+        b += "    " + di + "[" + dx + "]=FI(" + sf + "[" + sx + "]);\n";
       }
     } else {
       if (dst_cat == BaseType::kFloat) {
-        b += "    " + df + "[" + ws + "]=(float)" + si + "[" + is + "];\n";
+        b += "    " + df + "[" + dx + "]=(float)" + si + "[" + sx + "];\n";
       } else if (dst_cat == BaseType::kBool) {
-        b += "    " + di + "[" + ws + "]=(" + si + "[" + is + "]!=0)?1:0;\n";
+        b += "    " + di + "[" + dx + "]=(" + si + "[" + sx + "]!=0)?1:0;\n";
       } else {
-        b += "    " + di + "[" + ws + "]=" + si + "[" + is + "];\n";
+        b += "    " + di + "[" + dx + "]=" + si + "[" + sx + "];\n";
       }
     }
   }
@@ -172,47 +171,42 @@ class Codegen {
 // kNot's one counted op per lane). Copies go through int cells — bitwise
 // exact for every category, exactly what the kernels' Cell copies do.
 bool Codegen::EmitMove(const VmInst& in, std::string& b) {
+  const auto cell = [this](const char* name, std::uint32_t operand, int k) {
+    return std::string(name) + "[" + Ix(operand, k) + "]";
+  };
   switch (in.op) {
     case VmOp::kCopy: {
-      if (!Addressable(in.dst) || !Addressable(in.a)) return false;
       const int cc = InfoOf(p_, in.dst).type.CellCount();
       LaneLoopOpen(b);
       b += "    int* d=" + Ptr(in.dst, "int") + ";const int* s=" +
            Ptr(in.a, "const int") + ";\n";
       for (int k = 0; k < cc; ++k) {
-        b += "    d[" + std::to_string(k) + "]=s[" + std::to_string(k) +
-             "];\n";
+        b += "    " + cell("d", in.dst, k) + "=" + cell("s", in.a, k) + ";\n";
       }
       b += "  }\n";
       return true;
     }
     case VmOp::kZero: {
-      if (!Addressable(in.dst)) return false;
       const int cc = InfoOf(p_, in.dst).type.CellCount();
       LaneLoopOpen(b);
       b += "    int* d=" + Ptr(in.dst, "int") + ";\n";
-      for (int k = 0; k < cc; ++k) {
-        b += "    d[" + std::to_string(k) + "]=0;\n";
-      }
+      for (int k = 0; k < cc; ++k) b += "    " + cell("d", in.dst, k) + "=0;\n";
       b += "  }\n";
       return true;
     }
     case VmOp::kShuffle: {
-      if (!Addressable(in.dst) || !Addressable(in.a)) return false;
       LaneLoopOpen(b);
       b += "    int* d=" + Ptr(in.dst, "int") + ";const int* s=" +
            Ptr(in.a, "const int") + ";\n";
       for (int k = 0; k < in.n; ++k) {
-        b += "    d[" + std::to_string(k) + "]=s[" +
-             std::to_string((in.aux >> (8 * k)) & 0xffu) + "];\n";
+        b += "    " + cell("d", in.dst, k) + "=" +
+             cell("s", in.a, static_cast<int>((in.aux >> (8 * k)) & 0xffu)) +
+             ";\n";
       }
       b += "  }\n";
       return true;
     }
     case VmOp::kXor: {
-      if (!Addressable(in.dst) || !Addressable(in.a) || !Addressable(in.b)) {
-        return false;
-      }
       LaneLoopOpen(b);
       b += "    int* d=" + Ptr(in.dst, "int") + ";const int* a=" +
            Ptr(in.a, "const int") + ";const int* c=" +
@@ -221,7 +215,6 @@ bool Codegen::EmitMove(const VmInst& in, std::string& b) {
       return true;
     }
     case VmOp::kBoolNorm: {
-      if (!Addressable(in.dst) || !Addressable(in.a)) return false;
       LaneLoopOpen(b);
       b += "    int* d=" + Ptr(in.dst, "int") + ";const int* a=" +
            Ptr(in.a, "const int") + ";\n";
@@ -229,12 +222,11 @@ bool Codegen::EmitMove(const VmInst& in, std::string& b) {
       return true;
     }
     case VmOp::kNot: {
-      if (!Addressable(in.dst) || !Addressable(in.a)) return false;
       LaneLoopOpen(b);
       b += "    int* d=" + Ptr(in.dst, "int") + ";const int* a=" +
            Ptr(in.a, "const int") + ";\n";
       b += "    d[0]=(a[0]!=0)?0:1;\n  }\n";
-      b += "  ops+=(unsigned long long)N;\n";  // EvalNotBatch: Count(1)/lane
+      b += "  ops+=(unsigned long long)N;\n";  // EvalNotBatch: one op/lane
       return true;
     }
     default:
@@ -244,13 +236,10 @@ bool Codegen::EmitMove(const VmInst& in, std::string& b) {
 
 // kArith: comparisons and component-wise arithmetic, mirroring
 // EvalArithBatch case for case. Float +,-,* inline only under RI (where the
-// AluModel fast path is plain IEEE plus a counter); float division is
-// SFU-routed and always punts; linear-algebra multiplies always punt (the
-// VM replays them per lane).
+// AluModel fast path is plain IEEE plus the canonical-NaN rule and a
+// counter); float division is SFU-routed and always punts; linear-algebra
+// multiplies always punt (the VM replays them per lane).
 bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
-  if (!Addressable(in.dst) || !Addressable(in.a) || !Addressable(in.b)) {
-    return false;
-  }
   const auto op = static_cast<BinOp>(in.u8);
   const Type lt = InfoOf(p_, in.a).type;
   const Type rt = InfoOf(p_, in.b).type;
@@ -260,8 +249,10 @@ bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
                             (IsVector(lb) && IsMatrix(rb)))) {
     return false;  // accumulation shapes: per-lane replay, not a flat loop
   }
-  if (in.soa == 0) return false;  // untagged -> the VM replays per lane
   const bool is_float = ScalarOf(lb) == BaseType::kFloat;
+  const auto ax = [&](int k) { return "a[" + Ix(in.a, k) + "]"; };
+  const auto cx = [&](int k) { return "c[" + Ix(in.b, k) + "]"; };
+  const auto dx = [&](int k) { return "d[" + Ix(in.dst, k) + "]"; };
 
   if (op >= BinOp::kLt && op <= BinOp::kNe) {
     // Scalar-bool result, one counted op per lane, no rounding involved —
@@ -280,7 +271,7 @@ bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
         std::string eq;
         for (int i = 0; i < lc; ++i) {
           if (i > 0) eq += "&&";
-          eq += "a[" + std::to_string(i) + "]==c[" + std::to_string(i) + "]";
+          eq += ax(i) + "==" + cx(i);
         }
         b += "    d[0]=(" + eq + ")?" +
              (op == BinOp::kEq ? std::string("1:0") : std::string("0:1")) +
@@ -314,8 +305,7 @@ bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
          Ptr(in.a, "const float") + ";const float* c=" +
          Ptr(in.b, "const float") + ";\n";
     for (int i = 0; i < n; ++i) {
-      b += "    d[" + std::to_string(i) + "]=a[" + std::to_string(i * ls) +
-           "]" + sym + "c[" + std::to_string(i * rs) + "];\n";
+      b += "    " + dx(i) + "=R(" + ax(i * ls) + sym + cx(i * rs) + ");\n";
     }
     b += "  }\n  ops+=(unsigned long long)N*" + std::to_string(n) +
          "u;\n  }else{e->exec_op(h," + std::to_string(pc) + ");}\n";
@@ -330,21 +320,20 @@ bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
        Ptr(in.a, "const int") + ";const int* c=" + Ptr(in.b, "const int") +
        ";\n";
   for (int i = 0; i < n; ++i) {
-    const std::string di = std::to_string(i);
-    const std::string ai = std::to_string(i * ls);
-    const std::string ci = std::to_string(i * rs);
+    const std::string di = dx(i);
+    const std::string ai = ax(i * ls);
+    const std::string ci = cx(i * rs);
     switch (op) {
       case BinOp::kAdd:
       case BinOp::kSub:
       case BinOp::kMul:
-        b += "    d[" + di + "]=(int)((unsigned)a[" + ai + "]" +
+        b += "    " + di + "=(int)((unsigned)" + ai +
              (op == BinOp::kAdd ? "+" : op == BinOp::kSub ? "-" : "*") +
-             "(unsigned)c[" + ci + "]);\n";
+             "(unsigned)" + ci + ");\n";
         break;
       default:
-        b += "    d[" + di + "]=(c[" + ci + "]==0)?0:(c[" + ci +
-             "]==-1)?(int)(0u-(unsigned)a[" + ai + "]):a[" + ai + "]/c[" +
-             ci + "];\n";
+        b += "    " + di + "=(" + ci + "==0)?0:(" + ci +
+             "==-1)?(int)(0u-(unsigned)" + ai + "):" + ai + "/" + ci + ";\n";
         break;
     }
   }
@@ -352,10 +341,9 @@ bool Codegen::EmitArith(std::uint32_t pc, const VmInst& in, std::string& b) {
   return true;
 }
 
-// kNeg (the VM routes it to EvalNegBatch unconditionally — no soa gate):
-// float negation inlines under RI (Round is the identity), int always.
+// kNeg: float negation inlines under RI (the round is the canonical-NaN
+// rule alone), int always.
 bool Codegen::EmitNeg(std::uint32_t pc, const VmInst& in, std::string& b) {
-  if (!Addressable(in.dst) || !Addressable(in.a)) return false;
   const Type st = InfoOf(p_, in.a).type;
   const int n = st.CellCount();
   const bool is_float = ScalarOf(st.base) == BaseType::kFloat;
@@ -365,10 +353,11 @@ bool Codegen::EmitNeg(std::uint32_t pc, const VmInst& in, std::string& b) {
   body += "    " + std::string(ct) + "* d=" + Ptr(in.dst, ct) + ";" + cct +
           "* a=" + Ptr(in.a, cct.c_str()) + ";\n";
   for (int i = 0; i < n; ++i) {
-    const std::string ai = "a[" + std::to_string(i) + "]";
+    const std::string ai = "a[" + Ix(in.a, i) + "]";
     // Int negation wraps through unsigned, like EvalNegBatch.
-    body += "    d[" + std::to_string(i) + "]=" +
-            (is_float ? "-" + ai : "(int)(0u-(unsigned)" + ai + ")") + ";\n";
+    body += "    d[" + Ix(in.dst, i) + "]=" +
+            (is_float ? "R(-" + ai + ")" : "(int)(0u-(unsigned)" + ai + ")") +
+            ";\n";
   }
   if (is_float) {
     b += "  if(RI){\n";
@@ -384,14 +373,11 @@ bool Codegen::EmitNeg(std::uint32_t pc, const VmInst& in, std::string& b) {
   return true;
 }
 
-// kCtor (soa-tagged scalar/vector targets), mirroring EvalCtorBatch's
-// dispatch order: scalar -> splat -> all-float gather -> mixed. Every path
-// is pure moves/conversions plus Count(n) per lane, so all inline under
-// every profile; matrix/array targets punt (ExecBatchOp replays or
-// fails loudly exactly as the interpreter would).
+// kCtor (scalar/vector targets), mirroring EvalCtorBatch's dispatch order:
+// scalar -> splat -> gather, zero-filling a malformed ctor's tail. Every
+// path is pure moves/conversions plus Count(n) per lane, so all inline under
+// every profile; matrix/array targets punt (the VM replays them per lane).
 bool Codegen::EmitCtor(const VmInst& in, std::string& b) {
-  if (in.soa == 0) return false;
-  if (!Addressable(in.dst)) return false;
   const Type dt = InfoOf(p_, in.dst).type;
   if (dt.IsArray() || (!IsScalar(dt.base) && !IsVector(dt.base))) {
     return false;
@@ -401,7 +387,6 @@ bool Codegen::EmitCtor(const VmInst& in, std::string& b) {
   for (int i = 0; i < in.n; ++i) {
     const std::uint32_t operand = p_.arg_ops[in.aux + static_cast<
         std::uint32_t>(i)];
-    if (!Addressable(operand)) return false;
     args.push_back(operand);
     arg_types.push_back(InfoOf(p_, operand).type);
   }
@@ -419,72 +404,33 @@ bool Codegen::EmitCtor(const VmInst& in, std::string& b) {
               Ptr(args[k], "const int") + ";\n";
     }
   };
-  const auto df = std::string("d_f");
-  const auto di = std::string("d_i");
   const auto decl_dst = [&](std::string& body) {
     body += "    float* d_f=" + Ptr(in.dst, "float") + ";int* d_i=" +
             Ptr(in.dst, "int") + ";\n";
   };
+  const auto convert = [&](std::size_t k, int w, int i) {
+    const std::string ks = std::to_string(k);
+    EmitConverted(b, dc, ScalarOf(arg_types[k].base), "d_f", "d_i",
+                  Ix(in.dst, w), "a" + ks + "f", "a" + ks + "i",
+                  Ix(args[k], i));
+  };
 
-  if (IsScalar(dt.base)) {
-    // Count(1) per lane; the single conversion overwrites the whole cell.
-    LaneLoopOpen(b);
-    decl_dst(b);
-    decl_args(b);
-    EmitConverted(b, dc, ScalarOf(arg_types[0].base), df, di, "a0f", "a0i",
-                  0, 0);
-    b += "  }\n  ops+=(unsigned long long)N;\n";
-    return true;
-  }
-
-  if (args.size() == 1 && arg_types[0].CellCount() == 1) {
-    // Splat: replicate the converted scalar into every component.
-    LaneLoopOpen(b);
-    decl_dst(b);
-    decl_args(b);
-    for (int i = 0; i < n; ++i) {
-      EmitConverted(b, dc, ScalarOf(arg_types[0].base), df, di, "a0f", "a0i",
-                    i, 0);
-    }
-    b += "  }\n  ops+=(unsigned long long)N*" + std::to_string(n) + "u;\n";
-    return true;
-  }
-
-  bool all_float = dc == BaseType::kFloat;
-  for (const Type& t : arg_types) {
-    all_float = all_float && ScalarOf(t.base) == BaseType::kFloat;
-  }
   LaneLoopOpen(b);
   decl_dst(b);
   decl_args(b);
-  if (all_float) {
-    // Flat gather; a malformed (under-covering) ctor zero-fills the tail.
-    int w = 0;
-    for (std::size_t k = 0; k < args.size() && w < n; ++k) {
-      const int ac = arg_types[k].CellCount();
-      for (int i = 0; i < ac && w < n; ++i, ++w) {
-        b += "    d_f[" + std::to_string(w) + "]=a" + std::to_string(k) +
-             "f[" + std::to_string(i) + "];\n";
-      }
-    }
-    for (; w < n; ++w) {
-      b += "    d_i[" + std::to_string(w) + "]=0;\n";
-    }
+  if (IsScalar(dt.base)) {
+    convert(0, 0, 0);
+  } else if (args.size() == 1 && arg_types[0].CellCount() == 1) {
+    // Splat: replicate the converted scalar into every component.
+    for (int w = 0; w < n; ++w) convert(0, w, 0);
   } else {
-    // Mixed categories: fresh-value clear first, then converting gather.
-    for (int i = 0; i < n; ++i) {
-      b += "    d_i[" + std::to_string(i) + "]=0;\n";
-    }
+    // Gather; a malformed (under-covering) ctor zero-fills the tail.
     int w = 0;
     for (std::size_t k = 0; k < args.size() && w < n; ++k) {
       const int ac = arg_types[k].CellCount();
-      const std::string sf = "a" + std::to_string(k) + "f";
-      const std::string si = "a" + std::to_string(k) + "i";
-      for (int i = 0; i < ac && w < n; ++i, ++w) {
-        EmitConverted(b, dc, ScalarOf(arg_types[k].base), df, di, sf, si, w,
-                      i);
-      }
+      for (int i = 0; i < ac && w < n; ++i, ++w) convert(k, w, i);
     }
+    for (; w < n; ++w) b += "    d_i[" + Ix(in.dst, w) + "]=0;\n";
   }
   b += "  }\n  ops+=(unsigned long long)N*" + std::to_string(n) + "u;\n";
   return true;
@@ -518,17 +464,22 @@ std::string Codegen::Run() {
   s += "// Generated by mgpu (glsl/jit.cc); the cache key is the FNV-1a\n";
   s += "// hash of this text. Layout mirrors glsl::jit::JitEnv.\n";
   s += "typedef struct MgpuJitEnv {\n";
-  s += "  void* host; void* const* tbl; int n; long vs; int ri;\n";
+  s += "  void* host; void* const* tbl; int n; int ri;\n";
   s += "  void (*exec_op)(void*, int);\n";
   s += "  void (*guard)(void*);\n";
   s += "  void (*depth_trap)(void*);\n";
   s += "  void (*trap)(void*, int);\n";
   s += "  void (*count_alu)(void*, unsigned long long);\n";
   s += "} MgpuJitEnv;\n";
+  // R: the rounding of a round-identity AluModel (every NaN becomes the
+  // canonical one); FI: FloatToIntSat.
+  s += "static inline float R(float x){union{unsigned u;float f;}c;"
+       "c.u=" + std::to_string(kCanonicalNanBits) + "u;return x!=x?c.f:x;}\n";
+  s += "static inline int FI(float x){return x!=x?0:x>=2147483648.0f?"
+       "2147483647:x<=-2147483648.0f?(-2147483647-1):(int)x;}\n";
   s += "extern \"C\" int mgpu_jit_entry(MgpuJitEnv* e) {\n";
   s += "  void* const* T = e->tbl;\n";
   s += "  const int N = e->n;\n";
-  s += "  const long VS = e->vs;\n";
   s += "  const int RI = e->ri;\n";
   s += "  void* h = e->host;\n";
   s += "  unsigned long long ops = 0;\n";
@@ -536,7 +487,7 @@ std::string Codegen::Run() {
   // concurrently. Stores call-site ids, dispatched through RD below.
   s += "  unsigned rs[" + std::to_string(kMaxCallDepth + 1) + "];\n";
   s += "  int sp = 0;\n";
-  s += "  (void)VS;(void)RI;(void)ops;\n";
+  s += "  (void)RI;(void)ops;\n";
   s += "  goto I" + std::to_string(p_.run_entry) + ";\n";
 
   // Deferred-count flush: before every callback that can throw and every

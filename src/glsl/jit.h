@@ -7,8 +7,9 @@
 // code): the generated function only ever inlines operations whose batched
 // semantics are a closed-form cell formula — pure moves, int arithmetic,
 // comparisons, and (only under a round-identity AluModel, where Add/Sub/Mul
-// are plain IEEE fp32 plus a counter) component-wise float +,-,* and
-// all-float constructors. Everything else — SFU-routed ops (division,
+// are plain IEEE fp32 with the canonical-NaN rule plus a counter)
+// component-wise float +,-,* and negation; constructors inline under every
+// profile. Everything else — SFU-routed ops (division,
 // builtins), texture fetches, dynamic indexing, l-value refs, linear-algebra
 // shapes, reduced-precision profiles — is *punted*: the generated code calls
 // back into VmExec::ExecBatchOp for exactly that instruction, which replays
@@ -47,9 +48,10 @@ namespace mgpu::glsl::jit {
 // MgpuJitEnv), so this struct is the ABI: plain C types only, order matters.
 struct JitEnv {
   void* host;        // the VmExec, passed back through every callback
-  void* const* tbl;  // operand table: cell base pointer per table slot
+  // Operand table: cell base pointer per table slot — a lane-major plane
+  // (cell k of lane l at base[k * kVmLanes + l]) or a shared Value's cells.
+  void* const* tbl;
   int n;             // live lane count of this batch
-  long vs;           // per-lane cell stride of a storage plane (Value cells)
   int ri;            // AluModel::round_identity() — gates float fast paths
   // Callbacks into the VM (host = the VmExec above). exec_op replays one
   // punted instruction through ExecBatchOp; the trap callbacks throw

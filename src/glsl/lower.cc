@@ -1197,106 +1197,6 @@ class Lowerer {
   std::vector<const FunctionDecl*> depth_stack_;
 };
 
-// ---------------------------------------------------------------------------
-// SoA-eligibility tagging for the batched executor.
-//
-// Marks every instruction a whole-instruction lane-batched kernel covers
-// (evalcore's EvalArithBatch/EvalCtorBatch, builtins' EvalBuiltinBatch), so
-// the VM's batch dispatch is a single flag test instead of re-deriving
-// operand shapes per instruction per batch. Operand types are static — the
-// register file and globals are typed at lowering time — which is what
-// makes this a lowering-time decision at all.
-//
-// The tag is a tri-state (see VmInst::soa): instructions whose shape the
-// vector kernels additionally cover — component-wise float +,-,* with a
-// vector/matrix result, float negation, all-float vector gathers/splats,
-// and the float-dense IsSimdBuiltin set on vector operands — are marked 2
-// so the executor can pick the SIMD kernel without re-deriving shapes.
-// Division, comparisons, int arithmetic, SFU-routed and texture builtins
-// never get tag 2 (and the SIMD entries would fall back even if they did).
-void TagSoaEligibility(VmProgram& prog) {
-  const auto type_of = [&](std::uint32_t op) -> const Type& {
-    const std::uint32_t idx = op & kOperandIndexMask;
-    switch (op & ~kOperandIndexMask) {
-      case kSpaceReg: return prog.reg_types[idx];
-      case kSpaceGlobal: return prog.globals[idx].type;
-      default: return prog.consts[idx].type();
-    }
-  };
-  for (VmInst& in : prog.code) {
-    switch (in.op) {
-      case VmOp::kArith: {
-        const BinOp op = static_cast<BinOp>(in.u8);
-        if (op > BinOp::kNe) break;  // logical ops never lower to kArith
-        const BaseType lb = type_of(in.a).base;
-        const BaseType rb = type_of(in.b).base;
-        // Everything component-wise (incl. comparisons and matrix +-/ and
-        // matrix*scalar) runs SoA; only the linear-algebra multiplies
-        // replay per lane.
-        const bool linalg_mul =
-            op == BinOp::kMul &&
-            ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
-             (IsVector(lb) && IsMatrix(rb)));
-        in.soa = linalg_mul ? 0 : 1;
-        if (in.soa == 1 && op <= BinOp::kMul &&
-            ScalarOf(lb) == BaseType::kFloat &&
-            type_of(in.dst).CellCount() >= 2) {
-          in.soa = 2;  // component-wise float +,-,* on a vector/matrix
-        }
-        break;
-      }
-      case VmOp::kNeg: {
-        const Type& at = type_of(in.a);
-        // Float negation is a pure sign-bit flip under round-identity
-        // models, so every float shape is SIMD-eligible. The executor runs
-        // kNeg through the batch kernel for any tag value; 2 only adds the
-        // vector path.
-        in.soa =
-            !at.IsArray() && ScalarOf(at.base) == BaseType::kFloat ? 2 : 1;
-        break;
-      }
-      case VmOp::kCtor: {
-        const Type& dt = type_of(in.dst);
-        const BaseType target = dt.base;
-        in.soa = !dt.IsArray() && (IsScalar(target) || IsVector(target))
-                     ? 1
-                     : 0;
-        if (in.soa == 1 && IsVector(target) &&
-            ScalarOf(target) == BaseType::kFloat) {
-          // SIMD-eligible when every argument is a float scalar/vector
-          // (the all-float gather/splat fast path of EvalCtorBatchSimd).
-          bool all_float_vec = true;
-          for (std::uint32_t i = 0; all_float_vec && i < in.n; ++i) {
-            const Type& at = type_of(prog.arg_ops[in.aux + i]);
-            all_float_vec = !at.IsArray() &&
-                            ScalarOf(at.base) == BaseType::kFloat &&
-                            (IsScalar(at.base) || IsVector(at.base));
-          }
-          if (all_float_vec) in.soa = 2;
-        }
-        break;
-      }
-      case VmOp::kBuiltin: {
-        const Builtin b = static_cast<Builtin>(in.u8);
-        in.soa = IsSoaBuiltin(b) ? 1 : 0;
-        if (in.soa == 1 && IsSimdBuiltin(b)) {
-          // The mapped operand (arg 1 for step's (edge, x) order, arg 0
-          // otherwise) must be a float vector/matrix for the vector path.
-          const std::uint32_t a0 =
-              prog.arg_ops[in.aux + (b == Builtin::kStep ? 1u : 0u)];
-          const Type& at = type_of(a0);
-          if (!at.IsArray() && ScalarOf(at.base) == BaseType::kFloat &&
-              at.CellCount() >= 2) {
-            in.soa = 2;
-          }
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Uniform-control-flow ("lane") analysis for the batched executor.
@@ -1577,33 +1477,51 @@ void ComputeStaticCost(VmProgram& prog,
 }
 
 // Opt-in classification log (MGPU_LANE_DEBUG=1): one line per lowered
-// program, for inspecting why a shader runs lockstep vs masked, how much of
-// it has whole-instruction SoA kernels, and what register allocation
+// program, for inspecting why a shader runs lockstep vs masked, how many of
+// its instructions the batched VM replays one lane at a time (texture
+// builtins, linear-algebra multiplies, matrix constructors; everything else
+// is one plane kernel call per batch), and what register allocation
 // (regalloc.h) made of the register file and the code.
 void LogLaneAnalysis(const VmProgram& prog, std::size_t regs_before,
                      std::size_t code_before) {
+  const auto type_of = [&](std::uint32_t op) -> const Type& {
+    const std::uint32_t idx = op & kOperandIndexMask;
+    switch (op & ~kOperandIndexMask) {
+      case kSpaceReg: return prog.reg_types[idx];
+      case kSpaceGlobal: return prog.globals[idx].type;
+      default: return prog.consts[idx].type();
+    }
+  };
   int nd = 0;
   for (const std::uint8_t b : prog.divergent_branch) nd += b;
-  int soa = 0;
-  int soa_eligible = 0;
-  int simd = 0;
+  int per_lane = 0;
   for (const VmInst& in : prog.code) {
-    if (in.op != VmOp::kArith && in.op != VmOp::kNeg &&
-        in.op != VmOp::kCtor && in.op != VmOp::kBuiltin) {
-      continue;
+    switch (in.op) {
+      case VmOp::kArith: {
+        const BaseType lb = type_of(in.a).base;
+        const BaseType rb = type_of(in.b).base;
+        per_lane += static_cast<BinOp>(in.u8) == BinOp::kMul &&
+                    ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
+                     (IsVector(lb) && IsMatrix(rb)));
+        break;
+      }
+      case VmOp::kCtor:
+        per_lane += IsMatrix(type_of(in.dst).base);
+        break;
+      case VmOp::kBuiltin:
+        per_lane += !IsSoaBuiltin(static_cast<Builtin>(in.u8));
+        break;
+      default:
+        break;
     }
-    ++soa_eligible;
-    if (in.soa != 0) ++soa;
-    if (in.soa == 2) ++simd;
   }
   std::fprintf(stderr,
                "lane-analysis: stage=%s uniform=%d divergent_branches=%d "
-               "regs=%zu/%zu code=%zu/%zu soa_kernels=%d/%d simd_tagged=%d "
-               "simd_default=%s\n",
+               "regs=%zu/%zu code=%zu/%zu per_lane_ops=%d simd_default=%s\n",
                prog.stage == Stage::kVertex ? "vertex" : "fragment",
                prog.uniform_control_flow ? 1 : 0, nd, prog.reg_types.size(),
-               regs_before, prog.code.size(), code_before, soa, soa_eligible,
-               simd, simd::LevelName(simd::Resolve(-1)));
+               regs_before, prog.code.size(), code_before, per_lane,
+               simd::LevelName(simd::Resolve(-1)));
 }
 
 }  // namespace
@@ -1616,12 +1534,10 @@ std::shared_ptr<const VmProgram> LowerToBytecode(const CompiledShader& cs) {
   VmProgram& prog = const_cast<VmProgram&>(*lowered);
   const std::size_t regs_before = prog.reg_types.size();
   const std::size_t code_before = prog.code.size();
-  TagSoaEligibility(prog);
   AnalyzeLaneBatching(prog, cs);
   // Register allocation rewrites registers and deletes only non-counting
-  // instructions, so the tags and the lane analysis above carry over (the
-  // pass remaps divergent_branch); the cost bound is taken on the final
-  // code.
+  // instructions, so the lane analysis above carries over (the pass remaps
+  // divergent_branch); the cost bound is taken on the final code.
   const std::vector<std::uint32_t> pc_map = AllocateRegisters(prog);
   std::vector<ConstTripLoop> loops = lowerer.const_loops();
   for (ConstTripLoop& l : loops) {

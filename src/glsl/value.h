@@ -1,6 +1,10 @@
-// Runtime values for the GLSL interpreter. A Value is a fixed-size bag of
-// scalar cells typed by a glsl::Type; floats live in IEEE binary32 exactly as
-// they would in GPU registers, ints/bools/samplers in 32-bit integers.
+// Runtime values for the GLSL engines. A Value is a fixed-size bag of scalar
+// cells typed by a glsl::Type; floats live in IEEE binary32 exactly as they
+// would in GPU registers, ints/bools/samplers in 32-bit integers. The scalar
+// engines hold every variable as a Value; the batched VM keeps only shared
+// storage (uniforms, constants) in Values and its per-lane registers in
+// lane-major cell planes (evalcore.h), which a LaneSlice addresses one lane
+// at a time.
 #ifndef MGPU_GLSL_VALUE_H_
 #define MGPU_GLSL_VALUE_H_
 
@@ -12,10 +16,30 @@
 
 namespace mgpu::glsl {
 
+// Maximum width of a fragment/kernel lane batch: RunBatch executes up to
+// this many invocations in lockstep through one instruction stream (paper
+// §II: a QPU shades 16-pixel groups through one program). Must fit a
+// std::uint32_t lane mask. The raster pipeline picks its effective batch
+// fill width at runtime (ContextConfig::fragment_batch_width, swept 8/16/32
+// in bench_fig1_pipeline); this constant only bounds it and is the cell
+// stride of the batched VM's lane-major planes.
+inline constexpr int kVmLanes = 32;
+
 union Cell {
   float f;
   std::int32_t i;
 };
+
+// GLSL int(float), defined for every input: truncates toward zero,
+// saturates to the int32 range, and maps NaN to 0 (a bare static_cast is
+// undefined behaviour there, and a tenant uniform can hold 1e10 or NaN).
+// Every engine converts through this.
+inline std::int32_t FloatToIntSat(float f) {
+  if (f != f) return 0;
+  if (f >= 2147483648.0f) return 2147483647;
+  if (f <= -2147483648.0f) return -2147483647 - 1;
+  return static_cast<std::int32_t>(f);
+}
 
 class Value {
  public:
@@ -81,8 +105,7 @@ class Value {
   }
   // Reads component i converted to int.
   [[nodiscard]] std::int32_t AsInt(int i) const {
-    return scalar() == BaseType::kFloat ? static_cast<std::int32_t>(F(i))
-                                        : I(i);
+    return scalar() == BaseType::kFloat ? FloatToIntSat(F(i)) : I(i);
   }
   // Writes component i from a float, converting to this value's category
   // (bool gets the != 0 semantics of GLSL constructors).
@@ -95,7 +118,7 @@ class Value {
         SetB(i, f != 0.0f);
         break;
       default:
-        SetI(i, static_cast<std::int32_t>(f));
+        SetI(i, FloatToIntSat(f));
         break;
     }
   }
@@ -118,11 +141,8 @@ class Value {
     }
   }
 
-  // Inline-cell capacity (largest non-array type: mat4). Values at or under
-  // this never spill to the heap, so `data()` of such a Value always points
-  // at kInline contiguous cells — the SIMD batch kernels rely on this to
-  // over-read/over-write past count() but never past the inline storage
-  // (cells beyond count() are unobservable).
+  // Inline-cell capacity (largest non-array type: mat4); larger values keep
+  // their cells on the heap.
   static constexpr int kInline = 16;
 
  private:
@@ -130,6 +150,25 @@ class Value {
   int count_;
   std::array<Cell, kInline> inline_{};
   std::vector<Cell> heap_;
+};
+
+// One value's cells at a stride: cell k sits at base[k * stride]. A Value's
+// own cells have stride 1; one lane of a batched-VM plane has stride
+// kVmLanes (cell k of lane l at plane[k * kVmLanes + l]). References, the
+// per-lane replay paths and the gles2 lane plumbing address a single lane
+// of a plane through it.
+struct LaneSlice {
+  Cell* base = nullptr;
+  int stride = 1;
+
+  [[nodiscard]] static LaneSlice Of(Value& v) { return {v.data(), 1}; }
+  [[nodiscard]] Cell& at(int k) const { return base[k * stride]; }
+  [[nodiscard]] float F(int k) const { return at(k).f; }
+  [[nodiscard]] std::int32_t I(int k) const { return at(k).i; }
+  [[nodiscard]] bool B(int k) const { return at(k).i != 0; }
+  void SetF(int k, float f) const { at(k).f = f; }
+  void SetI(int k, std::int32_t v) const { at(k).i = v; }
+  void SetB(int k, bool b) const { at(k).i = b ? 1 : 0; }
 };
 
 }  // namespace mgpu::glsl

@@ -1,8 +1,10 @@
 #include "glsl/vm.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/fault.h"
@@ -22,86 +24,51 @@ constexpr char kCallDepthMsg[] = "shader call depth exceeded";
 // Message of the kVmInstruction fault site (fires at a guarded step).
 constexpr char kInjectedTrapMsg[] = "injected fault: shader trap";
 
-// Lane iteration policies for the batched executors. LaneRange is the
-// lockstep case (all lanes [0, n) active); LaneMask iterates the set bits
-// of a divergence mask. Mask() feeds the whole-instruction SoA kernels
-// (evalcore/builtins), which take the lane set as a bitmask.
-struct LaneRange {
-  int n;
-  template <typename F>
-  void ForEach(F&& f) const {
-    for (int l = 0; l < n; ++l) f(l);
-  }
-  [[nodiscard]] std::uint32_t Mask() const {
-    return n >= 32 ? ~0u : (1u << static_cast<unsigned>(n)) - 1u;
-  }
-};
-struct LaneMask {
-  std::uint32_t bits;
-  // Forwards to evalcore's ForEachLane so there is exactly one definition
-  // of the (count-parity-load-bearing) lane iteration order.
-  template <typename F>
-  void ForEach(F&& f) const {
-    ForEachLane(bits, std::forward<F>(f));
-  }
-  [[nodiscard]] std::uint32_t Mask() const { return bits; }
-};
-
-// Resolved batch operand (evalcore's strided view): a base pointer plus a
-// lane stride — 1 for per-lane planes (registers, lane-varying globals), 0
-// for storage shared by every lane (constants, uniforms and other
-// lane-invariant globals). Keeping resolution out of the lane loop is the
-// point of batching: the scalar engine re-decodes operands once per
-// fragment per instruction.
-using LaneSrc = BatchSrc;
-using LaneDst = BatchDst;
-
-// The one place operands resolve to lane views — value ops and branch
-// conditions in both executors go through the same space dispatch, so the
-// encodings cannot drift apart. Built per executor entry from the engine's
-// storage base pointers (none of the vectors resize during execution).
-struct LaneViews {
-  Value* lane_regs;
-  Value* lane_globals;
-  Value* globals;
-  const Value* consts;
-  const std::int32_t* lane_global_index;
-
-  [[nodiscard]] LaneSrc Read(std::uint32_t operand) const {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    switch (operand & ~kOperandIndexMask) {
-      case kSpaceReg:
-        return {&lane_regs[static_cast<std::size_t>(idx) * kVmLanes], 1};
-      case kSpaceGlobal: {
-        const std::int32_t lg = lane_global_index[idx];
-        return lg >= 0
-                   ? LaneSrc{&lane_globals[static_cast<std::size_t>(lg) *
-                                           kVmLanes],
-                             1}
-                   : LaneSrc{&globals[idx], 0};
-      }
-      default:
-        return {&consts[idx], 0};
-    }
-  }
-  // Destination view. A lane-invariant global destination (possible only
-  // when every lane would store the same value) resolves to stride 0 —
-  // last lane wins, identical to the scalar engine storing it once per
-  // fragment.
-  [[nodiscard]] LaneDst Dst(std::uint32_t operand) const {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    if ((operand & ~kOperandIndexMask) == kSpaceReg) {
-      return {&lane_regs[static_cast<std::size_t>(idx) * kVmLanes], 1};
-    }
-    const std::int32_t lg = lane_global_index[idx];
-    return lg >= 0 ? LaneDst{&lane_globals[static_cast<std::size_t>(lg) *
-                                           kVmLanes],
-                             1}
-                   : LaneDst{&globals[idx], 0};
-  }
-};
+inline std::uint32_t LowLanes(int n) {
+  return n >= 32 ? ~0u : (1u << static_cast<unsigned>(n)) - 1u;
+}
 
 }  // namespace
+
+// The one place operands resolve to batch views — value ops and branch
+// conditions in both executors go through the same space dispatch, so the
+// encodings cannot drift apart. Registers and lane-varying globals resolve
+// to their planes (cell stride kVmLanes, lane stride 1); constants,
+// uniforms and other lane-invariant globals to the shared Value (cell
+// stride 1, lane stride 0). Built per executor entry from the engine's
+// storage base pointers (none of the vectors resize during execution).
+struct LaneViews {
+  const VmProgram* prog;
+  Cell* lane_regs;
+  const std::size_t* reg_plane;
+  Cell* lane_globals;
+  const std::size_t* global_plane;
+  Value* globals;
+
+  [[nodiscard]] BatchDst Dst(std::uint32_t operand) const {
+    const std::uint32_t idx = operand & kOperandIndexMask;
+    if ((operand & ~kOperandIndexMask) == kSpaceReg) {
+      return {lane_regs + reg_plane[idx], prog->reg_types[idx], kVmLanes, 1};
+    }
+    const std::int32_t lg = prog->lane_global_index[idx];
+    if (lg >= 0) {
+      return {lane_globals + global_plane[lg], prog->globals[idx].type,
+              kVmLanes, 1};
+    }
+    return BatchDst::Of(globals[idx]);
+  }
+  [[nodiscard]] BatchSrc Read(std::uint32_t operand) const {
+    if ((operand & ~kOperandIndexMask) == kSpaceConst) {
+      return BatchSrc::Of(prog->consts[operand & kOperandIndexMask]);
+    }
+    return Dst(operand);
+  }
+};
+
+LaneViews VmExec::Views() {
+  return {prog_.get(), lane_regs_.data(), reg_plane_.data(),
+          lane_globals_.data(), global_plane_.data(), globals_.data()};
+}
 
 VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
     : prog_(std::move(program)), alu_(alu) {
@@ -143,8 +110,12 @@ void VmExec::SyncGlobalsFrom(const VmExec& base) {
     // The per-lane planes were sized and typed for the old program.
     batch_ready_ = false;
     lane_regs_.clear();
+    reg_plane_.clear();
     lane_globals_.clear();
+    global_plane_.clear();
     lane_refs_.clear();
+    batch_ops_.clear();
+    batch_args_.clear();
     // A compiled module is specific to the old program, and the operand
     // table pointed into the old planes/global store.
     jit_.reset();
@@ -331,14 +302,14 @@ bool VmExec::Execute(std::uint32_t pc) {
         break;
       }
       case VmOp::kReadRef:
-        ReadRefInto(refs_[in.a], At(in.dst));
+        ReadRefInto(refs_[in.a], LaneSlice::Of(At(in.dst)));
         break;
       case VmOp::kWriteRef:
         WriteRef(refs_[in.dst], Read(in.a));
         break;
       case VmOp::kIncDec:
         EvalIncDecInto(alu_, refs_[in.a], (in.u8 & 1) != 0, (in.u8 & 2) != 0,
-                       At(in.dst));
+                       LaneSlice::Of(At(in.dst)));
         break;
       case VmOp::kIncDecVar:
         EvalIncDecVar(alu_, At(in.a), (in.u8 & 1) != 0, (in.u8 & 2) != 0,
@@ -350,30 +321,70 @@ bool VmExec::Execute(std::uint32_t pc) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched (SoA) execution
+// Lane-batched execution over lane-major planes
 // ---------------------------------------------------------------------------
 
 void VmExec::EnsureBatchState() {
   if (batch_ready_) return;
-  const std::size_t n_regs = prog_->reg_types.size();
-  lane_regs_.clear();
-  lane_regs_.reserve(n_regs * kVmLanes);
+  reg_plane_.clear();
+  std::size_t cells = 0;
   for (const Type& t : prog_->reg_types) {
-    for (int l = 0; l < kVmLanes; ++l) lane_regs_.emplace_back(t);
+    reg_plane_.push_back(cells);
+    cells += static_cast<std::size_t>(t.CellCount()) * kVmLanes;
   }
+  lane_regs_.assign(cells, Cell{});
   // Per-lane globals start as copies of the shared store, which at this
   // point holds the const-init results and current uniforms. Globals the
   // run chunk re-initializes are overwritten per batch anyway; const tables
   // that user code may write keep their correct initial value per lane.
-  lane_globals_.clear();
-  lane_globals_.reserve(
-      static_cast<std::size_t>(prog_->lane_global_count) * kVmLanes);
+  global_plane_.clear();
+  cells = 0;
   for (std::size_t g = 0; g < prog_->globals.size(); ++g) {
     if (prog_->lane_global_index[g] < 0) continue;
-    for (int l = 0; l < kVmLanes; ++l) lane_globals_.push_back(globals_[g]);
+    global_plane_.push_back(cells);
+    cells += static_cast<std::size_t>(globals_[g].count()) * kVmLanes;
+  }
+  lane_globals_.assign(cells, Cell{});
+  for (std::size_t g = 0; g < prog_->globals.size(); ++g) {
+    const std::int32_t lg = prog_->lane_global_index[g];
+    if (lg < 0) continue;
+    Cell* plane = lane_globals_.data() + global_plane_[lg];
+    const Value& init = globals_[g];
+    for (int k = 0; k < init.count(); ++k) {
+      for (int l = 0; l < kVmLanes; ++l) plane[k * kVmLanes + l] = init.data()[k];
+    }
   }
   lane_refs_.assign(
       static_cast<std::size_t>(prog_->ref_slot_count) * kVmLanes, LRef{});
+  const LaneViews views = Views();
+  const auto resolve = [&views](std::uint32_t operand) {
+    return operand == kOperandNone ? BatchSrc{} : views.Read(operand);
+  };
+  batch_ops_.clear();
+  batch_ops_.reserve(prog_->code.size());
+  for (const VmInst& in : prog_->code) {
+    // Ref slots and jump targets are not operands; a kRefVar / kIncDecVar
+    // variable in `a` is a register or global like any other.
+    const bool dst_is_operand = in.op != VmOp::kRefVar &&
+                                in.op != VmOp::kRefIndex &&
+                                in.op != VmOp::kRefSwizzle &&
+                                in.op != VmOp::kWriteRef &&
+                                in.dst != kOperandNone;
+    const bool a_is_operand = in.op != VmOp::kRefIndex &&
+                              in.op != VmOp::kRefSwizzle &&
+                              in.op != VmOp::kReadRef &&
+                              in.op != VmOp::kIncDec;
+    BatchOperands ops;
+    if (dst_is_operand) ops.dst = views.Dst(in.dst);
+    if (a_is_operand) ops.a = resolve(in.a);
+    ops.b = resolve(in.b);
+    batch_ops_.push_back(ops);
+  }
+  batch_args_.clear();
+  batch_args_.reserve(prog_->arg_ops.size());
+  for (const std::uint32_t operand : prog_->arg_ops) {
+    batch_args_.push_back(views.Read(operand));
+  }
   lane_ret_stack_.assign(
       static_cast<std::size_t>(kVmLanes) * (kMaxCallDepth + 1), 0);
   batch_ready_ = true;
@@ -382,22 +393,18 @@ void VmExec::EnsureBatchState() {
   jit_tbl_ready_ = false;
 }
 
-Value& VmExec::LaneGlobalAt(int slot, int lane) {
+BatchDst VmExec::LanePlane(int slot) {
   EnsureBatchState();
-  const std::int32_t lg =
-      prog_->lane_global_index[static_cast<std::size_t>(slot)];
-  return lg >= 0 ? lane_globals_[static_cast<std::size_t>(lg) * kVmLanes +
-                                 static_cast<std::size_t>(lane)]
-                 : globals_[static_cast<std::size_t>(slot)];
+  return Views().Dst(kSpaceGlobal | static_cast<std::uint32_t>(slot));
 }
 
 std::uint32_t VmExec::RunBatch(int n) {
   if (n <= 0) return 0;
   EnsureBatchState();
-  // Effective SIMD tier for this batch: the vector kernels reproduce
+  // Effective SIMD tier for this batch: the vector tiers reproduce
   // AluModel rounding only for its closed-form modes (identity and denormal
-  // flush, see simd.h); a kModel ALU runs the scalar SoA kernels regardless
-  // of the configured tier.
+  // flush, see simd.h); a kModel ALU runs the scalar tier regardless of the
+  // configured one.
   batch_simd_ = alu_.round_mode() != RoundMode::kModel ? simd_level_
                                                        : simd::Level::kScalar;
   if (batch_simd_ != simd::Level::kScalar) ++simd_batches_;
@@ -413,42 +420,20 @@ std::uint32_t VmExec::RunBatch(int n) {
 // Compiled-module execution (ExecEngine::kCompiled; see glsl/jit.h)
 // ---------------------------------------------------------------------------
 
-// The generated code addresses per-lane planes as base + lane * VS cells.
-static_assert(sizeof(Value) % sizeof(Cell) == 0,
-              "Value stride must be a whole number of cells");
-
 std::uint32_t VmExec::RunBatchJit(int n) {
   if (!jit_tbl_ready_) {
     // Resolve the module's operand words to cell base pointers — the same
     // space dispatch as LaneViews, snapshotted once per plane (re)build:
-    // none of the backing vectors resize during batched execution, and
-    // Value cell storage is stable (inline for per-lane operands by the
-    // codegen's Addressable contract; heap vectors keep their buffer on
-    // same-layout copy-assign for shared ones).
+    // none of the backing vectors resize during batched execution, and the
+    // shared Values keep their cell storage on same-layout copy-assign.
+    // The generated code addresses a plane operand's cell k of lane l as
+    // base[k * kVmLanes + l] and a shared one's as base[k].
+    const LaneViews views = Views();
     const auto& table_ops = jit_->table_ops();
     jit_tbl_.clear();
     jit_tbl_.reserve(table_ops.size());
     for (const std::uint32_t operand : table_ops) {
-      const std::uint32_t idx = operand & kOperandIndexMask;
-      switch (operand & ~kOperandIndexMask) {
-        case kSpaceReg:
-          jit_tbl_.push_back(
-              lane_regs_[static_cast<std::size_t>(idx) * kVmLanes].data());
-          break;
-        case kSpaceGlobal: {
-          const std::int32_t lg = prog_->lane_global_index[idx];
-          jit_tbl_.push_back(
-              lg >= 0
-                  ? lane_globals_[static_cast<std::size_t>(lg) * kVmLanes]
-                        .data()
-                  : globals_[idx].data());
-          break;
-        }
-        default:
-          jit_tbl_.push_back(
-              const_cast<Cell*>(prog_->consts[idx].data()));
-          break;
-      }
+      jit_tbl_.push_back(const_cast<Cell*>(views.Read(operand).base));
     }
     jit_tbl_ready_ = true;
   }
@@ -459,7 +444,6 @@ std::uint32_t VmExec::RunBatchJit(int n) {
   env.host = this;
   env.tbl = jit_tbl_.data();
   env.n = n;
-  env.vs = static_cast<long>(sizeof(Value) / sizeof(Cell));
   env.ri = alu_.round_identity() ? 1 : 0;
   env.exec_op = &VmExec::JitExecOp;
   env.guard = &VmExec::JitGuard;
@@ -480,7 +464,7 @@ std::uint32_t VmExec::RunBatchJit(int n) {
 void VmExec::JitExecOp(void* host, int pc) {
   auto* self = static_cast<VmExec*>(host);
   self->ExecBatchOp(self->prog_->code[static_cast<std::size_t>(pc)],
-                    LaneRange{self->jit_batch_n_});
+                    LowLanes(self->jit_batch_n_));
 }
 
 // kLoopGuard, verbatim from ExecuteBatchUniform: uniform control flow traps
@@ -511,207 +495,94 @@ void VmExec::JitCountAlu(void* host, unsigned long long ops) {
   static_cast<VmExec*>(host)->alu_.CountAlu(ops);
 }
 
-template <typename Lanes>
-void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
-  // Operand resolution, hoisted out of the lane loop.
-  const LaneViews views{lane_regs_.data(), lane_globals_.data(),
-                        globals_.data(), prog_->consts.data(),
-                        prog_->lane_global_index.data()};
-  const auto dst = [&views](std::uint32_t operand) { return views.Dst(operand); };
-  const auto read = [&views](std::uint32_t operand) {
-    return views.Read(operand);
-  };
+void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask) {
+  const BatchOperands& ops =
+      batch_ops_[static_cast<std::size_t>(&in - prog_->code.data())];
+  const simd::Level level = batch_simd_;
   const auto ref_at = [this](std::uint32_t slot, int lane) -> LRef& {
     return lane_refs_[static_cast<std::size_t>(slot) * kVmLanes +
                       static_cast<std::size_t>(lane)];
   };
+  // A variable operand `a` that the op writes (kRefVar, kIncDecVar).
+  const BatchDst var{const_cast<Cell*>(ops.a.base), ops.a.type,
+                     ops.a.cell_stride, ops.a.lane_stride};
+  // Argument list of a kCtor / kBuiltin.
+  const auto args = [&] {
+    return std::span<const BatchSrc>(batch_args_.data() + in.aux, in.n);
+  };
 
   switch (in.op) {
-    case VmOp::kCopy: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc s = read(in.a);
-      const int cells = d.base->count();
-      lanes.ForEach([&](int l) {
-        Cell* dc = d.at(l).data();
-        const Cell* sc = s.at(l).data();
-        if (cells <= 4) {
-          for (int k = 0; k < cells; ++k) dc[k] = sc[k];
-        } else {
-          std::memmove(dc, sc, static_cast<std::size_t>(cells) * sizeof(Cell));
-        }
-      });
+    case VmOp::kCopy:
+      EvalMoveBatch(ops.a, ops.dst, nullptr, ops.dst.count(), mask, level);
       break;
-    }
-    case VmOp::kZero: {
-      const LaneDst d = dst(in.dst);
-      const int cells = d.base->count();
-      lanes.ForEach([&](int l) {
-        Cell* dc = d.at(l).data();
-        if (cells <= 4) {
-          for (int k = 0; k < cells; ++k) dc[k].i = 0;
-        } else {
-          std::memset(dc, 0, static_cast<std::size_t>(cells) * sizeof(Cell));
-        }
-      });
+    case VmOp::kZero:
+      EvalZeroBatch(ops.dst, mask, level);
       break;
-    }
     case VmOp::kShuffle: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc s = read(in.a);
-      lanes.ForEach([&](int l) {
-        Cell* dc = d.at(l).data();
-        const Cell* sc = s.at(l).data();
-        for (int k = 0; k < in.n; ++k) {
-          dc[k] = sc[(in.aux >> (8 * k)) & 0xffu];
-        }
-      });
+      std::array<std::uint8_t, 4> comps{};
+      for (int k = 0; k < in.n; ++k) {
+        comps[static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>((in.aux >> (8 * k)) & 0xffu);
+      }
+      EvalMoveBatch(ops.a, ops.dst, comps.data(), in.n, mask, level);
       break;
     }
     case VmOp::kExtract: {
       IndexStep step;
       step.limit = static_cast<int>(in.aux);
       step.elem_cells = in.n;
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      const LaneSrc b = read(in.b);
-      lanes.ForEach([&](int l) {
-        EvalExtractInto(a.at(l), step, b.at(l).I(0), d.at(l));
-      });
+      EvalExtractBatch(ops.a, step, ops.b, ops.dst, mask);
       break;
     }
-    case VmOp::kArith: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      const LaneSrc b = read(in.b);
-      const BinOp op = static_cast<BinOp>(in.u8);
-      // SoA-tagged (lowering-time table lookup): one whole-instruction
-      // kernel call — shape/op dispatch once, then tight lane loops
-      // through the same AluModel entry points (and therefore the same
-      // counts and rounding) as a per-lane EvalArithInto sequence. The
-      // untagged remainder (linear-algebra multiplies) replays per lane.
-      // Tag value 2 marks the float vector fast path additionally
-      // SIMD-eligible; the live lane mask drives the kernel's loads and
-      // stores either way, so the masked-divergent executor vectorizes
-      // exactly its live lanes.
-      if (in.soa != 0) {
-        if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-          EvalArithBatchSimd(alu_, op, a, b, d, lanes.Mask(), batch_simd_);
-        } else {
-          EvalArithBatch(alu_, op, a, b, d, lanes.Mask());
-        }
-        break;
-      }
-      lanes.ForEach([&](int l) {
-        EvalArithInto(alu_, op, a.at(l), b.at(l), d.at(l));
-      });
+    case VmOp::kArith:
+      EvalArithBatch(alu_, static_cast<BinOp>(in.u8), ops.a, ops.b, ops.dst,
+                     mask, level);
       break;
-    }
-    case VmOp::kNeg: {
-      if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-        EvalNegBatchSimd(alu_, read(in.a), dst(in.dst), lanes.Mask(),
-                         batch_simd_);
-      } else {
-        EvalNegBatch(alu_, read(in.a), dst(in.dst), lanes.Mask());
-      }
+    case VmOp::kNeg:
+      EvalNegBatch(alu_, ops.a, ops.dst, mask, level);
       break;
-    }
-    case VmOp::kNot: {
-      EvalNotBatch(alu_, read(in.a), dst(in.dst), lanes.Mask());
+    case VmOp::kNot:
+      EvalNotBatch(alu_, ops.a, ops.dst, mask);
       break;
-    }
     case VmOp::kXor: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      const LaneSrc b = read(in.b);
-      lanes.ForEach([&](int l) {
-        d.at(l).SetB(0, a.at(l).B(0) != b.at(l).B(0));
+      const BatchDst d = ops.dst;
+      const BatchSrc a = ops.a;
+      const BatchSrc b = ops.b;
+      ForEachLane(mask, [&](int l) {
+        d.at(0, l).i = (a.at(0, l).i != 0) != (b.at(0, l).i != 0) ? 1 : 0;
       });
       break;
     }
     case VmOp::kBoolNorm: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      lanes.ForEach([&](int l) { d.at(l).SetB(0, a.at(l).B(0)); });
+      const BatchDst d = ops.dst;
+      const BatchSrc a = ops.a;
+      ForEachLane(mask, [&](int l) { d.at(0, l).i = a.at(0, l).i != 0; });
       break;
     }
-    case VmOp::kCtor: {
-      const LaneDst d = dst(in.dst);
-      std::array<LaneSrc, 16> av;
-      for (int i = 0; i < in.n; ++i) {
-        av[static_cast<std::size_t>(i)] =
-            read(prog_->arg_ops[in.aux + static_cast<std::uint32_t>(i)]);
-      }
-      // SoA-tagged (scalar/vector targets): whole-instruction kernel with
-      // the shape analysis and the fresh-value clear hoisted per batch.
-      // Tag 2 = all-float vector gather, additionally SIMD-eligible.
-      if (in.soa != 0) {
-        if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-          EvalCtorBatchSimd(alu_, std::span<const LaneSrc>(av.data(), in.n),
-                            d, lanes.Mask(), batch_simd_);
-        } else {
-          EvalCtorBatch(alu_, std::span<const LaneSrc>(av.data(), in.n), d,
-                        lanes.Mask());
-        }
-        break;
-      }
-      const int cells = d.base->count();
-      lanes.ForEach([&](int l) {
-        std::array<const Value*, 16> ptrs;
-        for (int i = 0; i < in.n; ++i) {
-          ptrs[static_cast<std::size_t>(i)] =
-              &av[static_cast<std::size_t>(i)].at(l);
-        }
-        Value& out = d.at(l);
-        std::memset(out.data(), 0,
-                    static_cast<std::size_t>(cells) * sizeof(Cell));
-        EvalCtorInto(alu_,
-                     std::span<const Value* const>(ptrs.data(), in.n), out);
-      });
+    case VmOp::kCtor:
+      EvalCtorBatch(alu_, args(), ops.dst, mask, level);
       break;
-    }
     case VmOp::kBuiltin: {
-      const LaneDst d = dst(in.dst);
-      std::array<LaneSrc, kMaxBuiltinArgs> av;
-      for (int i = 0; i < in.n; ++i) {
-        av[static_cast<std::size_t>(i)] =
-            read(prog_->arg_ops[in.aux + static_cast<std::uint32_t>(i)]);
-      }
-      // SoA-tagged (every non-texture builtin): one batch kernel call.
-      // Texture builtins stay per lane so batch_lane_ tracks the lane each
-      // TMU access belongs to — the gles2 context replays accesses in lane
-      // order, reproducing the scalar engine's fragment-sequential cache
-      // order (and tmu_miss counts) exactly.
-      // Tag 2 = float-dense kernel with a vector path (abs/min/max/clamp/
-      // mix/step/dot/normalize/...), additionally SIMD-eligible.
-      if (in.soa != 0) {
-        if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-          EvalBuiltinBatchSimd(static_cast<Builtin>(in.u8), in.type,
-                               std::span<const LaneSrc>(av.data(), in.n),
-                               alu_, texture_, d, lanes.Mask(), batch_simd_);
-        } else {
-          EvalBuiltinBatch(static_cast<Builtin>(in.u8), in.type,
-                           std::span<const LaneSrc>(av.data(), in.n), alu_,
-                           texture_, d, lanes.Mask());
-        }
+      const Builtin b = static_cast<Builtin>(in.u8);
+      const BatchDst d = ops.dst;
+      if (IsSoaBuiltin(b)) {
+        EvalBuiltinBatch(b, in.type, args(), alu_, texture_, d, mask, level);
         break;
       }
-      lanes.ForEach([&](int l) {
+      // Texture builtins run one lane at a time so batch_lane_ tracks the
+      // lane each TMU access belongs to — the gles2 context replays
+      // accesses in lane order, reproducing the scalar engine's
+      // fragment-sequential cache order (and tmu_miss counts) exactly.
+      ForEachLane(mask, [&](int l) {
         batch_lane_ = l;  // lane-aware texture callbacks read this
-        std::array<const Value*, kMaxBuiltinArgs> ptrs;
-        for (int i = 0; i < in.n; ++i) {
-          ptrs[static_cast<std::size_t>(i)] =
-              &av[static_cast<std::size_t>(i)].at(l);
-        }
-        EvalBuiltinInto(static_cast<Builtin>(in.u8), in.type,
-                        std::span<const Value* const>(ptrs.data(), in.n),
-                        alu_, texture_, d.at(l));
+        EvalBuiltinBatch(b, in.type, args(), alu_, texture_, d, 1u << l,
+                         simd::Level::kScalar);
       });
       break;
     }
     case VmOp::kRefVar: {
-      const LaneDst v = dst(in.a);
-      lanes.ForEach([&](int l) {
-        ref_at(in.dst, l) = RefWhole(v.at(l), in.type);
+      ForEachLane(mask, [&](int l) {
+        ref_at(in.dst, l) = RefWhole(var.lane(l), in.type);
       });
       break;
     }
@@ -720,9 +591,9 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
       step.limit = static_cast<int>(in.aux);
       step.elem_cells = in.n;
       step.elem_type = in.type;
-      const LaneSrc b = read(in.b);
-      lanes.ForEach([&](int l) {
-        ref_at(in.dst, l) = RefIndex(ref_at(in.a, l), step, b.at(l).I(0));
+      const BatchSrc b = ops.b;
+      ForEachLane(mask, [&](int l) {
+        ref_at(in.dst, l) = RefIndex(ref_at(in.a, l), step, b.at(0, l).i);
       });
       break;
     }
@@ -732,39 +603,39 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
         comps[static_cast<std::size_t>(k)] =
             static_cast<std::uint8_t>((in.aux >> (8 * k)) & 0xffu);
       }
-      lanes.ForEach([&](int l) {
+      ForEachLane(mask, [&](int l) {
         ref_at(in.dst, l) =
             RefSwizzle(ref_at(in.a, l), in.type, comps.data(), in.n);
       });
       break;
     }
     case VmOp::kReadRef: {
-      const LaneDst d = dst(in.dst);
-      lanes.ForEach([&](int l) { ReadRefInto(ref_at(in.a, l), d.at(l)); });
+      const BatchDst d = ops.dst;
+      ForEachLane(mask,
+                  [&](int l) { ReadRefInto(ref_at(in.a, l), d.lane(l)); });
       break;
     }
     case VmOp::kWriteRef: {
-      const LaneSrc a = read(in.a);
-      lanes.ForEach([&](int l) { WriteRef(ref_at(in.dst, l), a.at(l)); });
+      // Read-only source: the slice only carries it into WriteRef.
+      const BatchSrc a = ops.a;
+      ForEachLane(mask, [&](int l) {
+        WriteRef(ref_at(in.dst, l),
+                 LaneSlice{const_cast<Cell*>(&a.at(0, l)), a.cell_stride});
+      });
       break;
     }
     case VmOp::kIncDec: {
-      const LaneDst d = dst(in.dst);
-      lanes.ForEach([&](int l) {
+      const BatchDst d = ops.dst;
+      ForEachLane(mask, [&](int l) {
         EvalIncDecInto(alu_, ref_at(in.a, l), (in.u8 & 1) != 0,
-                       (in.u8 & 2) != 0, d.at(l));
+                       (in.u8 & 2) != 0, d.lane(l));
       });
       break;
     }
-    case VmOp::kIncDecVar: {
-      const LaneDst v = dst(in.a);
-      const LaneDst d = dst(in.dst);
-      lanes.ForEach([&](int l) {
-        EvalIncDecVar(alu_, v.at(l), (in.u8 & 1) != 0, (in.u8 & 2) != 0,
-                      d.at(l));
-      });
+    case VmOp::kIncDecVar:
+      EvalIncDecVarBatch(alu_, var, (in.u8 & 1) != 0, (in.u8 & 2) != 0,
+                         ops.dst, mask);
       break;
-    }
     default:
       break;  // control-flow ops are handled by the executor loops
   }
@@ -772,11 +643,8 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
 
 std::uint32_t VmExec::ExecuteBatchUniform(int n) {
   const VmInst* const code = prog_->code.data();
-  const LaneViews views{lane_regs_.data(), lane_globals_.data(),
-                        globals_.data(), prog_->consts.data(),
-                        prog_->lane_global_index.data()};
-  const std::uint32_t full =
-      n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
+  const BatchOperands* const ops = batch_ops_.data();
+  const std::uint32_t full = LowLanes(n);
   std::array<std::uint32_t, kMaxCallDepth + 1> ret_stack;
   int sp = 0;
   // One budget counter stands in for every lane's: with uniform control
@@ -784,7 +652,6 @@ std::uint32_t VmExec::ExecuteBatchUniform(int n) {
   // trips at exactly the same guard as in a scalar run.
   loop_steps_ = 0;
   std::uint32_t pc = prog_->run_entry;
-  const LaneRange lanes{n};
 
   while (true) {
     const VmInst& in = code[pc];
@@ -797,7 +664,7 @@ std::uint32_t VmExec::ExecuteBatchUniform(int n) {
         // Uniform-control-flow programs: the analysis guarantees every
         // active lane holds the same condition value, so lane 0 decides
         // for the batch.
-        if (views.Read(in.a).at(0).B(0) == (in.op == VmOp::kJumpIfTrue)) {
+        if ((ops[pc].a.at(0, 0).i != 0) == (in.op == VmOp::kJumpIfTrue)) {
           pc = in.aux;
           continue;
         }
@@ -831,7 +698,7 @@ std::uint32_t VmExec::ExecuteBatchUniform(int n) {
       case VmOp::kTrap:
         throw ShaderRuntimeError(prog_->messages[in.aux], /*trap_lane=*/0);
       default:
-        ExecBatchOp(in, lanes);
+        ExecBatchOp(in, full);
         break;
     }
     ++pc;
@@ -840,8 +707,7 @@ std::uint32_t VmExec::ExecuteBatchUniform(int n) {
 
 std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
   const VmInst* const code = prog_->code.data();
-  const std::uint32_t full =
-      n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
+  const std::uint32_t full = LowLanes(n);
   constexpr std::size_t kStackStride = kMaxCallDepth + 1;
   for (int l = 0; l < n; ++l) {
     lane_pc_[static_cast<std::size_t>(l)] = prog_->run_entry;
@@ -879,161 +745,188 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
   // on, with exactly the lanes parked there. Structured lowering places a
   // branch's taken-earlier block before its taken-later block and loop
   // bodies before their exits, so split lanes re-join at the join point's
-  // pc, where the mask covers every running lane again and the converged
+  // pc, where the group covers every running lane again and the converged
   // phase resumes. Both sides of a divergent branch thus execute, each
   // under its own lane mask, and every lane performs exactly its scalar
   // instruction sequence — per-lane op counts and TMU access order stay
   // exact.
-  const LaneViews views{lane_regs_.data(), lane_globals_.data(),
-                        globals_.data(), prog_->consts.data(),
-                        prog_->lane_global_index.data()};
-  const auto cond_src = [&views](std::uint32_t operand) {
-    return views.Read(operand);
-  };
-
+  //
+  // The diverged phase keeps the min-pc group in registers: `group` (its
+  // lanes), `pc` (their pc) and `next_other` (the lowest pc of any other
+  // running lane; every other lane waits at or above it). While the group
+  // stays strictly below next_other it is still exactly the min-pc group,
+  // so lane_pc_ is rescanned only when a jump leaves [.., next_other), the
+  // group reaches next_other, or a call, ret, discard or trap changes it;
+  // the group's own lane_pc_ entries are written back (park) just before.
+  const BatchOperands* const ops = batch_ops_.data();
   bool converged = true;
   std::uint32_t pc = prog_->run_entry;
-  while (running != 0) {
-    if (!converged) {
-      // Diverged: find the minimum pc and its lane group; if the group is
-      // every running lane, the batch has reconverged.
-      pc = ~0u;
-      for (std::uint32_t m = running; m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        pc = std::min(pc, lane_pc_[static_cast<std::size_t>(l)]);
-      }
-      std::uint32_t mask = 0;
-      for (std::uint32_t m = running; m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        if (lane_pc_[static_cast<std::size_t>(l)] == pc) {
-          mask |= 1u << static_cast<unsigned>(l);
-        }
-      }
-      if (mask == running) {
-        converged = true;
+  std::uint32_t group = running;
+  std::uint32_t next_other = ~0u;
+  const auto park = [&](std::uint32_t lanes_bits, std::uint32_t at) {
+    ForEachLane(lanes_bits,
+                [&](int l) { lane_pc_[static_cast<std::size_t>(l)] = at; });
+  };
+  // Re-derives group / pc / next_other from lane_pc_ over `running`; a
+  // group of every running lane ends the diverged phase.
+  const auto rescan = [&] {
+    pc = ~0u;
+    ForEachLane(running, [&](int l) {
+      pc = std::min(pc, lane_pc_[static_cast<std::size_t>(l)]);
+    });
+    group = 0;
+    next_other = ~0u;
+    ForEachLane(running, [&](int l) {
+      const std::uint32_t lp = lane_pc_[static_cast<std::size_t>(l)];
+      if (lp == pc) {
+        group |= 1u << static_cast<unsigned>(l);
       } else {
-        const VmInst& in = code[pc];
-        switch (in.op) {
-          case VmOp::kJump:
-            LaneMask{mask}.ForEach([&](int l) {
-              lane_pc_[static_cast<std::size_t>(l)] = in.aux;
-            });
-            continue;
-          case VmOp::kJumpIfFalse:
-          case VmOp::kJumpIfTrue: {
-            const LaneSrc cond = cond_src(in.a);
-            const bool jump_on = in.op == VmOp::kJumpIfTrue;
-            LaneMask{mask}.ForEach([&](int l) {
-              lane_pc_[static_cast<std::size_t>(l)] =
-                  cond.at(l).B(0) == jump_on ? in.aux : pc + 1;
-            });
+        next_other = std::min(next_other, lp);
+      }
+    });
+    converged = group == running;
+  };
+  // Moves the whole group to `target`.
+  const auto move_group = [&](std::uint32_t target) {
+    if (target < next_other) {
+      pc = target;
+    } else {
+      park(group, target);
+      rescan();
+    }
+  };
+
+  while (running != 0) {
+    const VmInst& in = code[pc];
+    if (!converged) {
+      switch (in.op) {
+        case VmOp::kJump:
+          move_group(in.aux);
+          continue;
+        case VmOp::kJumpIfFalse:
+        case VmOp::kJumpIfTrue: {
+          const std::uint32_t true_lanes = TrueLanes(ops[pc].a, group);
+          const std::uint32_t taken = in.op == VmOp::kJumpIfTrue
+                                          ? true_lanes
+                                          : group & ~true_lanes;
+          if (taken == 0) {
+            move_group(pc + 1);
+          } else if (taken == group) {
+            move_group(in.aux);
+          } else {
+            park(taken, in.aux);
+            park(group & ~taken, pc + 1);
+            rescan();
+          }
+          continue;
+        }
+        case VmOp::kLoopGuard: {
+          if (fault::ShouldFail(fault::Site::kVmInstruction)) {
+            record_trap(group, kInjectedTrapMsg);
+            running &= ~group;
+            kept &= ~group;
+            rescan();
             continue;
           }
-          case VmOp::kLoopGuard: {
-            if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-              record_trap(mask, kInjectedTrapMsg);
-              running &= ~mask;
-              kept &= ~mask;
+          std::uint32_t over = 0;
+          ForEachLane(group, [&](int l) {
+            if (++lane_steps_[static_cast<std::size_t>(l)] > loop_budget_) {
+              over |= 1u << static_cast<unsigned>(l);
+            }
+          });
+          if (over != 0) {
+            record_trap(over, kLoopBudgetMsg);
+            running &= ~over;
+            kept &= ~over;
+            group &= ~over;
+            if (group == 0) {
+              rescan();
               continue;
             }
-            std::uint32_t over = 0;
-            LaneMask{mask}.ForEach([&](int l) {
-              if (++lane_steps_[static_cast<std::size_t>(l)] > loop_budget_) {
-                over |= 1u << static_cast<unsigned>(l);
-              }
-            });
-            if (over != 0) {
-              record_trap(over, kLoopBudgetMsg);
-              running &= ~over;
-              kept &= ~over;
-            }
-            break;
           }
-          case VmOp::kCall: {
-            std::uint32_t deep = 0;
-            LaneMask{mask}.ForEach([&](int l) {
-              const std::size_t li = static_cast<std::size_t>(l);
-              if (lane_sp_[li] > kMaxCallDepth) {
-                deep |= 1u << static_cast<unsigned>(l);
-                return;
-              }
-              lane_ret_stack_[li * kStackStride +
-                              static_cast<std::size_t>(lane_sp_[li]++)] =
-                  pc + 1;
-              lane_pc_[li] = prog_->functions[in.aux].entry;
-            });
-            if (deep != 0) {
-              record_trap(deep, kCallDepthMsg);
-              running &= ~deep;
-              kept &= ~deep;
-            }
-            continue;
-          }
-          case VmOp::kRet:
-            LaneMask{mask}.ForEach([&](int l) {
-              const std::size_t li = static_cast<std::size_t>(l);
-              if (lane_sp_[li] == 0) {
-                // main returned: the lane is done (and not discarded).
-                running &= ~(1u << static_cast<unsigned>(l));
-              } else {
-                lane_pc_[li] =
-                    lane_ret_stack_[li * kStackStride +
-                                    static_cast<std::size_t>(--lane_sp_[li])];
-              }
-            });
-            continue;
-          case VmOp::kDiscard:
-            kept &= ~mask;
-            running &= ~mask;
-            continue;
-          case VmOp::kHalt:
-            running &= ~mask;
-            continue;
-          case VmOp::kTrap:
-            record_trap(mask, prog_->messages[in.aux]);
-            running &= ~mask;
-            kept &= ~mask;
-            continue;
-          default:
-            ExecBatchOp(in, LaneMask{mask});
-            break;
+          move_group(pc + 1);
+          continue;
         }
-        LaneMask{mask}.ForEach(
-            [&](int l) { lane_pc_[static_cast<std::size_t>(l)] = pc + 1; });
-        continue;
+        case VmOp::kCall: {
+          std::uint32_t deep = 0;
+          ForEachLane(group, [&](int l) {
+            const std::size_t li = static_cast<std::size_t>(l);
+            if (lane_sp_[li] > kMaxCallDepth) {
+              deep |= 1u << static_cast<unsigned>(l);
+              return;
+            }
+            lane_ret_stack_[li * kStackStride +
+                            static_cast<std::size_t>(lane_sp_[li]++)] =
+                pc + 1;
+          });
+          if (deep != 0) {
+            record_trap(deep, kCallDepthMsg);
+            running &= ~deep;
+            kept &= ~deep;
+            group &= ~deep;
+          }
+          park(group, prog_->functions[in.aux].entry);
+          rescan();
+          continue;
+        }
+        case VmOp::kRet:
+          ForEachLane(group, [&](int l) {
+            const std::size_t li = static_cast<std::size_t>(l);
+            if (lane_sp_[li] == 0) {
+              // main returned: the lane is done (and not discarded).
+              running &= ~(1u << static_cast<unsigned>(l));
+            } else {
+              lane_pc_[li] =
+                  lane_ret_stack_[li * kStackStride +
+                                  static_cast<std::size_t>(--lane_sp_[li])];
+            }
+          });
+          rescan();
+          continue;
+        case VmOp::kDiscard:
+          kept &= ~group;
+          running &= ~group;
+          rescan();
+          continue;
+        case VmOp::kHalt:
+          running &= ~group;
+          rescan();
+          continue;
+        case VmOp::kTrap:
+          record_trap(group, prog_->messages[in.aux]);
+          running &= ~group;
+          kept &= ~group;
+          rescan();
+          continue;
+        default:
+          ExecBatchOp(in, group);
+          move_group(pc + 1);
+          continue;
       }
     }
 
     // Converged: lockstep over `running` with a single shared pc. Per-lane
     // call stacks stay live (lanes reconverged from different call paths
     // may hold different return chains), but no per-step scanning happens.
-    const VmInst& in = code[pc];
     switch (in.op) {
       case VmOp::kJump:
         pc = in.aux;
         continue;
       case VmOp::kJumpIfFalse:
       case VmOp::kJumpIfTrue: {
-        const LaneSrc cond = cond_src(in.a);
-        const bool jump_on = in.op == VmOp::kJumpIfTrue;
-        std::uint32_t taken = 0;
-        LaneMask{running}.ForEach([&](int l) {
-          if (cond.at(l).B(0) == jump_on) {
-            taken |= 1u << static_cast<unsigned>(l);
-          }
-        });
+        const std::uint32_t true_lanes = TrueLanes(ops[pc].a, running);
+        const std::uint32_t taken = in.op == VmOp::kJumpIfTrue
+                                        ? true_lanes
+                                        : running & ~true_lanes;
         if (taken == 0) {
           ++pc;
         } else if (taken == running) {
           pc = in.aux;
         } else {
           // The batch splits here: spill per-lane pcs and go grouped.
-          LaneMask{running}.ForEach([&](int l) {
-            lane_pc_[static_cast<std::size_t>(l)] =
-                ((taken >> static_cast<unsigned>(l)) & 1u) != 0 ? in.aux
-                                                                : pc + 1;
-          });
-          converged = false;
+          park(taken, in.aux);
+          park(running & ~taken, pc + 1);
+          rescan();
         }
         continue;
       }
@@ -1048,7 +941,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         // (reconverged from unequal trip counts), so the budget is checked
         // per lane; survivors stay converged at the next pc.
         std::uint32_t over = 0;
-        LaneMask{running}.ForEach([&](int l) {
+        ForEachLane(running, [&](int l) {
           if (++lane_steps_[static_cast<std::size_t>(l)] > loop_budget_) {
             over |= 1u << static_cast<unsigned>(l);
           }
@@ -1062,7 +955,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
       }
       case VmOp::kCall: {
         std::uint32_t deep = 0;
-        LaneMask{running}.ForEach([&](int l) {
+        ForEachLane(running, [&](int l) {
           const std::size_t li = static_cast<std::size_t>(l);
           if (lane_sp_[li] > kMaxCallDepth) {
             deep |= 1u << static_cast<unsigned>(l);
@@ -1086,7 +979,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         std::uint32_t done = 0;
         std::uint32_t next = ~0u;
         bool same = true;
-        LaneMask{running}.ForEach([&](int l) {
+        ForEachLane(running, [&](int l) {
           const std::size_t li = static_cast<std::size_t>(l);
           if (lane_sp_[li] == 0) {
             done |= 1u << static_cast<unsigned>(l);
@@ -1107,7 +1000,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         if (same) {
           pc = next;
         } else {
-          converged = false;
+          rescan();
         }
         continue;
       }
@@ -1124,14 +1017,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         running = 0;
         continue;
       default:
-        // A full lane set iterates as a plain counted loop — cheaper than
-        // walking mask bits, and the common case until a discard punches
-        // holes into `running`.
-        if (running == full) {
-          ExecBatchOp(in, LaneRange{n});
-        } else {
-          ExecBatchOp(in, LaneMask{running});
-        }
+        ExecBatchOp(in, running);
         break;
     }
     ++pc;

@@ -23,6 +23,8 @@
 
 namespace mgpu::glsl {
 
+struct LaneViews;  // vm.cc: operand -> batch view resolution
+
 class VmExec final : public ShaderEngine {
  public:
   // Evaluates the program's constant-initializer chunk once; the ops it
@@ -48,11 +50,12 @@ class VmExec final : public ShaderEngine {
 
   bool Run() override;
 
-  // --- lane-batched (SoA) execution ---
+  // --- lane-batched execution ---
   // Executes the run chunk once for lanes [0, n), n <= kVmLanes, looping
   // lanes *inside* each instruction instead of instructions inside each
-  // invocation: instruction fetch, dispatch and operand resolution are paid
-  // once per instruction per batch, not once per fragment. Uniform-control-
+  // invocation: each instruction is one plane kernel call per batch
+  // (evalcore.h) over lane-major register planes, with its operands
+  // resolved once per program. Uniform-control-
   // flow programs (see VmProgram::uniform_control_flow) run in lockstep
   // under one shared pc; divergent programs run under the per-lane-pc
   // masked executor, which executes both sides of a divergent branch with
@@ -71,16 +74,24 @@ class VmExec final : public ShaderEngine {
   // aborted the draw on first. In the divergent executor trapping lanes
   // park while surviving lanes run to completion before the throw.
   //
-  // Per-fragment inputs/outputs live in per-lane global planes accessed via
+  // Per-fragment inputs/outputs live in lane-major global planes (cell k
+  // of lane l at plane[k * kVmLanes + l]) reached through LanePlane /
   // LaneGlobalAt; uniforms and other lane-invariant globals stay in the
   // scalar store shared by all lanes (so per-draw uniform sync cost is
   // independent of the lane width).
   std::uint32_t RunBatch(int n);
 
-  // Per-lane view of global `slot`: the lane's plane entry when the global
-  // is lane-varying, the shared scalar storage otherwise (lane-invariant
-  // globals are never written per lane). Allocates the planes on first use.
-  [[nodiscard]] Value& LaneGlobalAt(int slot, int lane);
+  // Batch view of global `slot`: its plane when the global is lane-varying
+  // (cell stride kVmLanes, lane stride 1), the shared scalar storage
+  // otherwise (cell stride 1, lane stride 0 — lane-invariant globals are
+  // never written per lane). Allocates the planes on first use; the view
+  // stays valid until the program changes (SyncGlobalsFrom on a new
+  // layout).
+  [[nodiscard]] BatchDst LanePlane(int slot);
+  // One lane of LanePlane(slot).
+  [[nodiscard]] LaneSlice LaneGlobalAt(int slot, int lane) {
+    return LanePlane(slot).lane(lane);
+  }
 
   // Address of the lane index the batched executor is currently running.
   // Lane-aware texture callbacks capture it so deferred TMU-cache
@@ -142,6 +153,8 @@ class VmExec final : public ShaderEngine {
   bool Execute(std::uint32_t pc);
 
   void EnsureBatchState();
+  // Batch views over the current planes and shared store.
+  [[nodiscard]] LaneViews Views();
   std::uint32_t ExecuteBatchUniform(int n);
   std::uint32_t ExecuteBatchDivergent(int n);
   // Runs the batch through the attached compiled module (jit_ non-null,
@@ -153,11 +166,10 @@ class VmExec final : public ShaderEngine {
   static void JitDepthTrap(void* host);
   static void JitTrap(void* host, int msg_index);
   static void JitCountAlu(void* host, unsigned long long ops);
-  // Executes one non-control-flow instruction for the lanes `Lanes::ForEach`
-  // yields (a contiguous range for the lockstep executor, a bitmask for the
-  // divergent one), with operand resolution hoisted out of the lane loop.
-  template <typename Lanes>
-  void ExecBatchOp(const VmInst& in, const Lanes& lanes);
+  // Executes one non-control-flow instruction for the lanes of `mask`
+  // (every lane below the batch size for the lockstep executor, a lane
+  // group for the divergent one) as one plane kernel call.
+  void ExecBatchOp(const VmInst& in, std::uint32_t mask);
 
   [[nodiscard]] Value& At(std::uint32_t operand) {
     const std::uint32_t idx = operand & kOperandIndexMask;
@@ -183,17 +195,32 @@ class VmExec final : public ShaderEngine {
   std::uint64_t loop_budget_ = kDefaultLoopBudget;
 
   // --- per-lane batch state, allocated lazily on the first RunBatch ---
-  // SoA planes: register r's lanes are contiguous at [r * kVmLanes, ...),
-  // likewise dense lane-varying global g and ref slot s.
+  // Lane-major planes: register r is reg_types[r].CellCount() rows of
+  // kVmLanes cells starting at lane_regs_[reg_plane_[r]], cell k of lane l
+  // at reg_plane_[r] + k * kVmLanes + l; dense lane-varying global g
+  // likewise at lane_globals_[global_plane_[g]]. Ref slot s of lane l is
+  // lane_refs_[s * kVmLanes + l].
   bool batch_ready_ = false;
   simd::Level simd_level_ = simd::Resolve(-1);
   // Effective tier for the batch in flight (simd_level_ gated on
   // alu_.round_mode(); sampled by RunBatch, read by ExecBatchOp).
   simd::Level batch_simd_ = simd::Level::kScalar;
   std::uint64_t simd_batches_ = 0;
-  std::vector<Value> lane_regs_;
-  std::vector<Value> lane_globals_;
+  std::vector<Cell> lane_regs_;
+  std::vector<std::size_t> reg_plane_;
+  std::vector<Cell> lane_globals_;
+  std::vector<std::size_t> global_plane_;
   std::vector<LRef> lane_refs_;
+  // Every instruction's operands resolved once to batch views (the planes,
+  // the shared store and the literal pool never move while batch state
+  // lives), indexed by pc; batch_args_ likewise parallels arg_ops.
+  struct BatchOperands {
+    BatchDst dst;
+    BatchSrc a;
+    BatchSrc b;
+  };
+  std::vector<BatchOperands> batch_ops_;
+  std::vector<BatchSrc> batch_args_;
   int batch_lane_ = 0;
   // Divergent-executor control state (members so batches allocate nothing):
   // per-lane pc / call stack / loop budget.

@@ -39,7 +39,7 @@ float Vc4Alu::Exp2(float x) {
 float Vc4Alu::Log2(float x) {
   CountSfuTrans(1);
   const float exact = std::log2(x);
-  if (!std::isfinite(exact)) return exact;
+  if (!std::isfinite(exact)) return glsl::CanonicalizeNan(exact);
   // The SFU error is absolute in the output fraction (the integer part comes
   // straight from the exponent field and is exact).
   const std::uint32_t h = Hash32(mgpu::FloatToBits(x) ^ 0x9e3779b9u);
@@ -63,8 +63,10 @@ float Vc4Alu::RecipSqrt(float x) {
 
 float Vc4Alu::Round(float x) {
   if (profile_.flush_denormals) x = glsl::FlushDenormal(x);
-  if (profile_.alu_mantissa_bits >= 23) return x;
-  return mgpu::RoundToMantissaBits(x, profile_.alu_mantissa_bits);
+  if (profile_.alu_mantissa_bits < 23) {
+    x = mgpu::RoundToMantissaBits(x, profile_.alu_mantissa_bits);
+  }
+  return glsl::CanonicalizeNan(x);
 }
 
 }  // namespace mgpu::vc4

@@ -379,6 +379,127 @@ TEST(ContextTest, VboVertexFetch) {
   EXPECT_EQ(px[0], 255);
 }
 
+// The batched engine gathers attributes into, and scatters gl_Position,
+// gl_PointSize and varyings out of, the vertex VM's lane-major planes, and
+// writes gl_FragCoord, gl_FrontFacing, gl_PointCoord and varyings straight
+// into the fragment VM's planes. A vertex draw with every attribute kind
+// (float, normalized ubyte, short, a disabled constant) over two vertex
+// batches plus a partial one, and a point draw, must leave the same bytes
+// and op counts as the scalar VM at shader_threads=1.
+TEST(ContextTest, PlaneGatherScatterMatchesScalarVm) {
+  constexpr int kW = 37;
+  constexpr int kH = 29;
+  const char* vs = R"(
+attribute vec2 a_pos;
+attribute vec4 a_col;
+attribute vec3 a_s;
+attribute float a_k;
+varying vec4 v_col;
+varying vec3 v_s;
+varying float v_k;
+void main() {
+  v_col = a_col;
+  v_s = a_s * 0.01;
+  v_k = a_k + a_pos.x;
+  gl_PointSize = 3.0 + a_col.x * 4.0;
+  gl_Position = vec4(a_pos, a_s.z * 0.001, 1.0);
+}
+)";
+  const char* fs = R"(
+precision mediump float;
+varying vec4 v_col;
+varying vec3 v_s;
+varying float v_k;
+void main() {
+  vec2 q = gl_FragCoord.xy / vec2(37.0, 29.0);
+  if (q.x + v_s.y > 1.2) discard;
+  float f = gl_FrontFacing ? 0.25 : 0.75;
+  if (gl_FragCoord.y > 14.0) {
+    f = f + dot(v_s, vec3(q, gl_FragCoord.z));
+  }
+  gl_FragColor = fract(vec4(v_col.xyz * f + vec3(v_k), q.y) * 3.7);
+}
+)";
+  const char* point_fs = R"(
+precision mediump float;
+varying vec4 v_col;
+void main() {
+  gl_FragColor = vec4(gl_PointCoord, v_col.z, 1.0);
+}
+)";
+  // 69 vertices: two full 32-vertex batches and a tail of 5, as 23
+  // triangles of both windings fanned over the framebuffer.
+  constexpr int kVerts = 69;
+  std::vector<float> pos;
+  std::vector<std::uint8_t> col;
+  std::vector<std::int16_t> sv;
+  for (int v = 0; v < kVerts; ++v) {
+    const float t = static_cast<float>(v) / kVerts;
+    const int corner = v % 3;
+    const float r = corner == 0 ? 0.0f : 1.3f;
+    const float a = 6.2831853f * (t + (corner == 2 ? 0.04f : 0.0f)) *
+                    (v % 6 < 3 ? 1.0f : -1.0f);
+    pos.push_back(r * std::cos(a));
+    pos.push_back(r * std::sin(a));
+    for (int c = 0; c < 4; ++c) {
+      col.push_back(static_cast<std::uint8_t>((v * 37 + c * 71) % 256));
+    }
+    for (int c = 0; c < 3; ++c) {
+      sv.push_back(static_cast<std::int16_t>((v * 113 + c * 29) % 200 - 100));
+    }
+  }
+  const auto render = [&](ExecEngine engine, glsl::OpCounts* counts) {
+    ContextConfig cfg = SmallConfig(kW, kH);
+    cfg.exec_engine = engine;
+    cfg.shader_threads = 1;
+    glsl::ExactAlu alu;
+    Context ctx(cfg, &alu);
+    const GLuint p = BuildProgramOrDie(ctx, vs, fs);
+    ctx.UseProgram(p);
+    const auto attrib = [&](const char* name, GLint size, GLenum type,
+                            GLboolean norm, const void* data) {
+      const GLint loc = ctx.GetAttribLocation(p, name);
+      EXPECT_GE(loc, 0) << name;
+      ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+      ctx.VertexAttribPointer(static_cast<GLuint>(loc), size, type, norm, 0,
+                              data);
+    };
+    attrib("a_pos", 2, GL_FLOAT, GL_FALSE, pos.data());
+    attrib("a_col", 4, GL_UNSIGNED_BYTE, GL_TRUE, col.data());
+    attrib("a_s", 3, GL_SHORT, GL_FALSE, sv.data());
+    const GLint k = ctx.GetAttribLocation(p, "a_k");
+    EXPECT_GE(k, 0);
+    ctx.VertexAttrib4f(static_cast<GLuint>(k), 0.125f, 0.0f, 0.0f, 1.0f);
+    ctx.ClearColor(0.1f, 0.2f, 0.3f, 1.0f);
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    ctx.DrawArrays(GL_TRIANGLES, 0, kVerts - kVerts % 3);
+    const GLuint pp = BuildProgramOrDie(ctx, vs, point_fs);
+    ctx.UseProgram(pp);
+    attrib("a_pos", 2, GL_FLOAT, GL_FALSE, pos.data());
+    ctx.DrawArrays(GL_POINTS, 0, kVerts);
+    EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+    std::vector<std::uint8_t> px = ReadRgba(ctx, kW, kH);
+    *counts = alu.counts();
+    return px;
+  };
+  glsl::OpCounts scalar_counts;
+  glsl::OpCounts batched_counts;
+  const std::vector<std::uint8_t> want =
+      render(ExecEngine::kBytecodeVm, &scalar_counts);
+  const std::vector<std::uint8_t> got =
+      render(ExecEngine::kBatchedVm, &batched_counts);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(batched_counts.alu, scalar_counts.alu);
+  EXPECT_EQ(batched_counts.sfu, scalar_counts.sfu);
+  EXPECT_EQ(batched_counts.tmu, scalar_counts.tmu);
+  // The scene is not trivially uniform: both draws and the clear show.
+  std::size_t distinct = 0;
+  for (std::size_t i = 4; i < want.size(); i += 4) {
+    distinct += want[i] != want[i - 4] ? 1 : 0;
+  }
+  EXPECT_GT(distinct, 100u);
+}
+
 // Attribute fetches from a VBO must be validated against the buffer store
 // at draw time: a range that runs past the end fails the draw with
 // GL_INVALID_OPERATION instead of reading out-of-bounds heap memory. Both

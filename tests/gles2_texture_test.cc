@@ -226,6 +226,31 @@ TEST(TextureTest, WrapModes) {
                   t.Sample(0.75f, 0.5f, 0.0f)[0]);
 }
 
+TEST(TextureTest, NonFiniteAndHugeCoordinatesSampleTheIntMinTexel) {
+  // A shader can hand the sampler NaN, an infinity or a coordinate past the
+  // int range; each addresses texel INT_MIN before wrapping (defined, and
+  // what x86's truncating convert always gave), which every wrap mode of a
+  // 4-texel row maps to texel 0. The bilinear filter takes the same
+  // conversion; under -fsanitize=float-cast-overflow this test also checks
+  // that it stays defined.
+  const std::vector<std::uint8_t> px = {10,  0, 0, 255, 70,  0, 0, 255,
+                                       130, 0, 0, 255, 190, 0, 0, 255};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const GLenum wrap : {GL_CLAMP_TO_EDGE, GL_REPEAT, GL_MIRRORED_REPEAT}) {
+    Texture t = MakeRgba(4, 1, px);
+    ASSERT_EQ(t.SetParameter(GL_TEXTURE_WRAP_S, wrap), GL_NO_ERROR);
+    for (const float s : {nan, inf, -inf, 3e9f, -3e9f}) {
+      EXPECT_EQ(t.NearestTexelIndex(s, 0.5f), 0) << s;
+      EXPECT_EQ(t.Sample(s, 0.5f, 0.0f)[0], 10.0f / 255.0f) << s;
+    }
+    ASSERT_EQ(t.SetParameter(GL_TEXTURE_MAG_FILTER, GL_LINEAR), GL_NO_ERROR);
+    for (const float s : {nan, inf, -inf, 3e9f, -3e9f}) {
+      (void)t.Sample(s, 0.5f, 0.0f);
+    }
+  }
+}
+
 TEST(TextureTest, BilinearInterpolatesMidpoint) {
   std::vector<std::uint8_t> px = {0, 0, 0, 255, 200, 0, 0, 255};
   Texture t = MakeRgba(2, 1, px);

@@ -1,22 +1,27 @@
-// Bit-identity and op-count lockdown for the runtime-dispatched SIMD tier
-// of the batched VM (src/glsl/simd.h, evalcore.cc, builtins.cc).
+// Bit-identity and op-count lockdown for the batched VM's plane kernels
+// (src/glsl/lanes.inc, evalcore.cc, builtins.cc) at every SIMD tier
+// (src/glsl/simd.h).
 //
-// Three layers of assertion:
+// Four layers of assertion:
 //   1. AluModel::CountAlu(n) is exactly n individual Count(1) calls — the
-//      contract that lets SIMD kernels charge a whole instruction at once.
-//   2. Every Eval*BatchSimd kernel is bit-identical (cells AND counts) to
-//      its scalar SoA counterpart on adversarial inputs: NaN (quiet and
-//      signaling payloads), +/-0, +/-inf, denormals, sparse lane masks,
-//      stride-0 broadcast operands — at every SIMD level the host supports.
-//      The layer-2 differentials run under ExactAlu (identity rounding),
-//      under Vc4Alu(VideoCoreIV()) (denormal flush, on operands whose
-//      results land in the denormal range) and under Vc4Alu(Mali400())
-//      (reduced mantissa: the entries must fall back to the scalar kernel).
-//   3. A fixed vector-heavy fragment shader run through the real VM: the
-//      batched executor with SIMD forced on must reproduce the per-lane
-//      scalar VM's gl_FragColor bits and the summed per-lane op counts,
-//      under ExactAlu and the Vc4Alu profiles, and VmExec::simd_batches()
-//      shows which tier actually ran (VideoCore IV vectorizes, Mali-400
+//      contract that lets the kernels charge a whole instruction at once.
+//   2. Every plane kernel, at every tier the host supports, is
+//      bit-identical (cells AND counts) to the scalar engines' per-lane
+//      Eval*Into on adversarial inputs: NaN (quiet, negative and signaling
+//      payloads — every NaN an op produces is the canonical one), +/-0,
+//      +/-inf, denormals; batch tails 1, 7, 31 and 32 and sparse divergent
+//      masks, whose dead lanes must keep their cells; stride-0 shared
+//      operands; registers wider than 16 cells. The differentials run under
+//      ExactAlu (identity rounding), Vc4Alu(VideoCoreIV()) (denormal flush,
+//      on operands whose results land in the denormal range) and
+//      Vc4Alu(Mali400()) (reduced mantissa: the per-op virtual Round()).
+//   3. Per-lane references into planes read and write exactly what
+//      references into per-lane Values do.
+//   4. A fixed vector-heavy fragment shader run through the real VM: the
+//      batched executor at every tier must reproduce the per-lane scalar
+//      VM's gl_FragColor bits and the summed per-lane op counts, under
+//      ExactAlu and the Vc4Alu profiles, and VmExec::simd_batches() shows
+//      which tier actually ran (VideoCore IV vectorizes, Mali-400
 //      declines).
 #include <gtest/gtest.h>
 
@@ -46,19 +51,15 @@ namespace {
 std::uint32_t Bits(float f) { return std::bit_cast<std::uint32_t>(f); }
 float FromBits(std::uint32_t u) { return std::bit_cast<float>(u); }
 
-// Two adversarial float pools, both with specials first so every lane sees
+// Adversarial float pools, each with specials first so every lane sees
 // several, then a spread of ordinary magnitudes. Indexed modularly by
 // (lane, component).
 //
-// kPoolArith has NO NaN inputs: when BOTH operands of a commutative op are
-// NaNs with different bit patterns, which payload propagates depends on the
-// operand order the compiler picked for the scalar instruction (GCC freely
-// swaps addss/mulss operands), so bit-identity between the scalar and SIMD
-// compilations of the same kernel is not achievable — and not part of the
-// contract. NaNs *generated* inside a chain are safe: every SSE invalid
-// operation produces the same indefinite pattern (0xffc00000), so any two
-// NaNs that meet carry identical bits and either choice yields the same
-// result. Infinities and zeros in this pool exercise exactly that.
+// kPoolArith has no NaN inputs, so chains of ordinary values and infinities
+// dominate; kPoolNaN adds distinct NaN payloads (quiet, negative,
+// signaling). Since every rounded op returns the one canonical NaN, two
+// NaNs meeting in a commutative op yield the same bits whichever payload
+// the hardware would propagate, so kPoolNaN feeds every op.
 const float kPoolArith[] = {
     FromBits(0x7f800000u),        // +inf
     FromBits(0xff800000u),        // -inf
@@ -69,9 +70,6 @@ const float kPoolArith[] = {
     1.0f,    -1.0f,   0.5f,   -0.5f,  1.5f,    -2.75f,  3.25f,
     1e-20f,  -1e20f,  123.456f, -0.0625f, 7.0f, -7.5f,  0.999f, 1.001f,
 };
-// kPoolNaN adds distinct NaN payloads (quiet, negative, signaling) for the
-// ops whose NaN handling is order-insensitive: bitwise sign ops, compare/
-// blend min/max/step, the rounding family, and plain component gathers.
 const float kPoolNaN[] = {
     FromBits(0x7fc00000u),        // quiet NaN
     FromBits(0xffc00001u),        // negative quiet NaN, nonzero payload
@@ -88,9 +86,8 @@ const float kPoolNaN[] = {
 
 // kPoolTiny drives results into the denormal range, where the VideoCore IV
 // model flushes: tiny x tiny products (1e-20 * 1e-20 = 1e-40), FLT_MIN
-// minus its neighbour, negated denormals, +/-0, inf and NaN. Its one NaN is
-// the pattern SSE generates for invalid operations (0xffc00000), so every
-// NaN that meets another in a chain carries identical bits (see kPoolArith).
+// minus its neighbour, negated denormals, +/-0, inf and NaN (the pattern SSE
+// generates for invalid operations, 0xffc00000).
 const float kPoolTiny[] = {
     std::numeric_limits<float>::min(),  // FLT_MIN
     FromBits(0x00800001u),              // FLT_MIN's upper neighbour
@@ -109,45 +106,79 @@ float PoolAt(std::span<const float> pool, int lane, int comp, int salt) {
               pool.size()];
 }
 
-// Builds a per-lane plane (stride 1) of `t`-typed values filled from the
-// pool. `salt` decorrelates planes so binary ops see mixed special pairs.
-std::vector<Value> MakePlane(BaseType t, int salt,
-                             std::span<const float> pool) {
-  std::vector<Value> plane;
-  plane.reserve(kVmLanes);
-  for (int l = 0; l < kVmLanes; ++l) {
-    Value v{MakeType(t)};
-    for (int k = 0; k < v.count(); ++k) v.SetF(k, PoolAt(pool, l, k, salt));
-    plane.push_back(v);
+// A lane-major plane of `t`-typed values: cell k of lane l at
+// cells[k * kVmLanes + l], as the batched VM stores registers.
+struct Plane {
+  Type type;
+  std::vector<Cell> cells;
+
+  explicit Plane(Type t)
+      : type(t),
+        cells(static_cast<std::size_t>(t.CellCount()) * kVmLanes) {}
+  [[nodiscard]] BatchSrc Src() const {
+    return {cells.data(), type, kVmLanes, 1};
   }
-  return plane;
+  [[nodiscard]] BatchDst Dst() { return {cells.data(), type, kVmLanes, 1}; }
+  [[nodiscard]] Cell& At(int k, int l) {
+    return cells[static_cast<std::size_t>(k * kVmLanes + l)];
+  }
+  [[nodiscard]] const Cell& At(int k, int l) const {
+    return cells[static_cast<std::size_t>(k * kVmLanes + l)];
+  }
+  // Lane l as a Value, the scalar engines' storage.
+  [[nodiscard]] Value Lane(int l) const {
+    Value v(type);
+    for (int k = 0; k < v.count(); ++k) v.data()[k] = At(k, l);
+    return v;
+  }
+};
+
+// A plane filled from `pool` (float cells) or with small ints (int/bool
+// cells); `salt` decorrelates planes so binary ops see mixed special pairs.
+Plane MakePlane(Type t, int salt, std::span<const float> pool) {
+  Plane p(t);
+  const bool is_float = ScalarOf(t.base) == BaseType::kFloat;
+  for (int l = 0; l < kVmLanes; ++l) {
+    for (int k = 0; k < t.CellCount(); ++k) {
+      if (is_float) {
+        p.At(k, l).f = PoolAt(pool, l, k, salt);
+      } else {
+        const int v = (l * 7 + k * 3 + salt) % 11 - 5;
+        p.At(k, l).i = ScalarOf(t.base) == BaseType::kBool ? (v > 0) : v;
+      }
+    }
+  }
+  return p;
+}
+Plane MakePlane(BaseType t, int salt, std::span<const float> pool) {
+  return MakePlane(MakeType(t), salt, pool);
 }
 
 // Plane `which` (0, 1, 2) of a cross product over `pool`: cell c of the
-// flattened plane (lane-major) holds pool[(c / P^which) % P], so planes 0
-// and 1 together pair every pool value with every other one once the plane
-// has P^2 cells (vec4 x 32 lanes covers a 11-value pool, mat3 a 16-value
-// one).
-std::vector<Value> MakeCrossPlane(BaseType t, int which,
-                                  std::span<const float> pool) {
+// flattened plane holds pool[(c / P^which) % P], so planes 0 and 1 together
+// pair every pool value with every other one once the plane has P^2 cells.
+Plane MakeCrossPlane(BaseType t, int which, std::span<const float> pool) {
   const std::size_t p = pool.size();
   std::size_t div = 1;
   for (int i = 0; i < which; ++i) div *= p;
-  std::vector<Value> plane;
-  plane.reserve(kVmLanes);
+  Plane plane{MakeType(t)};
+  const int count = plane.type.CellCount();
   for (int l = 0; l < kVmLanes; ++l) {
-    Value v{MakeType(t)};
-    for (int k = 0; k < v.count(); ++k) {
-      const std::size_t c = static_cast<std::size_t>(l * v.count() + k);
-      v.SetF(k, pool[(c / div) % p]);
+    for (int k = 0; k < count; ++k) {
+      const std::size_t c = static_cast<std::size_t>(l * count + k);
+      plane.At(k, l).f = pool[(c / div) % p];
     }
-    plane.push_back(v);
   }
   return plane;
 }
 
-std::vector<Value> MakeDstPlane(Type t) {
-  return std::vector<Value>(static_cast<std::size_t>(kVmLanes), Value{t});
+// Destination planes start as a sentinel pattern, so a kernel that writes a
+// dead lane shows up.
+constexpr std::uint32_t kSentinel = 0xdeadbeefu;
+Plane SentinelPlane(Type t) {
+  Plane p(t);
+  for (Cell& c : p.cells) c.i = static_cast<std::int32_t>(kSentinel);
+  return p;
 }
 
 void ExpectCountsEq(const OpCounts& a, const OpCounts& b, const char* what) {
@@ -158,14 +189,22 @@ void ExpectCountsEq(const OpCounts& a, const OpCounts& b, const char* what) {
   EXPECT_EQ(a.tmu_miss, b.tmu_miss) << what << " (tmu_miss)";
 }
 
-void ExpectPlanesBitEq(const std::vector<Value>& a,
-                       const std::vector<Value>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t l = 0; l < a.size(); ++l) {
-    ASSERT_EQ(a[l].count(), b[l].count()) << "lane " << l;
-    for (int k = 0; k < a[l].count(); ++k) {
-      EXPECT_EQ(Bits(a[l].F(k)), Bits(b[l].F(k)))
-          << "lane " << l << " comp " << k;
+// `got` must hold want[l]'s cells in every live lane of `mask` and the
+// sentinel in every other lane.
+void ExpectLanes(const Plane& got, const std::vector<Value>& want,
+                 std::uint32_t mask) {
+  for (int l = 0; l < kVmLanes; ++l) {
+    const bool live = ((mask >> l) & 1u) != 0;
+    for (int k = 0; k < got.type.CellCount(); ++k) {
+      const std::uint32_t bits =
+          static_cast<std::uint32_t>(got.At(k, l).i);
+      if (live) {
+        ASSERT_EQ(bits, static_cast<std::uint32_t>(
+                            want[static_cast<std::size_t>(l)].data()[k].i))
+            << "lane " << l << " cell " << k;
+      } else {
+        ASSERT_EQ(bits, kSentinel) << "dead lane " << l << " cell " << k;
+      }
     }
   }
 }
@@ -180,8 +219,11 @@ std::vector<simd::Level> HostLevels() {
   return ls;
 }
 
-const std::uint32_t kMasks[] = {0xffffffffu, 0x00000001u, 0x80000001u,
-                                0x55555555u, 0x0000fff0u};
+// Live-lane masks: batch tails 32, 1, 7 and 31, then sparse divergent
+// groups (both ends only, alternating, a middle run, one high lane).
+const std::uint32_t kMasks[] = {0xffffffffu, 0x00000001u, 0x0000007fu,
+                                0x7fffffffu, 0x80000001u, 0x55555555u,
+                                0x0000fff0u, 0x00010000u};
 
 // The ALU a kernel differential runs under: one rounding mode each.
 enum class Model { kExact, kVideoCore, kMali };
@@ -208,18 +250,44 @@ const char* ModelName(Model m) {
   }
 }
 
-// Operand planes for one differential: drawn from `pool` with the
-// decorrelating salts the ExactAlu tests use, or, with `cross`, as cross
-// product planes that pair every pool value with every other (plane index
-// = operand position).
+// Operand planes for one differential: drawn from `pool` with
+// decorrelating salts, or, with `cross`, as cross product planes that pair
+// every pool value with every other (plane index = operand position).
 struct PlaneSource {
   std::span<const float> pool;
   bool cross = false;
 
-  std::vector<Value> Make(BaseType t, int operand, int salt) const {
-    return cross ? MakeCrossPlane(t, operand, pool) : MakePlane(t, salt, pool);
+  Plane Make(BaseType t, int operand, int salt) const {
+    return cross && ScalarOf(t) == BaseType::kFloat
+               ? MakeCrossPlane(t, operand, pool)
+               : MakePlane(t, salt, pool);
   }
 };
+
+// Runs `kernel(alu, dst, mask, level)` on a sentinel plane at every tier and
+// mask, and `oracle(alu, lane, out)` per live lane on Values; cells and op
+// counts must match.
+template <typename Kernel, typename Oracle>
+void Differential(Model model, Type out_t, Kernel kernel, Oracle oracle) {
+  for (simd::Level level : HostLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    for (std::uint32_t mask : kMasks) {
+      SCOPED_TRACE(mask);
+      const auto alu_want = MakeAlu(model);
+      const auto alu_got = MakeAlu(model);
+      std::vector<Value> want(kVmLanes, Value(out_t));
+      for (int l = 0; l < kVmLanes; ++l) {
+        if (((mask >> l) & 1u) != 0) {
+          oracle(*alu_want, l, want[static_cast<std::size_t>(l)]);
+        }
+      }
+      Plane got = SentinelPlane(out_t);
+      kernel(*alu_got, got.Dst(), mask, level);
+      ExpectLanes(got, want, mask);
+      ExpectCountsEq(alu_want->counts(), alu_got->counts(), "kernel");
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 
@@ -243,74 +311,144 @@ TEST(SimdLevel, ResolveClampsAndNames) {
   EXPECT_STREQ(simd::LevelName(simd::Level::kAvx2), "avx2");
 }
 
+// The NaN rule: every rounded op yields the one canonical NaN, whatever
+// NaNs went in and in which order.
+TEST(NanRule, RoundingCanonicalizesEveryNan) {
+  const float nans[] = {FromBits(0x7fc00000u), FromBits(0xffc00000u),
+                        FromBits(0xffc00001u), FromBits(0x7f800001u)};
+  for (Model model : {Model::kExact, Model::kVideoCore, Model::kMali}) {
+    SCOPED_TRACE(ModelName(model));
+    const auto alu = MakeAlu(model);
+    for (float a : nans) {
+      for (float b : nans) {
+        EXPECT_EQ(Bits(alu->Add(a, b)), kCanonicalNanBits);
+        EXPECT_EQ(Bits(alu->Mul(b, a)), kCanonicalNanBits);
+        EXPECT_EQ(Bits(alu->Sub(a, 1.0f)), kCanonicalNanBits);
+      }
+      EXPECT_EQ(Bits(alu->RoundResult(-a)), kCanonicalNanBits);
+    }
+    EXPECT_EQ(Bits(alu->RecipSqrt(-4.0f)), kCanonicalNanBits);
+    EXPECT_EQ(Bits(alu->Log2(-1.0f)), kCanonicalNanBits);
+    EXPECT_EQ(Bits(alu->Sqrt(-2.0f)), kCanonicalNanBits);
+  }
+}
+
+// int() of NaN and out-of-range floats is defined: saturate, NaN -> 0.
+TEST(NanRule, FloatToIntSaturates) {
+  EXPECT_EQ(FloatToIntSat(FromBits(0x7fc00000u)), 0);
+  EXPECT_EQ(FloatToIntSat(FromBits(0xffc00001u)), 0);
+  EXPECT_EQ(FloatToIntSat(1e10f), 2147483647);
+  EXPECT_EQ(FloatToIntSat(-1e10f), -2147483647 - 1);
+  EXPECT_EQ(FloatToIntSat(FromBits(0x7f800000u)), 2147483647);
+  EXPECT_EQ(FloatToIntSat(2147483648.0f), 2147483647);
+  EXPECT_EQ(FloatToIntSat(-2147483648.0f), -2147483647 - 1);
+  EXPECT_EQ(FloatToIntSat(-7.9f), -7);
+  EXPECT_EQ(FloatToIntSat(123456.5f), 123456);
+  // The plane ctor kernel converts the same way at every tier.
+  Plane f = MakePlane(BaseType::kFloat, 0, kPoolNaN);
+  f.At(0, 0).f = 1e10f;
+  f.At(0, 1).f = -3e9f;
+  Differential(
+      Model::kExact, MakeType(BaseType::kIVec2),
+      [&](AluModel& alu, BatchDst d, std::uint32_t mask, simd::Level level) {
+        const BatchSrc args[] = {f.Src(), f.Src()};
+        EvalCtorBatch(alu, args, d, mask, level);
+      },
+      [&](AluModel& alu, int l, Value& out) {
+        const Value a = f.Lane(l);
+        const Value* args[] = {&a, &a};
+        EvalCtorInto(alu, args, out);
+      });
+}
+
 void ArithDifferential(Model model, PlaneSource src) {
   SCOPED_TRACE(ModelName(model));
   const BinOp ops[] = {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv,
-                       BinOp::kLt, BinOp::kGe};
-  const BaseType shapes[] = {BaseType::kVec2, BaseType::kVec3, BaseType::kVec4,
-                             BaseType::kMat3};
-  for (simd::Level level : HostLevels()) {
-    SCOPED_TRACE(simd::LevelName(level));
-    for (BaseType shape : shapes) {
-      for (BinOp op : ops) {
-        SCOPED_TRACE(static_cast<int>(op));
-        const bool cmp = op == BinOp::kLt || op == BinOp::kGe;
-        if (cmp && MakeType(shape).CellCount() > 1) continue;  // scalar-only op
-        const std::vector<Value> l = src.Make(shape, 0, 0);
-        const std::vector<Value> r = src.Make(shape, 1, 7);
-        // Scalar rhs broadcast variant too (vec OP float).
-        const std::vector<Value> rs = src.Make(BaseType::kFloat, 1, 11);
-        const Type out_t = cmp ? MakeType(BaseType::kBool) : MakeType(shape);
-        for (std::uint32_t mask : kMasks) {
-          for (int broadcast = 0; broadcast < (cmp ? 1 : 3); ++broadcast) {
-            // broadcast: 0 = vec OP vec, 1 = vec OP scalar(plane),
-            //            2 = vec OP scalar(stride-0 shared constant).
-            const BatchSrc lb{l.data(), 1};
-            const BatchSrc rb = broadcast == 0 ? BatchSrc{r.data(), 1}
-                                : broadcast == 1
-                                    ? BatchSrc{rs.data(), 1}
-                                    : BatchSrc{rs.data(), 0};
-            std::vector<Value> want = MakeDstPlane(out_t);
-            std::vector<Value> got = MakeDstPlane(out_t);
-            const auto alu_want = MakeAlu(model);
-            const auto alu_got = MakeAlu(model);
-            EvalArithBatch(*alu_want, op, lb, rb, BatchDst{want.data(), 1},
-                           mask);
-            EvalArithBatchSimd(*alu_got, op, lb, rb, BatchDst{got.data(), 1},
-                               mask, level);
-            ExpectPlanesBitEq(want, got);
-            ExpectCountsEq(alu_want->counts(), alu_got->counts(), "arith");
-          }
-        }
+                       BinOp::kLt,  BinOp::kGe,  BinOp::kEq,  BinOp::kNe};
+  const BaseType shapes[] = {BaseType::kFloat, BaseType::kVec2,
+                             BaseType::kVec3,  BaseType::kVec4,
+                             BaseType::kMat3,  BaseType::kIVec3,
+                             BaseType::kInt};
+  for (BaseType shape : shapes) {
+    for (BinOp op : ops) {
+      SCOPED_TRACE(static_cast<int>(op));
+      const bool rel = op == BinOp::kLt || op == BinOp::kGe;
+      const bool eq = op == BinOp::kEq || op == BinOp::kNe;
+      if (rel && MakeType(shape).CellCount() > 1) continue;  // scalar-only
+      const Plane l = src.Make(shape, 0, 0);
+      const Plane r = src.Make(shape, 1, 7);
+      // Scalar broadcast variants too (vec OP float), from a plane and
+      // from a shared (stride-0) constant.
+      const BaseType scalar = ScalarOf(shape);
+      const Plane rs = src.Make(scalar, 1, 11);
+      const Value shared = rs.Lane(3);
+      const Type out_t = rel || eq ? MakeType(BaseType::kBool)
+                                   : MakeType(shape);
+      const int variants = rel || eq || shape == scalar ? 1 : 3;
+      for (int broadcast = 0; broadcast < variants; ++broadcast) {
+        SCOPED_TRACE(broadcast);
+        const BatchSrc rb = broadcast == 0   ? r.Src()
+                            : broadcast == 1 ? rs.Src()
+                                             : BatchSrc::Of(shared);
+        Differential(
+            model, out_t,
+            [&](AluModel& alu, BatchDst d, std::uint32_t mask,
+                simd::Level level) {
+              EvalArithBatch(alu, op, l.Src(), rb, d, mask, level);
+            },
+            [&](AluModel& alu, int lane, Value& out) {
+              const Value b = broadcast == 0   ? r.Lane(lane)
+                              : broadcast == 1 ? rs.Lane(lane)
+                                               : shared;
+              EvalArithInto(alu, op, l.Lane(lane), b, out);
+            });
       }
     }
   }
 }
 
 TEST(SimdKernels, ArithBitIdentical) {
+  // NaN inputs included: with every rounded NaN canonical, which operand's
+  // payload an op would propagate no longer matters.
+  ArithDifferential(Model::kExact, {kPoolNaN});
   ArithDifferential(Model::kExact, {kPoolArith});
+}
+
+// mat * mat, mat * vec and vec * mat replay the scalar accumulation per
+// lane through the lane-slice gather/scatter.
+TEST(SimdKernels, LinearAlgebraReplaysPerLane) {
+  const struct {
+    BaseType l, r, out;
+  } cases[] = {{BaseType::kMat4, BaseType::kMat4, BaseType::kMat4},
+               {BaseType::kMat3, BaseType::kVec3, BaseType::kVec3},
+               {BaseType::kVec2, BaseType::kMat2, BaseType::kVec2}};
+  for (const auto& c : cases) {
+    const Plane l = MakePlane(c.l, 1, kPoolArith);
+    const Plane r = MakePlane(c.r, 5, kPoolArith);
+    Differential(
+        Model::kVideoCore, MakeType(c.out),
+        [&](AluModel& alu, BatchDst d, std::uint32_t mask, simd::Level level) {
+          EvalArithBatch(alu, BinOp::kMul, l.Src(), r.Src(), d, mask, level);
+        },
+        [&](AluModel& alu, int lane, Value& out) {
+          EvalArithInto(alu, BinOp::kMul, l.Lane(lane), r.Lane(lane), out);
+        });
+  }
 }
 
 void NegDifferential(Model model, PlaneSource src) {
   SCOPED_TRACE(ModelName(model));
-  for (simd::Level level : HostLevels()) {
-    SCOPED_TRACE(simd::LevelName(level));
-    for (BaseType shape : {BaseType::kFloat, BaseType::kVec4, BaseType::kMat4,
-                           BaseType::kIVec3}) {
-      const std::vector<Value> v = src.Make(shape, 0, 3);
-      for (std::uint32_t mask : kMasks) {
-        std::vector<Value> want = MakeDstPlane(MakeType(shape));
-        std::vector<Value> got = MakeDstPlane(MakeType(shape));
-        const auto alu_want = MakeAlu(model);
-        const auto alu_got = MakeAlu(model);
-        EvalNegBatch(*alu_want, BatchSrc{v.data(), 1},
-                     BatchDst{want.data(), 1}, mask);
-        EvalNegBatchSimd(*alu_got, BatchSrc{v.data(), 1},
-                         BatchDst{got.data(), 1}, mask, level);
-        ExpectPlanesBitEq(want, got);
-        ExpectCountsEq(alu_want->counts(), alu_got->counts(), "neg");
-      }
-    }
+  for (BaseType shape : {BaseType::kFloat, BaseType::kVec4, BaseType::kMat4,
+                         BaseType::kIVec3}) {
+    const Plane v = src.Make(shape, 0, 3);
+    Differential(
+        model, MakeType(shape),
+        [&](AluModel& alu, BatchDst d, std::uint32_t mask, simd::Level level) {
+          EvalNegBatch(alu, v.Src(), d, mask, level);
+        },
+        [&](AluModel& alu, int l, Value& out) {
+          EvalNegInto(alu, v.Lane(l), out);
+        });
   }
 }
 
@@ -320,40 +458,50 @@ TEST(SimdKernels, NegBitIdentical) {
 
 void CtorDifferential(Model model, PlaneSource src) {
   SCOPED_TRACE(ModelName(model));
-  for (simd::Level level : HostLevels()) {
-    SCOPED_TRACE(simd::LevelName(level));
-    const std::vector<Value> f0 = src.Make(BaseType::kFloat, 0, 1);
-    const std::vector<Value> f1 = src.Make(BaseType::kFloat, 1, 9);
-    const std::vector<Value> v2 = src.Make(BaseType::kVec2, 2, 4);
-    const std::vector<Value> v3 = src.Make(BaseType::kVec3, 1, 6);
-    const std::vector<Value> i1 = src.Make(BaseType::kInt, 2, 2);
-
-    struct Case {
-      BaseType out;
-      std::vector<BatchSrc> args;
-    };
-    const Case cases[] = {
-        {BaseType::kVec4, {{f0.data(), 1}}},                    // splat
-        {BaseType::kVec4, {{v2.data(), 1}, {f0.data(), 1}, {f1.data(), 1}}},
-        {BaseType::kVec3, {{f0.data(), 1}, {v2.data(), 1}}},
-        {BaseType::kVec2, {{f0.data(), 0}, {f1.data(), 1}}},    // shared arg
-        {BaseType::kVec4, {{v3.data(), 1}, {f0.data(), 1}}},
-        {BaseType::kVec3, {{i1.data(), 1}, {f0.data(), 1}, {f1.data(), 1}}},
-        {BaseType::kFloat, {{v3.data(), 1}}},                   // truncate
-    };
-    for (const Case& c : cases) {
-      for (std::uint32_t mask : kMasks) {
-        std::vector<Value> want = MakeDstPlane(MakeType(c.out));
-        std::vector<Value> got = MakeDstPlane(MakeType(c.out));
-        const auto alu_want = MakeAlu(model);
-        const auto alu_got = MakeAlu(model);
-        EvalCtorBatch(*alu_want, c.args, BatchDst{want.data(), 1}, mask);
-        EvalCtorBatchSimd(*alu_got, c.args, BatchDst{got.data(), 1}, mask,
-                          level);
-        ExpectPlanesBitEq(want, got);
-        ExpectCountsEq(alu_want->counts(), alu_got->counts(), "ctor");
-      }
-    }
+  const Plane f0 = src.Make(BaseType::kFloat, 0, 1);
+  const Plane f1 = src.Make(BaseType::kFloat, 1, 9);
+  const Plane v2 = src.Make(BaseType::kVec2, 2, 4);
+  const Plane v3 = src.Make(BaseType::kVec3, 1, 6);
+  const Plane i1 = src.Make(BaseType::kInt, 2, 2);
+  const Plane b2 = src.Make(BaseType::kBVec2, 2, 5);
+  const Value shared = f1.Lane(5);
+  struct Case {
+    BaseType out;
+    std::vector<BatchSrc> args;
+  };
+  const Case cases[] = {
+      {BaseType::kVec4, {f0.Src()}},                      // splat
+      {BaseType::kIVec3, {f0.Src()}},                     // converting splat
+      {BaseType::kVec4, {v2.Src(), f0.Src(), f1.Src()}},  // gather
+      {BaseType::kVec3, {f0.Src(), v2.Src()}},
+      {BaseType::kVec2, {BatchSrc::Of(shared), f1.Src()}},  // shared arg
+      {BaseType::kVec4, {v3.Src(), f0.Src()}},
+      {BaseType::kVec3, {i1.Src(), f0.Src(), f1.Src()}},  // mixed
+      {BaseType::kBVec4, {v2.Src(), i1.Src(), b2.Src()}},
+      {BaseType::kIVec2, {b2.Src()}},
+      {BaseType::kFloat, {v3.Src()}},  // truncate
+      {BaseType::kInt, {f1.Src()}},
+      {BaseType::kMat2, {v2.Src(), f0.Src(), f1.Src()}},  // per-lane replay
+      {BaseType::kMat3, {f0.Src()}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.out));
+    Differential(
+        model, MakeType(c.out),
+        [&](AluModel& alu, BatchDst d, std::uint32_t mask, simd::Level level) {
+          EvalCtorBatch(alu, c.args, d, mask, level);
+        },
+        [&](AluModel& alu, int l, Value& out) {
+          std::vector<Value> vals;
+          for (const BatchSrc& a : c.args) {
+            Value v(a.type);
+            GatherLane(a, l, v);
+            vals.push_back(v);
+          }
+          std::vector<const Value*> ptrs;
+          for (const Value& v : vals) ptrs.push_back(&v);
+          EvalCtorInto(alu, ptrs, out);
+        });
   }
 }
 
@@ -362,7 +510,7 @@ TEST(SimdKernels, CtorBitIdentical) {
 }
 
 // `nan_pool` feeds the ops that only compare/blend/round/copy NaNs, `pool`
-// the arithmetic chains (see the pool comments above).
+// the arithmetic chains.
 void BuiltinsDifferential(Model model, PlaneSource nan_pool,
                           PlaneSource pool) {
   SCOPED_TRACE(ModelName(model));
@@ -371,84 +519,202 @@ void BuiltinsDifferential(Model model, PlaneSource nan_pool,
     Builtin b;
     BaseType result;
     std::vector<BaseType> args;
-    // Ops that only compare/blend/round/copy NaNs (never feed two distinct
-    // input NaNs through a commutative arith instruction) get the
-    // NaN-payload pool; arithmetic chains get the NaN-free pool (see the
-    // pool comments above).
     bool nan_inputs = true;
   };
   const Case cases[] = {
       {Builtin::kAbs, BaseType::kVec4, {BaseType::kVec4}},
+      {Builtin::kAbs, BaseType::kFloat, {BaseType::kFloat}},
+      {Builtin::kSign, BaseType::kVec3, {BaseType::kVec3}},
       {Builtin::kFloor, BaseType::kVec4, {BaseType::kVec4}},
+      {Builtin::kFloor, BaseType::kFloat, {BaseType::kFloat}},
       {Builtin::kCeil, BaseType::kVec3, {BaseType::kVec3}},
       {Builtin::kFract, BaseType::kVec4, {BaseType::kVec4}},
+      {Builtin::kFract, BaseType::kFloat, {BaseType::kFloat}},
+      {Builtin::kRadians, BaseType::kVec2, {BaseType::kVec2}},
+      {Builtin::kDegrees, BaseType::kFloat, {BaseType::kFloat}},
       {Builtin::kMin, BaseType::kVec4, {BaseType::kVec4, BaseType::kVec4}},
       {Builtin::kMin, BaseType::kVec4, {BaseType::kVec4, BaseType::kFloat}},
       {Builtin::kMax, BaseType::kVec4, {BaseType::kVec4, BaseType::kVec4}},
+      {Builtin::kMax, BaseType::kFloat, {BaseType::kFloat, BaseType::kFloat}},
       {Builtin::kMax, BaseType::kVec3, {BaseType::kVec3, BaseType::kFloat}},
       {Builtin::kClamp, BaseType::kVec4,
        {BaseType::kVec4, BaseType::kVec4, BaseType::kVec4}},
+      {Builtin::kClamp, BaseType::kFloat,
+       {BaseType::kFloat, BaseType::kFloat, BaseType::kFloat}},
       {Builtin::kClamp, BaseType::kVec4,
        {BaseType::kVec4, BaseType::kFloat, BaseType::kFloat}},
       {Builtin::kMix, BaseType::kVec4,
-       {BaseType::kVec4, BaseType::kVec4, BaseType::kVec4}, false},
+       {BaseType::kVec4, BaseType::kVec4, BaseType::kVec4}},
       {Builtin::kMix, BaseType::kVec3,
-       {BaseType::kVec3, BaseType::kVec3, BaseType::kFloat}, false},
+       {BaseType::kVec3, BaseType::kVec3, BaseType::kFloat}},
+      {Builtin::kMix, BaseType::kFloat,
+       {BaseType::kFloat, BaseType::kFloat, BaseType::kFloat}},
       {Builtin::kStep, BaseType::kVec4, {BaseType::kVec4, BaseType::kVec4}},
       {Builtin::kStep, BaseType::kVec4, {BaseType::kFloat, BaseType::kVec4}},
-      {Builtin::kDot, BaseType::kFloat,
-       {BaseType::kVec4, BaseType::kVec4}, false},
-      {Builtin::kDot, BaseType::kFloat,
-       {BaseType::kVec3, BaseType::kVec3}, false},
-      {Builtin::kNormalize, BaseType::kVec3, {BaseType::kVec3}, false},
-      {Builtin::kNormalize, BaseType::kVec4, {BaseType::kVec4}, false},
+      {Builtin::kStep, BaseType::kFloat, {BaseType::kFloat, BaseType::kFloat}},
+      {Builtin::kDot, BaseType::kFloat, {BaseType::kVec4, BaseType::kVec4}},
+      {Builtin::kDot, BaseType::kFloat, {BaseType::kFloat, BaseType::kFloat}},
+      {Builtin::kLength, BaseType::kFloat, {BaseType::kVec3}},
+      {Builtin::kDistance, BaseType::kFloat,
+       {BaseType::kVec2, BaseType::kVec2}},
+      {Builtin::kNormalize, BaseType::kVec3, {BaseType::kVec3}},
+      {Builtin::kNormalize, BaseType::kFloat, {BaseType::kFloat}},
+      {Builtin::kCross, BaseType::kVec3, {BaseType::kVec3, BaseType::kVec3}},
+      {Builtin::kReflect, BaseType::kVec3, {BaseType::kVec3, BaseType::kVec3}},
+      {Builtin::kFaceforward, BaseType::kVec2,
+       {BaseType::kVec2, BaseType::kVec2, BaseType::kVec2}},
+      {Builtin::kRefract, BaseType::kVec3,
+       {BaseType::kVec3, BaseType::kVec3, BaseType::kFloat}},
+      {Builtin::kSmoothstep, BaseType::kVec2,
+       {BaseType::kFloat, BaseType::kFloat, BaseType::kVec2}},
+      {Builtin::kMod, BaseType::kVec3, {BaseType::kVec3, BaseType::kFloat}},
+      {Builtin::kPow, BaseType::kFloat, {BaseType::kFloat, BaseType::kFloat}},
+      {Builtin::kInverseSqrt, BaseType::kVec2, {BaseType::kVec2}},
       {Builtin::kMatrixCompMult, BaseType::kMat3,
-       {BaseType::kMat3, BaseType::kMat3}, false},
+       {BaseType::kMat3, BaseType::kMat3}},
+      {Builtin::kLessThan, BaseType::kBVec4, {BaseType::kVec4, BaseType::kVec4}},
+      {Builtin::kGreaterThanEqual, BaseType::kBVec3,
+       {BaseType::kIVec3, BaseType::kIVec3}},
+      {Builtin::kEqual, BaseType::kBVec2, {BaseType::kVec2, BaseType::kVec2}},
+      {Builtin::kNotEqual, BaseType::kBVec2,
+       {BaseType::kBVec2, BaseType::kBVec2}},
+      {Builtin::kAny, BaseType::kBool, {BaseType::kBVec3}},
+      {Builtin::kNot, BaseType::kBVec4, {BaseType::kBVec4}},
   };
-  for (simd::Level level : HostLevels()) {
-    SCOPED_TRACE(simd::LevelName(level));
-    for (const Case& c : cases) {
-      SCOPED_TRACE(static_cast<int>(c.b));
-      EXPECT_TRUE(IsSimdBuiltin(c.b));
-      std::vector<std::vector<Value>> arg_planes;
-      std::vector<BatchSrc> args;
-      int salt = 0;
-      for (BaseType at : c.args) {
-        const int operand = static_cast<int>(arg_planes.size());
-        arg_planes.push_back(
-            (c.nan_inputs ? nan_pool : pool).Make(at, operand, salt));
-        salt += 13;
-      }
-      for (const auto& p : arg_planes) args.push_back(BatchSrc{p.data(), 1});
-      for (std::uint32_t mask : kMasks) {
-        std::vector<Value> want = MakeDstPlane(MakeType(c.result));
-        std::vector<Value> got = MakeDstPlane(MakeType(c.result));
-        const auto alu_want = MakeAlu(model);
-        const auto alu_got = MakeAlu(model);
-        EvalBuiltinBatch(c.b, MakeType(c.result), args, *alu_want, no_tex,
-                         BatchDst{want.data(), 1}, mask);
-        EvalBuiltinBatchSimd(c.b, MakeType(c.result), args, *alu_got, no_tex,
-                             BatchDst{got.data(), 1}, mask, level);
-        ExpectPlanesBitEq(want, got);
-        ExpectCountsEq(alu_want->counts(), alu_got->counts(), "builtin");
-      }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.b));
+    std::vector<Plane> planes;
+    int salt = 0;
+    for (BaseType at : c.args) {
+      const int operand = static_cast<int>(planes.size());
+      planes.push_back((c.nan_inputs ? nan_pool : pool).Make(at, operand, salt));
+      salt += 13;
     }
+    std::vector<BatchSrc> args;
+    for (const Plane& p : planes) args.push_back(p.Src());
+    Differential(
+        model, MakeType(c.result),
+        [&](AluModel& alu, BatchDst d, std::uint32_t mask, simd::Level level) {
+          EvalBuiltinBatch(c.b, MakeType(c.result), args, alu, no_tex, d,
+                           mask, level);
+        },
+        [&](AluModel& alu, int l, Value& out) {
+          std::vector<Value> vals;
+          for (const Plane& p : planes) vals.push_back(p.Lane(l));
+          std::vector<const Value*> ptrs;
+          for (const Value& v : vals) ptrs.push_back(&v);
+          EvalBuiltinInto(c.b, MakeType(c.result), ptrs, alu, no_tex, out);
+        });
   }
 }
 
 TEST(SimdKernels, BuiltinsBitIdentical) {
+  BuiltinsDifferential(Model::kExact, {kPoolNaN}, {kPoolNaN});
   BuiltinsDifferential(Model::kExact, {kPoolNaN}, {kPoolArith});
 }
 
+// Registers wider than 16 cells (arrays, mat4 arrays) move, zero and index
+// as whole planes at every tier.
+TEST(SimdKernels, WideRegistersMoveAndIndex) {
+  const Type wide[] = {Type{BaseType::kFloat, 20}, Type{BaseType::kVec4, 5},
+                       Type{BaseType::kMat4, 2}};
+  for (const Type& t : wide) {
+    SCOPED_TRACE(t.ToString());
+    const Plane src = MakePlane(t, 3, kPoolNaN);
+    const Value shared = src.Lane(9);
+    for (const BatchSrc s : {src.Src(), BatchSrc::Of(shared)}) {
+      Differential(
+          Model::kExact, t,
+          [&](AluModel&, BatchDst d, std::uint32_t mask, simd::Level level) {
+            EvalMoveBatch(s, d, nullptr, t.CellCount(), mask, level);
+          },
+          [&](AluModel&, int l, Value& out) { GatherLane(s, l, out); });
+    }
+    Differential(
+        Model::kExact, t,
+        [&](AluModel&, BatchDst d, std::uint32_t mask, simd::Level level) {
+          EvalZeroBatch(d, mask, level);
+        },
+        [&](AluModel&, int, Value&) {});
+    // Dynamic indexing: each lane picks its own (clamped) element.
+    const IndexStep step = IndexStepOf(t);
+    const Plane index = MakePlane(BaseType::kInt, 1, kPoolArith);
+    Differential(
+        Model::kExact, step.elem_type,
+        [&](AluModel&, BatchDst d, std::uint32_t mask, simd::Level) {
+          EvalExtractBatch(src.Src(), step, index.Src(), d, mask);
+        },
+        [&](AluModel&, int l, Value& out) {
+          EvalExtractInto(src.Lane(l), step, index.At(0, l).i, out);
+        });
+  }
+}
+
+// A shuffle whose source is its own destination reads each lane's cells
+// in the scalar VM's order.
+TEST(SimdKernels, InPlaceShuffleMatchesScalarOrder) {
+  const std::uint8_t comps[] = {3, 0, 0, 1};
+  for (simd::Level level : HostLevels()) {
+    Plane p = MakePlane(BaseType::kVec4, 2, kPoolArith);
+    std::vector<Value> want;
+    for (int l = 0; l < kVmLanes; ++l) {
+      Value v = p.Lane(l);
+      for (int k = 0; k < 4; ++k) v.data()[k] = v.data()[comps[k]];
+      want.push_back(v);
+    }
+    EvalMoveBatch(p.Src(), p.Dst(), comps, 4, ~0u, level);
+    ExpectLanes(p, want, ~0u);
+  }
+}
+
+// References into one lane of a plane read and write the same cells a
+// reference into that lane's Value would.
+TEST(SimdKernels, PerLaneRefsIntoPlanes) {
+  const Type t{BaseType::kVec4, 5};
+  const IndexStep step = IndexStepOf(t);
+  const std::uint8_t swz[] = {2, 0};
+  const Type v2 = MakeType(BaseType::kVec2);
+  Plane plane = MakePlane(t, 4, kPoolNaN);
+  const Plane src = MakePlane(BaseType::kVec2, 8, kPoolNaN);
+  for (int l = 0; l < kVmLanes; ++l) {
+    Value whole = plane.Lane(l);
+    const LRef pv = RefSwizzle(
+        RefIndex(RefWhole(plane.Dst().lane(l), t), step, l % 7 - 1), v2, swz,
+        2);
+    const LRef vv =
+        RefSwizzle(RefIndex(RefWhole(whole, t), step, l % 7 - 1), v2, swz, 2);
+    Value read_p(v2);
+    ReadRefInto(pv, LaneSlice::Of(read_p));
+    const Value read_v = ReadRef(vv);
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(read_p.data()[k].i, read_v.data()[k].i) << "lane " << l;
+    }
+    Plane s = src;
+    WriteRef(pv, s.Dst().lane(l));
+    WriteRef(vv, src.Lane(l));
+    ExactAlu alu_p, alu_v;
+    Value out_p(v2), out_v(v2);
+    EvalIncDecInto(alu_p, pv, true, l % 2 == 0, LaneSlice::Of(out_p));
+    EvalIncDecInto(alu_v, vv, true, l % 2 == 0, LaneSlice::Of(out_v));
+    ExpectCountsEq(alu_p.counts(), alu_v.counts(), "inc/dec");
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(out_p.data()[k].i, out_v.data()[k].i) << "lane " << l;
+    }
+    const Value after = plane.Lane(l);
+    for (int k = 0; k < t.CellCount(); ++k) {
+      EXPECT_EQ(after.data()[k].i, whole.data()[k].i)
+          << "lane " << l << " cell " << k;
+    }
+  }
+}
+
 // The same differentials under the shipped VideoCore IV model, whose round
-// mode is the denormal flush: the SIMD kernels flush after every rounded op
-// in the scalar kernels' order (fract/mix/dot/normalize/matrixCompMult
-// included), so cells and counts match on operands whose results are
-// denormal. kPoolTiny is NaN-safe for every op (one NaN pattern), so it
-// feeds both argument classes; the cross planes pair each tiny value with
-// every other.
+// mode is the denormal flush: the vector tiers flush after every rounded op
+// in the scalar order (fract/mix/dot/normalize/matrixCompMult included), so
+// cells and counts match on operands whose results are denormal. The cross
+// planes pair each tiny value with every other.
 TEST(SimdKernelsVc4, ArithBitIdentical) {
-  ArithDifferential(Model::kVideoCore, {kPoolArith});
+  ArithDifferential(Model::kVideoCore, {kPoolNaN});
   ArithDifferential(Model::kVideoCore, {kPoolTiny, true});
 }
 
@@ -467,29 +733,49 @@ TEST(SimdKernelsVc4, BuiltinsBitIdentical) {
                        {kPoolTiny, true});
 }
 
-// Mali-400's reduced mantissa needs the virtual Round(): every entry must
-// fall back to its scalar kernel at any tier and still match.
-TEST(SimdKernelsVc4, MaliFallsBackAndMatches) {
+// Mali-400's reduced mantissa needs the virtual Round(): at every tier the
+// kernels take the per-op Round() path and still match.
+TEST(SimdKernelsVc4, MaliTakesPerOpRoundAndMatches) {
   ArithDifferential(Model::kMali, {kPoolTiny, true});
   NegDifferential(Model::kMali, {kPoolTiny, true});
   BuiltinsDifferential(Model::kMali, {kPoolTiny, true}, {kPoolTiny, true});
 }
 
-// The flush is real, not merely the same in both kernels: results that are
+// A kModel ALU whose Round() counts its calls: a batch add at the AVX2 tier
+// must still round every component of every live lane through it.
+class CountingRoundAlu final : public AluModel {
+ public:
+  float Round(float x) override {
+    ++rounds;
+    return CanonicalizeNan(x);
+  }
+  std::uint64_t rounds = 0;
+};
+
+TEST(SimdKernelsVc4, ModelRoundModeCallsRoundPerOp) {
+  CountingRoundAlu alu;
+  ASSERT_EQ(alu.round_mode(), RoundMode::kModel);
+  const Plane a = MakePlane(BaseType::kVec3, 0, kPoolArith);
+  Plane d = SentinelPlane(MakeType(BaseType::kVec3));
+  EvalArithBatch(alu, BinOp::kAdd, a.Src(), a.Src(), d.Dst(), 0x0000007fu,
+                 simd::Level::kAvx2);
+  EXPECT_EQ(alu.rounds, 3u * 7u);
+  EXPECT_EQ(alu.counts().alu, 3u * 7u);
+}
+
+// The flush is real, not merely the same in both paths: results that are
 // denormal under ExactAlu come out as the zero of their sign under
 // VideoCore IV, at every tier.
 TEST(SimdKernelsVc4, DenormalResultsFlushToSignedZero) {
   const float tiny = 1e-20f;  // tiny * tiny = 1e-40, a denormal
-  std::vector<Value> a(kVmLanes, Value{MakeType(BaseType::kVec4)});
-  std::vector<Value> b(kVmLanes, Value{MakeType(BaseType::kVec4)});
+  Plane a{MakeType(BaseType::kVec4)};
+  Plane b{MakeType(BaseType::kVec4)};
   for (int l = 0; l < kVmLanes; ++l) {
     for (int k = 0; k < 4; ++k) {
-      a[static_cast<std::size_t>(l)].SetF(k, k % 2 == 0 ? tiny : -tiny);
-      b[static_cast<std::size_t>(l)].SetF(k, k < 2 ? tiny : 0.0f);
+      a.At(k, l).f = k % 2 == 0 ? tiny : -tiny;
+      b.At(k, l).f = k < 2 ? tiny : 0.0f;
     }
   }
-  const BatchSrc as{a.data(), 1};
-  const BatchSrc bs{b.data(), 1};
   const TextureFn no_tex;
   for (simd::Level level : HostLevels()) {
     SCOPED_TRACE(simd::LevelName(level));
@@ -497,35 +783,22 @@ TEST(SimdKernelsVc4, DenormalResultsFlushToSignedZero) {
       SCOPED_TRACE(ModelName(model));
       const bool flush = model == Model::kVideoCore;
       const auto alu = MakeAlu(model);
-      std::vector<Value> mul = MakeDstPlane(MakeType(BaseType::kVec4));
-      EvalArithBatchSimd(*alu, BinOp::kMul, as, bs, BatchDst{mul.data(), 1},
-                         ~0u, level);
-      std::vector<Value> dot = MakeDstPlane(MakeType(BaseType::kFloat));
-      const BatchSrc dot_args[] = {as, as};
-      EvalBuiltinBatchSimd(Builtin::kDot, MakeType(BaseType::kFloat),
-                           dot_args, *alu, no_tex, BatchDst{dot.data(), 1},
-                           ~0u, level);
+      Plane mul{MakeType(BaseType::kVec4)};
+      EvalArithBatch(*alu, BinOp::kMul, a.Src(), b.Src(), mul.Dst(), ~0u,
+                     level);
+      Plane dot{MakeType(BaseType::kFloat)};
+      const BatchSrc dot_args[] = {a.Src(), a.Src()};
+      EvalBuiltinBatch(Builtin::kDot, MakeType(BaseType::kFloat), dot_args,
+                       *alu, no_tex, dot.Dst(), ~0u, level);
       for (int l = 0; l < kVmLanes; ++l) {
-        const Value& m = mul[static_cast<std::size_t>(l)];
-        EXPECT_EQ(Bits(m.F(0)), flush ? 0u : Bits(tiny * tiny));
-        EXPECT_EQ(Bits(m.F(1)), flush ? 0x80000000u : Bits(-tiny * tiny));
+        EXPECT_EQ(Bits(mul.At(0, l).f), flush ? 0u : Bits(tiny * tiny));
+        EXPECT_EQ(Bits(mul.At(1, l).f),
+                  flush ? 0x80000000u : Bits(-tiny * tiny));
         // dot(a, a): four denormal products, each flushed before the add.
         const float d = tiny * tiny;
-        EXPECT_EQ(Bits(dot[static_cast<std::size_t>(l)].F(0)),
-                  flush ? 0u : Bits(d + d + d + d));
+        EXPECT_EQ(Bits(dot.At(0, l).f), flush ? 0u : Bits(d + d + d + d));
       }
     }
-  }
-}
-
-// SFU-routed builtins must never be claimed by the SIMD tier.
-TEST(SimdKernels, SfuAndTextureStayScalar) {
-  for (Builtin b : {Builtin::kInverseSqrt, Builtin::kSqrt, Builtin::kExp2,
-                    Builtin::kLog2, Builtin::kPow, Builtin::kSin,
-                    Builtin::kMod, Builtin::kSign, Builtin::kSmoothstep,
-                    Builtin::kTexture2D, Builtin::kLength,
-                    Builtin::kDistance}) {
-    EXPECT_FALSE(IsSimdBuiltin(b)) << static_cast<int>(b);
   }
 }
 
@@ -622,7 +895,7 @@ void RunShaderAB(AluModel& alu_s, AluModel& alu_b, simd::Level batch_level,
     SCOPED_TRACE(n);
     alu_b.ResetCounts();
     for (int l = 0; l < n; ++l) {
-      Value& v = batch.LaneGlobalAt(in_slot, l);
+      LaneSlice v = batch.LaneGlobalAt(in_slot, l);
       for (int k = 0; k < 4; ++k) {
         v.SetF(k, lane_in[static_cast<std::size_t>(l)]
                          [static_cast<std::size_t>(k)]);
@@ -634,7 +907,7 @@ void RunShaderAB(AluModel& alu_s, AluModel& alu_b, simd::Level batch_level,
       const LaneRef& r = ref[static_cast<std::size_t>(l)];
       want += r.delta;
       EXPECT_EQ((kept >> l) & 1u, r.kept ? 1u : 0u) << "lane " << l;
-      const Value& c = batch.LaneGlobalAt(color_slot, l);
+      const LaneSlice c = batch.LaneGlobalAt(color_slot, l);
       for (int k = 0; k < 4; ++k) {
         EXPECT_EQ(Bits(c.F(k)), r.color[static_cast<std::size_t>(k)])
             << "lane " << l << " comp " << k;

@@ -27,10 +27,13 @@
 // references, including op counts and (in the trap sweep) the exact trap
 // lane and message.
 //
-// This is the lockdown for the SoA evaluation core: the batched VM
-// dispatches whole-instruction SoA kernels (evalcore/builtins) while the
-// scalar engines run per-invocation code, so any drift between the two
+// This is the lockdown for the plane kernels: the batched VM runs each
+// instruction as one kernel over lane-major register planes, at the SIMD
+// tier MGPU_SIMD selects (evalcore/builtins/lanes.inc), while the scalar
+// engines run per-invocation code, so any drift between the two
 // implementations shows up here as a bit mismatch with the seed printed.
+// Every tail 1..kVmLanes runs, and divergent programs drive the kernels
+// under sparse lane masks.
 //
 // Usage: glsl_vm_fuzz_test [--fuzz_iters=N] [gtest flags]
 //   N defaults to 200; CI passes 200 on the build matrix and 50 under
@@ -979,7 +982,7 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
       SCOPED_TRACE(StrFormat("%s tail=%d", what, n));
       alu_e.ResetCounts();
       for (int l = 0; l < n; ++l) {
-        Value& v = eng.LaneGlobalAt(in_slot, l);
+        LaneSlice v = eng.LaneGlobalAt(in_slot, l);
         for (int k = 0; k < 4; ++k) {
           v.SetF(k, lane_in[static_cast<std::size_t>(l)]
                            [static_cast<std::size_t>(k)]);
@@ -1001,7 +1004,7 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
         EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, r.kept)
             << "lane " << l << " discard (" << what << ")";
         if (!r.kept) continue;
-        const Value& cv = eng.LaneGlobalAt(color_slot, l);
+        const LaneSlice cv = eng.LaneGlobalAt(color_slot, l);
         for (int k = 0; k < 4; ++k) {
           EXPECT_EQ(FloatToBits(cv.F(k)),
                     r.color[static_cast<std::size_t>(k)])
@@ -1081,6 +1084,22 @@ TEST(VmFuzzDifferentialTest, SeededVertexProgramsExactAlu) {
 
 TEST(VmFuzzDifferentialTest, SeededVertexProgramsVc4Alu) {
   RunFuzzSweep(/*vc4_alu=*/true, Stage::kVertex, kVertSeedBase);
+}
+
+// Seeds beyond the default budget whose vertex programs once made the
+// batched VM and the scalar VM disagree on a NaN's sign: a product with a
+// NaN from normalize(vec3(0)) or sqrt of a negative value came out 0x7fc00000
+// from one and 0xffc00000 from the other, depending on which operand the
+// compiled op propagated. Every rounded NaN is now the canonical one; both
+// seeds run in both stages, under the ALU model each failed with.
+TEST(VmFuzzDifferentialTest, NanRuleRegressionSeeds) {
+  for (const Stage stage : {Stage::kVertex, Stage::kFragment}) {
+    SCOPED_TRACE(stage == Stage::kVertex ? "vertex" : "fragment");
+    RunFuzzCase(20262098, /*vc4_alu=*/false, /*with_jit=*/true, stage,
+                /*tiny_literals=*/false);
+    RunFuzzCase(20261985, /*vc4_alu=*/true, /*with_jit=*/true, stage,
+                /*tiny_literals=*/false);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1295,7 +1314,7 @@ void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
         }
       }
       for (int l = 0; l < n; ++l) {
-        Value& v = eng.LaneGlobalAt(in_slot, l);
+        LaneSlice v = eng.LaneGlobalAt(in_slot, l);
         for (int k = 0; k < 4; ++k) {
           v.SetF(k, lane_in[static_cast<std::size_t>(l)]
                            [static_cast<std::size_t>(k)]);
@@ -1317,7 +1336,7 @@ void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
           EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, r.kept)
               << "lane " << l << " discard (" << what << ")";
           if (!r.kept) continue;
-          const Value& cv = eng.LaneGlobalAt(color_slot, l);
+          const LaneSlice cv = eng.LaneGlobalAt(color_slot, l);
           for (int k = 0; k < 4; ++k) {
             EXPECT_EQ(FloatToBits(cv.F(k)),
                       r.color[static_cast<std::size_t>(k)])

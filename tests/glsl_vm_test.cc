@@ -536,7 +536,7 @@ void main() {
     v.SetI(0, kMin);
     v.SetI(1, 7);
   };
-  const auto expect_color = [&](const Value& c, const char* engine) {
+  const auto expect_color = [&](const auto& c, const char* engine) {
     for (int k = 0; k < 4; ++k) {
       EXPECT_EQ(FloatToBits(c.F(k)),
                 FloatToBits(want[static_cast<std::size_t>(k)]))
@@ -625,7 +625,7 @@ void main() {
     v.SetI(0, kMax);
     v.SetI(1, kMin);
   };
-  const auto expect_color = [&](const Value& c, const char* engine) {
+  const auto expect_color = [&](const auto& c, const char* engine) {
     for (int k = 0; k < 4; ++k) {
       EXPECT_EQ(FloatToBits(c.F(k)),
                 FloatToBits(want[static_cast<std::size_t>(k)]))
@@ -1006,7 +1006,7 @@ void main() {
   gl_FragColor = vec4(pick * 0.5, 0.25, both ? 0.5 : 0.125, 1.0);
 })"});
   // --- vector ops inside divergent flow: the masked executor must invoke
-  // the SoA kernels with partial lane masks, not just full batches ---------
+  // the plane kernels with partial lane masks, not just full batches ------
   cases.push_back(
       {"normalize_in_varying_trip_loop",
        R"(precision highp float;
@@ -1029,7 +1029,7 @@ void main() {
 varying vec4 v_in;
 void main() {
   // Some lanes discard; survivors keep doing vector work under a reduced
-  // mask, so SoA kernels see a hole-punched lane set.
+  // mask, so the plane kernels see a hole-punched lane set.
   if (fract(v_in.x * 7.0) < 0.35) discard;
   vec3 a = vec3(v_in.xy, 1.5);
   vec3 b = normalize(vec3(0.5, v_in.z, v_in.w + 0.1));
@@ -1060,7 +1060,7 @@ void main() {
 varying vec4 v_in;
 void main() {
   // mat*vec / mat*mat take the per-lane replay path inside the masked
-  // executor; mat+mat and mat*scalar take the component-wise SoA kernel.
+  // executor; mat+mat and mat*scalar take the component-wise plane kernel.
   mat2 m = mat2(v_in.x, 1.0, -0.5, v_in.y + 0.25);
   vec2 r;
   if (v_in.z > 0.4) {
@@ -1145,7 +1145,7 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, bool vc4_alu) {
   alu_b.ResetCounts();
   for (int l = 0; l < lanes; ++l) {
     const std::array<float, 4> in = LaneInput(l);
-    Value& v = batch.LaneGlobalAt(in_slot, l);
+    LaneSlice v = batch.LaneGlobalAt(in_slot, l);
     for (int k = 0; k < 4; ++k) v.SetF(k, in[static_cast<std::size_t>(k)]);
   }
   const std::uint32_t kept = batch.RunBatch(lanes);
@@ -1156,7 +1156,7 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, bool vc4_alu) {
     EXPECT_EQ(lane_kept, ref_kept[static_cast<std::size_t>(l)])
         << "lane " << l << " discard disagreement";
     if (!lane_kept) continue;
-    const Value& cv = batch.LaneGlobalAt(color_slot, l);
+    const LaneSlice cv = batch.LaneGlobalAt(color_slot, l);
     for (int k = 0; k < 4; ++k) {
       EXPECT_EQ(FloatToBits(cv.F(k)),
                 ref_color[static_cast<std::size_t>(l)]
@@ -1206,7 +1206,7 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
     for (int l = 0; l < lanes; ++l) {
       const float base = static_cast<float>(round) * 0.21f;
       Value& sv = scalar.GlobalAt(in_slot);
-      Value& bv = batch.LaneGlobalAt(in_slot, l);
+      LaneSlice bv = batch.LaneGlobalAt(in_slot, l);
       for (int k = 0; k < 4; ++k) {
         const float f =
             fract_helper(base + static_cast<float>(l * 4 + k) * 0.17f);
@@ -1217,13 +1217,13 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
     const std::uint32_t kept = batch.RunBatch(lanes);
     for (int l = 0; l < lanes; ++l) {
       Value& sv = scalar.GlobalAt(in_slot);
-      const Value& bv = batch.LaneGlobalAt(in_slot, l);
+      const LaneSlice bv = batch.LaneGlobalAt(in_slot, l);
       for (int k = 0; k < 4; ++k) sv.SetF(k, bv.F(k));
       const bool ref_kept = scalar.Run();
       EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, ref_kept);
       if (!ref_kept) continue;
       const Value& sc = scalar.GlobalAt(color_slot);
-      const Value& bc = batch.LaneGlobalAt(color_slot, l);
+      const LaneSlice bc = batch.LaneGlobalAt(color_slot, l);
       for (int k = 0; k < 4; ++k) {
         EXPECT_EQ(FloatToBits(bc.F(k)), FloatToBits(sc.F(k)))
             << "round " << round << " lane " << l << " comp " << k;
@@ -1339,9 +1339,27 @@ void main() {
         case VmOp::kExtract:
           operands = {in.a, in.b};
           break;
-        case VmOp::kArith:
-          if (in.soa == 0) operands = {in.a, in.b};  // linear algebra
+        case VmOp::kArith: {
+          // Linear algebra: the batched VM replays it per lane from
+          // scratch copies, but the scalar engines read operand cells
+          // while writing the destination.
+          const auto type_of = [&](std::uint32_t op) {
+            const std::uint32_t idx = op & kOperandIndexMask;
+            switch (op & ~kOperandIndexMask) {
+              case kSpaceReg: return prog->reg_types[idx];
+              case kSpaceGlobal: return prog->globals[idx].type;
+              default: return prog->consts[idx].type();
+            }
+          };
+          const BaseType lb = type_of(in.a).base;
+          const BaseType rb = type_of(in.b).base;
+          if (static_cast<BinOp>(in.u8) == BinOp::kMul &&
+              ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
+               (IsVector(lb) && IsMatrix(rb)))) {
+            operands = {in.a, in.b};
+          }
           break;
+        }
         default:
           break;
       }
