@@ -331,18 +331,6 @@ int main(int argc, char** argv) {
               vh_vc4_soa.seconds / vh_vc4.seconds,
               simd_identical_vc4 ? "identical" : "MISMATCH");
 
-  // Compiled-engine A/B: the per-link transpiled module against the batched
-  // interpreter it falls back to. Same scene, same lanes; the first draw
-  // pays the (content-hash cached) toolchain invocation, and min-of-reps
-  // reporting picks the warm time. Framebuffers must hash identically.
-  const VectorHeavyResult vh_compiled = best_vh(gles2::ExecEngine::kCompiled);
-  const bool compiled_identical = vh_compiled.fb_hash == vh_batched.fb_hash;
-  std::printf("  compiled:    %8.3f s  (speedup vs batched %.2fx, "
-              "framebuffers %s)\n",
-              vh_compiled.seconds,
-              vh_batched.seconds / vh_compiled.seconds,
-              compiled_identical ? "identical" : "MISMATCH");
-
   // Fragment-batch fill width sweep: wider batches amortize more dispatch
   // overhead and feed fuller SIMD spans, narrower ones waste fewer lanes on
   // partially covered edges. Output bytes must not depend on the width.
@@ -385,11 +373,6 @@ int main(int argc, char** argv) {
   json.Add("simd_identical_vc4",
            simd_identical_vc4 && vh_vc4.ok && vh_vc4_soa.ok ? 1.0 : 0.0,
            "bool");
-  json.Add("vector_heavy_compiled", vh_compiled.seconds, "s");
-  json.Add("compiled_speedup_vs_batched",
-           vh_batched.seconds / vh_compiled.seconds, "x");
-  json.Add("compiled_identical",
-           compiled_identical && vh_compiled.ok ? 1.0 : 0.0, "bool");
   json.Add("vector_heavy_w8", width_seconds[0], "s");
   json.Add("vector_heavy_w16", width_seconds[1], "s");
   json.Add("vector_heavy_w32", width_seconds[2], "s");
@@ -444,8 +427,7 @@ int main(int argc, char** argv) {
   const bool all_ok = batched.ok && vm.ok && tree.ok && scaling_ok &&
                       vh_identical && vh_batched.ok && vh_scalar.ok &&
                       simd_identical && vh_soa.ok && simd_identical_vc4 &&
-                      vh_vc4.ok && vh_vc4_soa.ok && width_identical &&
-                      compiled_identical && vh_compiled.ok;
+                      vh_vc4.ok && vh_vc4_soa.ok && width_identical;
   std::printf("\nresult: %s\n", all_ok ? "every size maps 1:1" : "FAILURE");
   return all_ok ? 0 : 1;
 }

@@ -8,8 +8,7 @@
 // is a passthrough, re-drawn over several animated frames so the vertex
 // stage dominates wall clock. A/B legs hold the batched vertex stage
 // byte-identical to the scalar per-vertex reference loop (and to the SIMD-
-// off SoA tier and the compiled engine) via FNV framebuffer hashes and ALU
-// op counts, and BENCH_vertex_storm.json records the speedup for CI's
+// off SoA tier) via FNV framebuffer hashes and ALU op counts, and BENCH_vertex_storm.json records the speedup for CI's
 // check_bench.py gate.
 //
 // Usage: bench_vertex_storm [--quick] [--tris N] [--frames N]
@@ -33,11 +32,10 @@ using namespace mgpu::gles2;
 constexpr int kTargetSize = 512;  // small target: fragment work is noise,
                                   // the vertex stage is what's being timed
 
-// Uniform control flow (no branches), so the compiled engine's vertex
-// module is eligible and the lane-batched interpreter never diverges: the
-// whole mesh rides the SoA/SIMD/JIT machinery. The work is deliberately
-// trig- and normalize-heavy — the shapes the SIMD tiers and the transpiler
-// accelerate. Each vertex orbits its triangle's shared center (a_pos) on a
+// Uniform control flow (no branches), so the lane-batched interpreter never
+// diverges: the whole mesh rides the plane kernels at the SIMD tier. The
+// work is deliberately trig- and normalize-heavy — the shapes the SIMD
+// tiers accelerate. Each vertex orbits its triangle's shared center (a_pos) on a
 // tiny per-corner circle (a_aux = corner phase, corner radius), so the
 // vertex stage does real transform work while every triangle stays ~1 px:
 // fragment cost remains noise no matter what the animation does.
@@ -255,25 +253,12 @@ int main(int argc, char** argv) {
               simd_identical ? "identical" : "MISMATCH", soa.seconds,
               soa.seconds / batched.seconds);
 
-  // Compiled-engine A/B: the vertex shader has uniform control flow, so the
-  // per-link C++ module takes the whole mesh through RunBatchJit — the best
-  // case for the transpiled path, mirrored against its worst case in the
-  // draw storm.
-  const StormResult compiled = best_of(gles2::ExecEngine::kCompiled);
-  const bool compiled_identical = batched.fb_hash == compiled.fb_hash &&
-                                  batched.alu_ops == compiled.alu_ops;
-  std::printf("  compiled engine:     %s (%8.3f s, speedup %.2fx vs "
-              "batched)\n",
-              compiled_identical ? "identical" : "MISMATCH", compiled.seconds,
-              batched.seconds / compiled.seconds);
-
   // A blank framebuffer would make every hash "identical" vacuously; require
   // visible coverage from the mesh.
   const bool coverage_ok = batched.fb_hash != 0 && batched.alu_ops > 0;
 
-  const bool ok = vertex_identical && simd_identical && compiled_identical &&
-                  coverage_ok && batched.draw_ok && scalar_vertex.draw_ok &&
-                  soa.draw_ok && compiled.draw_ok;
+  const bool ok = vertex_identical && simd_identical && coverage_ok &&
+                  batched.draw_ok && scalar_vertex.draw_ok && soa.draw_ok;
 
   bench::JsonBenchWriter json("vertex_storm");
   json.Add("tris", tris, "count");
@@ -288,18 +273,11 @@ int main(int argc, char** argv) {
   json.Add("soa_storm", soa.seconds, "s");
   json.Add("simd_speedup_vs_soa", soa.seconds / batched.seconds, "x");
   json.Add("simd_identical", simd_identical ? 1.0 : 0.0, "bool");
-  json.Add("compiled_storm", compiled.seconds, "s");
-  json.Add("compiled_speedup_vs_batched",
-           batched.seconds / compiled.seconds, "x");
-  json.Add("compiled_identical", compiled_identical ? 1.0 : 0.0, "bool");
   json.Add("alu_ops_per_vert",
            static_cast<double>(batched.alu_ops) / verts, "ops");
   json.Add("fb_hash", batched.fb_hash, "hash");
   json.Add("draw_errors_ok",
-           batched.draw_ok && scalar_vertex.draw_ok && soa.draw_ok &&
-                   compiled.draw_ok
-               ? 1.0
-               : 0.0,
+           batched.draw_ok && scalar_vertex.draw_ok && soa.draw_ok ? 1.0 : 0.0,
            "bool");
   if (!json.Write()) {
     std::fprintf(stderr,

@@ -20,7 +20,6 @@ Device::Device(const DeviceOptions& options)
   cfg.exec_engine = options_.exec_engine;
   cfg.shader_threads = options_.shader_threads;
   cfg.simd = options_.simd;
-  cfg.jit = options_.jit;
   cfg.max_texture_size = options_.max_texture_size;
   cfg.renderer_name = "mgpu software GLES2 (" + options_.profile.name + ")";
   ctx_ = std::make_unique<gles2::Context>(cfg, &alu_);

@@ -44,11 +44,6 @@ struct DeviceOptions {
   // produces byte-identical framebuffers and op counts; see
   // gles2::ContextConfig::simd.
   int simd = -1;
-  // Compiled-engine (kCompiled) availability: -1 honors the MGPU_JIT
-  // environment override (exactly "0" disables) and otherwise probes for a
-  // host C++ compiler; 0 forces the kBatchedVm fallback, >0 requires only
-  // the toolchain probe. Mirrors `simd`; see gles2::ContextConfig::jit.
-  int jit = -1;
   int max_texture_size = 4096;
 };
 

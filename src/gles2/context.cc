@@ -63,16 +63,25 @@ bool PrimBounds(const TilePrim& p, const std::vector<RasterVertex>& verts,
   }
   return false;
 }
+
+// The rule of the on-by-default ContextConfig knobs (vertex_batch,
+// async_submit): an explicit 0 or 1 wins; -1 = auto, which honors the
+// environment variable `env` when set (0 disables) and is otherwise on.
+bool ResolveOnByDefault(int knob, const char* env) {
+  if (knob >= 0) return knob != 0;
+  const char* value = std::getenv(env);
+  return value == nullptr || std::strtol(value, nullptr, 10) != 0;
+}
+
+// kCompiled is a retired alias of kBatchedVm (see ExecEngine).
+ExecEngine Canonical(ExecEngine engine) {
+  return engine == ExecEngine::kCompiled ? ExecEngine::kBatchedVm : engine;
+}
 }  // namespace
 
 ShadeStateCache::WorkerState::~WorkerState() {
   if (engine_owned == nullptr && engine != nullptr) {
     engine->SetTextureFn(glsl::TextureFn{});
-  }
-  // A borrowed engine (the program's own fvm) outlives this slot; detach any
-  // compiled module so a later interpreter-engine draw is not jitted.
-  if (engine_owned == nullptr && vm != nullptr) {
-    vm->SetJit(nullptr);
   }
 }
 
@@ -144,19 +153,10 @@ void ShadeStateCache::InvalidateProgram(GLuint program) {
 
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
     : config_(config), alu_(alu != nullptr ? alu : &default_alu_) {
+  config_.exec_engine = Canonical(config_.exec_engine);
   simd_level_ = glsl::simd::Resolve(config_.simd);
-  // Resolve the compiled-engine availability once (knob + MGPU_JIT env +
-  // toolchain probe); kCompiled draws fall back to the batched interpreter
-  // when this is false.
-  jit_enabled_ = glsl::jit::Resolve(config_.jit);
-  // Vertex-stage batching knob: an explicit 0/1 wins; -1 = auto (the
-  // MGPU_VERTEX_BATCH env override if set, else on). Mirrors simd/jit.
-  vertex_batch_enabled_ = config_.vertex_batch != 0;
-  if (config_.vertex_batch < 0) {
-    if (const char* env = std::getenv("MGPU_VERTEX_BATCH")) {
-      vertex_batch_enabled_ = std::strtol(env, nullptr, 10) != 0;
-    }
-  }
+  vertex_batch_enabled_ =
+      ResolveOnByDefault(config_.vertex_batch, "MGPU_VERTEX_BATCH");
   config_.fragment_batch_width =
       std::clamp(config_.fragment_batch_width, 1, kFragBatchWidth);
   shade_cache_.SetCapacity(
@@ -176,16 +176,9 @@ Context::Context(const ContextConfig& config, glsl::AluModel* alu)
   vp_h_ = config_.height;
   sc_w_ = config_.width;
   sc_h_ = config_.height;
-  // Command-stream knob: an explicit 0/1 wins; -1 = auto (the MGPU_ASYNC
-  // env override if set, else on). Mirrors simd/jit/vertex_batch. Created
-  // last: from here on client calls may be recorded.
-  bool async = config_.async_submit != 0;
-  if (config_.async_submit < 0) {
-    if (const char* env = std::getenv("MGPU_ASYNC")) {
-      async = std::strtol(env, nullptr, 10) != 0;
-    }
-  }
-  if (async) {
+  // The command stream is created last: from here on client calls may be
+  // recorded.
+  if (ResolveOnByDefault(config_.async_submit, "MGPU_ASYNC")) {
     record_ = std::make_unique<cmd::CommandQueue>(this, attribs_.size());
   }
 }
@@ -234,7 +227,7 @@ glsl::AluModel& Context::alu() {
 
 void Context::SetExecEngine(ExecEngine engine) {
   Sync();
-  config_.exec_engine = engine;
+  config_.exec_engine = Canonical(engine);
   shade_cache_.Clear();
 }
 
@@ -722,12 +715,6 @@ void Context::LinkProgram(GLuint program) {
     p->vvm->SetSimdLevel(simd_level_);
     p->fvm->SetSimdLevel(simd_level_);
   }
-  // The compiled modules (if any) were built from the old bytecode; drop
-  // them and let the next kCompiled draw rebuild from the fresh program.
-  p->fs_jit.reset();
-  p->fs_jit_attempted = false;
-  p->vs_jit.reset();
-  p->vs_jit_attempted = false;
 }
 
 void Context::GetProgramiv(GLuint program, GLenum pname, GLint* params) {
@@ -1412,6 +1399,11 @@ void Context::RenderbufferStorage(GLenum target, GLenum internal_format,
     SetError(GL_INVALID_ENUM);
     return;
   }
+  if (w < 0 || h < 0 || w > config_.max_texture_size ||
+      h > config_.max_texture_size) {
+    SetError(GL_INVALID_VALUE);
+    return;
+  }
   RenderbufferObject* rb = GetRenderbuffer(bound_renderbuffer_);
   if (rb == nullptr) {
     SetError(GL_INVALID_OPERATION);
@@ -1655,10 +1647,15 @@ void Context::Clear(GLbitfield mask) {
   }
   const int x0 = scissor_enabled_ ? std::max(sc_x_, 0) : 0;
   const int y0 = scissor_enabled_ ? std::max(sc_y_, 0) : 0;
-  const int x1 = scissor_enabled_ ? std::min(sc_x_ + sc_w_, rt.width)
-                                  : rt.width;
-  const int y1 = scissor_enabled_ ? std::min(sc_y_ + sc_h_, rt.height)
-                                  : rt.height;
+  // Scissor edges in 64 bits: x + w can pass INT_MAX.
+  const int x1 = scissor_enabled_
+                     ? static_cast<int>(std::min<std::int64_t>(
+                           std::int64_t{sc_x_} + sc_w_, rt.width))
+                     : rt.width;
+  const int y1 = scissor_enabled_
+                     ? static_cast<int>(std::min<std::int64_t>(
+                           std::int64_t{sc_y_} + sc_h_, rt.height))
+                     : rt.height;
   if ((mask & GL_COLOR_BUFFER_BIT) != 0 && rt.color != nullptr) {
     std::array<std::uint8_t, 4> c{};
     for (int i = 0; i < 4; ++i) {
@@ -1884,17 +1881,6 @@ bool Context::ShadeVerticesBatched(
     std::vector<RasterVertex>& verts,
     const glsl::OpCounts& draw_start_counts) {
   glsl::VmExec& vm = *prog->vvm;
-
-  // kCompiled: attach the vertex stage's module (null when compilation
-  // declined); the interpreter engines must not keep one left over from an
-  // earlier kCompiled draw. SetJit invalidates the VM's cached operand
-  // table, so stamp only on change — vs_jit is the only module ever
-  // attached to vvm, so has_jit() identifies it.
-  const bool want_jit = config_.exec_engine == ExecEngine::kCompiled &&
-                        prog->vs_jit != nullptr;
-  if (vm.has_jit() != want_jit) {
-    vm.SetJit(want_jit ? prog->vs_jit : nullptr);
-  }
 
   // Lane plumbing, resolved once per program and cached: plane views into
   // vvm. Uniform (non-lane) slots resolve to the shared store, so per-draw
@@ -2142,7 +2128,8 @@ void Context::WritePixel(RenderTarget& rt, int x, int y, float depth,
                          const std::array<float, 4>& color, bool depth_valid,
                          UndoJournal* journal) {
   if (scissor_enabled_) {
-    if (x < sc_x_ || y < sc_y_ || x >= sc_x_ + sc_w_ || y >= sc_y_ + sc_h_) {
+    if (x < sc_x_ || y < sc_y_ || x >= std::int64_t{sc_x_} + sc_w_ ||
+        y >= std::int64_t{sc_y_} + sc_h_) {
       return;
     }
   }
@@ -2353,24 +2340,8 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // the oracle engines keep the scalar per-vertex loop. ---
   const bool use_tree = config_.exec_engine == ExecEngine::kTreeWalk;
   const bool use_vm = !use_tree;
-  const bool use_batch = config_.exec_engine == ExecEngine::kBatchedVm ||
-                         config_.exec_engine == ExecEngine::kCompiled;
+  const bool use_batch = config_.exec_engine == ExecEngine::kBatchedVm;
   const bool batch_vertex = use_batch && vertex_batch_enabled_;
-
-  // Compiled engine: build each stage's native module lazily at its first
-  // kCompiled draw after link, so the interpreter engines never pay the
-  // toolchain invocation. A null result (no host compiler, divergent
-  // control flow, compile failure) latches and the draw runs as kBatchedVm.
-  if (config_.exec_engine == ExecEngine::kCompiled && jit_enabled_ &&
-      !prog->fs_jit_attempted) {
-    prog->fs_jit = glsl::jit::CompileProgram(*prog->fs_bytecode);
-    prog->fs_jit_attempted = true;
-  }
-  if (config_.exec_engine == ExecEngine::kCompiled && jit_enabled_ &&
-      batch_vertex && !prog->vs_jit_attempted) {
-    prog->vs_jit = glsl::jit::CompileProgram(*prog->vs_bytecode);
-    prog->vs_jit_attempted = true;
-  }
 
   // --- vertex stage ---
   // Post-transform vertices live in context-owned scratch: resize keeps the
@@ -2543,11 +2514,6 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
         w->vm = w->engine_owned.get();
         w->alu = w->alu_owned.get();
         w->tmu = w->tmu_owned.get();
-        // Clones do not inherit a compiled module; stamp it per slot so the
-        // interpreter engines' entries never carry one.
-        if (config_.exec_engine == ExecEngine::kCompiled) {
-          w->vm->SetJit(prog->fs_jit);
-        }
         BuildWorkerPlumbing(*w, prog);
         return w;
       };
@@ -2597,13 +2563,6 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
         w->vm = use_vm ? prog->fvm.get() : nullptr;
         w->alu = alu_;
         w->tmu = &serial_tmu_cache_;
-        // The borrowed fvm serves every engine; attach the compiled module
-        // only for kCompiled entries (the slot dtor detaches it again).
-        if (w->vm != nullptr) {
-          w->vm->SetJit(config_.exec_engine == ExecEngine::kCompiled
-                            ? prog->fs_jit
-                            : nullptr);
-        }
         BuildWorkerPlumbing(*w, prog);
         entry->workers.push_back(std::move(w));
       }
@@ -2971,9 +2930,8 @@ std::uint64_t Context::ReplayBandTmu() {
 
 void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                                   ProgramObject* prog) {
-  const bool use_batch = (config_.exec_engine == ExecEngine::kBatchedVm ||
-                          config_.exec_engine == ExecEngine::kCompiled) &&
-                         w.vm != nullptr;
+  const bool use_batch =
+      config_.exec_engine == ExecEngine::kBatchedVm && w.vm != nullptr;
   ShadeStateCache::WorkerState* const wp = &w;
   const int color_slot = prog->uses_frag_data ? prog->fs_frag_data_slot
                                               : prog->fs_frag_color_slot;

@@ -57,15 +57,10 @@ enum class FbQuantization { kRoundNearest, kFloorPaper };
 //                 the batched engine.
 //   kTreeWalk   — the tree-walking interpreter, the original reference
 //                 oracle, executing the annotated AST directly.
-//   kCompiled   — the batched VM with a per-link compiled module attached:
-//                 each uniform-control-flow fragment program is transpiled
-//                 to C++ and compiled with the host toolchain at its first
-//                 kCompiled draw (cached by source hash across processes);
-//                 batches then run native code that calls back into the
-//                 interpreter for anything it does not inline (see
-//                 src/glsl/jit.h for the bit-identity argument). Falls back
-//                 to kBatchedVm behaviour when no host compiler is
-//                 available, MGPU_JIT=0, or the program is divergent.
+//   kCompiled   — retired alias of kBatchedVm: Context normalizes it at
+//                 construction and in SetExecEngine. Kept only because the
+//                 benchmark names it; drop it with the next change to the
+//                 benchmark.
 enum class ExecEngine { kBatchedVm, kBytecodeVm, kTreeWalk, kCompiled };
 
 struct ContextConfig {
@@ -108,22 +103,17 @@ struct ContextConfig {
   // (see src/glsl/simd.h); this knob exists for A/B benchmarking and CI's
   // SIMD-off leg.
   int simd = -1;
-  // Compiled-engine (ExecEngine::kCompiled) availability: -1 = auto (the
-  // MGPU_JIT env override if set — 0 disables — else host-compiler
-  // detection), 0 = force off (kCompiled then behaves exactly like
-  // kBatchedVm), 1 = on when a compiler is detected. Mirrors `simd`; this
-  // knob exists for A/B benchmarking and CI's MGPU_JIT=0 fallback leg.
-  int jit = -1;
-  // Vertex-stage batching under the batched engines (kBatchedVm /
-  // kCompiled): -1 = auto (the MGPU_VERTEX_BATCH env override if set — 0
-  // disables — else on), 0 = force the scalar per-vertex reference loop,
-  // 1 = force on. When on, vertex shading gathers enabled attributes into
-  // the vertex VM's lane-major planes and runs up to kVmLanes vertices per
-  // RunBatch pass (inheriting the plane kernels at every SIMD tier and the
-  // compiled engine), scattering gl_Position / gl_PointSize / varyings
-  // back in lane order — bit-identical to the scalar loop in framebuffer
-  // bytes, op counts and trap diagnostics (see README). Mirrors `simd` /
-  // `jit`: the knob exists for A/B benchmarking and CI's fallback-off leg.
+  // Vertex-stage batching under the batched engine (kBatchedVm): -1 = auto
+  // (the MGPU_VERTEX_BATCH env override if set — 0 disables — else on),
+  // 0 = force the scalar per-vertex reference loop, 1 = force on. When on,
+  // vertex shading gathers enabled attributes into the vertex VM's
+  // lane-major planes and runs up to kVmLanes vertices per RunBatch pass
+  // (inheriting the plane kernels at every SIMD tier), scattering
+  // gl_Position / gl_PointSize / varyings back in lane order — bit-identical
+  // to the scalar loop in framebuffer bytes, op counts and trap diagnostics
+  // (see README). Resolved with the same on-by-default rule as
+  // `async_submit`; the knob exists for A/B benchmarking and CI's
+  // fallback-off leg.
   int vertex_batch = -1;
   // VC4-style command stream: -1 = auto (the MGPU_ASYNC env override if
   // set — 0 disables — else on), 0 = immediate mode (every call executes
@@ -136,9 +126,9 @@ struct ContextConfig {
   // returning call (GetError, ReadPixels, GetGraphicsResetStatus, Gen*,
   // Get*, ...) is an implicit sync point, so recorded execution is
   // byte-identical to immediate mode in framebuffer bytes, op counts, GL
-  // errors and trap/abort semantics (see README "Command stream"). Mirrors
-  // `simd` / `jit` / `vertex_batch`: the knob exists for A/B benchmarking
-  // and CI's MGPU_ASYNC=0 leg.
+  // errors and trap/abort semantics (see README "Command stream"). Resolved
+  // with the same on-by-default rule as `vertex_batch`; the knob exists for
+  // A/B benchmarking and CI's MGPU_ASYNC=0 leg.
   int async_submit = -1;
   // Effective fragment-batch fill width (lanes per batched shader
   // dispatch), clamped to [1, kFragBatchWidth]. Swept 8/16/32 by
@@ -754,10 +744,6 @@ class Context {
   // clamped to the host's detected tier); stamped onto every linked
   // program's VM engines.
   glsl::simd::Level simd_level_ = glsl::simd::Level::kScalar;
-  // ContextConfig::jit resolved once at construction (env override applied,
-  // host compiler probed): whether kCompiled draws may attach compiled
-  // modules. False = kCompiled silently runs the batched interpreter.
-  bool jit_enabled_ = false;
   // ContextConfig::vertex_batch resolved once at construction (env
   // override applied): whether batched-engine draws run the lane-batched
   // vertex stage. False = every engine keeps the scalar vertex loop.

@@ -78,6 +78,25 @@ DeviceVertex ToDevice(const RasterVertex& v, int varying_cells,
   return d;
 }
 
+// Window coordinates past +-2^29 pixels, NaN and infinities cull the whole
+// primitive before any of them is converted to int: inside the bound every
+// bbox edge, a line's step count (at most twice the bound) and its +1 end
+// pixel fit an int. The rasterizers and the binner's bounds apply the same
+// test, so they agree on which primitives exist.
+constexpr double kMaxWindowCoord = 536870912.0;  // 2^29
+
+bool InRange(double v) { return std::fabs(v) <= kMaxWindowCoord; }
+
+bool InRange(const DeviceVertex& d) { return InRange(d.x) && InRange(d.y); }
+
+// A point's half extent (point size clamped below at 1); false when its
+// square leaves the coordinate range (including an infinite point size).
+bool PointHalf(const DeviceVertex& d, double* half) {
+  *half = std::max(1.0f, d.point_size) * 0.5;
+  return InRange(d.x - *half) && InRange(d.x + *half) &&
+         InRange(d.y - *half) && InRange(d.y + *half);
+}
+
 // Clips a polygon (in clip space, varyings linear in clip space) against the
 // plane w >= kNearEps. Sutherland-Hodgman on a single plane.
 std::vector<RasterVertex> ClipNear(const std::vector<RasterVertex>& poly,
@@ -234,20 +253,24 @@ void RasterizeTriangleT(const RasterVertex& v0, const RasterVertex& v1,
   const bool in1 = v1.clip[3] >= kNearEps;
   const bool in2 = v2.clip[3] >= kNearEps;
   if (in0 && in1 && in2) {
-    EmitTriangle(ToDevice(v0, varying_cells, state),
-                 ToDevice(v1, varying_cells, state),
-                 ToDevice(v2, varying_cells, state), varying_cells, state,
-                 emit);
+    const DeviceVertex d0 = ToDevice(v0, varying_cells, state);
+    const DeviceVertex d1 = ToDevice(v1, varying_cells, state);
+    const DeviceVertex d2 = ToDevice(v2, varying_cells, state);
+    if (!InRange(d0) || !InRange(d1) || !InRange(d2)) return;
+    EmitTriangle(d0, d1, d2, varying_cells, state, emit);
     return;
   }
   const std::vector<RasterVertex> poly =
       ClipNear({v0, v1, v2}, varying_cells);
   if (poly.size() < 3) return;
-  const DeviceVertex d0 = ToDevice(poly[0], varying_cells, state);
-  for (std::size_t i = 1; i + 1 < poly.size(); ++i) {
-    EmitTriangle(d0, ToDevice(poly[i], varying_cells, state),
-                 ToDevice(poly[i + 1], varying_cells, state), varying_cells,
-                 state, emit);
+  std::vector<DeviceVertex> d;
+  d.reserve(poly.size());
+  for (const RasterVertex& v : poly) {
+    d.push_back(ToDevice(v, varying_cells, state));
+    if (!InRange(d.back())) return;
+  }
+  for (std::size_t i = 1; i + 1 < d.size(); ++i) {
+    EmitTriangle(d[0], d[i], d[i + 1], varying_cells, state, emit);
   }
 }
 
@@ -256,8 +279,9 @@ void RasterizePointT(const RasterVertex& v, int varying_cells,
                      const RasterState& state, Emitter& emit) {
   if (v.clip[3] < kNearEps) return;
   const DeviceVertex d = ToDevice(v, varying_cells, state);
-  const double size = std::max(1.0f, d.point_size);
-  const double half = size * 0.5;
+  double half = 0.0;
+  if (!PointHalf(d, &half)) return;
+  const double size = half * 2.0;
   int min_x = static_cast<int>(std::floor(d.x - half));
   int max_x = static_cast<int>(std::ceil(d.x + half));
   int min_y = static_cast<int>(std::floor(d.y - half));
@@ -351,6 +375,7 @@ void RasterizeLineT(const RasterVertex& v0, const RasterVertex& v1,
   if (v0.clip[3] < kNearEps || v1.clip[3] < kNearEps) return;
   const DeviceVertex a = ToDevice(v0, varying_cells, state);
   const DeviceVertex b = ToDevice(v1, varying_cells, state);
+  if (!InRange(a) || !InRange(b)) return;
   // Each pixel coordinate advances in one direction only, so once the walk
   // has passed the clip rect's far side on either axis it can never
   // re-enter — stop instead of stepping the remainder (per-tile runs of a
@@ -408,7 +433,8 @@ void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
 
 namespace {
 
-// Clamps a device-space bbox to the target and reports emptiness.
+// Clamps a device-space bbox (every edge InRange) to the target and reports
+// emptiness.
 bool FinishRect(double fx0, double fy0, double fx1, double fy1,
                 const RasterState& s, PixelRect* out) {
   out->x0 = std::max(static_cast<int>(std::floor(fx0)), 0);
@@ -430,6 +456,7 @@ bool TriangleBounds(const RasterVertex& v0, const RasterVertex& v1,
     const DeviceVertex a = ToDevice(v0, 0, state);
     const DeviceVertex b = ToDevice(v1, 0, state);
     const DeviceVertex c = ToDevice(v2, 0, state);
+    if (!InRange(a) || !InRange(b) || !InRange(c)) return false;
     const double area = Orient2d(a.x, a.y, b.x, b.y, c.x, c.y);
     if (area == 0.0) return false;
     bool front = false;
@@ -446,6 +473,7 @@ bool TriangleBounds(const RasterVertex& v0, const RasterVertex& v1,
   bool first = true;
   for (const RasterVertex& v : poly) {
     const DeviceVertex d = ToDevice(v, 0, state);
+    if (!InRange(d)) return false;
     if (first) {
       fx0 = fx1 = d.x;
       fy0 = fy1 = d.y;
@@ -464,7 +492,8 @@ bool PointBounds(const RasterVertex& v, const RasterState& state,
                  PixelRect* out) {
   if (v.clip[3] < kNearEps) return false;
   const DeviceVertex d = ToDevice(v, 0, state);
-  const double half = std::max(1.0f, d.point_size) * 0.5;
+  double half = 0.0;
+  if (!PointHalf(d, &half)) return false;
   return FinishRect(d.x - half, d.y - half, d.x + half, d.y + half, state,
                     out);
 }
@@ -474,6 +503,7 @@ bool LineBounds(const RasterVertex& v0, const RasterVertex& v1,
   if (v0.clip[3] < kNearEps || v1.clip[3] < kNearEps) return false;
   const DeviceVertex a = ToDevice(v0, 0, state);
   const DeviceVertex b = ToDevice(v1, 0, state);
+  if (!InRange(a) || !InRange(b)) return false;
   // WalkLine floors positions between the endpoints: the pixel holding the
   // far endpoint is the last one, hence the +1.
   return FinishRect(std::min(a.x, b.x), std::min(a.y, b.y),
@@ -504,6 +534,7 @@ void LineTouchedTiles(const RasterVertex& v0, const RasterVertex& v1,
   if (v0.clip[3] < kNearEps || v1.clip[3] < kNearEps) return;
   const DeviceVertex a = ToDevice(v0, 0, state);
   const DeviceVertex b = ToDevice(v1, 0, state);
+  if (!InRange(a) || !InRange(b)) return;
   const bool x_inc = b.x >= a.x;
   const bool y_inc = b.y >= a.y;
   int last_tx = INT_MIN, last_ty = INT_MIN;

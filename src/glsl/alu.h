@@ -53,9 +53,9 @@ inline float FlushDenormal(float x) {
 // The one NaN every rounded float op produces. Which NaN an IEEE op returns
 // depends on operand order when two NaNs meet (x86 keeps the first), and a
 // compiler may commute a scalar a + b while an intrinsic fixes the order; so
-// every rounding step (RoundResult, Round, the plane kernels' vector round,
-// the compiled engine's generated rounding) maps any NaN to this pattern,
-// and no engine or SIMD tier can disagree on a NaN's bits.
+// every rounding step (RoundResult, Round, the plane kernels' vector round)
+// maps any NaN to this pattern, and no engine or SIMD tier can disagree on
+// a NaN's bits.
 inline constexpr std::uint32_t kCanonicalNanBits = 0x7fc00000u;
 inline float CanonicalizeNan(float x) {
   return x != x ? std::bit_cast<float>(kCanonicalNanBits) : x;

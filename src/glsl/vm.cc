@@ -116,10 +116,6 @@ void VmExec::SyncGlobalsFrom(const VmExec& base) {
     lane_refs_.clear();
     batch_ops_.clear();
     batch_args_.clear();
-    // A compiled module is specific to the old program, and the operand
-    // table pointed into the old planes/global store.
-    jit_.reset();
-    jit_tbl_ready_ = false;
     return;
   }
   // Element-wise copy-assign: Value reuses its existing cell storage when
@@ -388,9 +384,6 @@ void VmExec::EnsureBatchState() {
   lane_ret_stack_.assign(
       static_cast<std::size_t>(kVmLanes) * (kMaxCallDepth + 1), 0);
   batch_ready_ = true;
-  // The lane planes were (re)allocated: any cached jit operand table points
-  // at the old storage.
-  jit_tbl_ready_ = false;
 }
 
 BatchDst VmExec::LanePlane(int slot) {
@@ -408,91 +401,8 @@ std::uint32_t VmExec::RunBatch(int n) {
   batch_simd_ = alu_.round_mode() != RoundMode::kModel ? simd_level_
                                                        : simd::Level::kScalar;
   if (batch_simd_ != simd::Level::kScalar) ++simd_batches_;
-  // Compiled engine: uniform-control-flow batches enter the native module;
-  // divergent programs (for which CompileProgram returns no module anyway)
-  // always run the masked interpreter.
-  if (jit_ != nullptr && prog_->uniform_control_flow) return RunBatchJit(n);
   return prog_->uniform_control_flow ? ExecuteBatchUniform(n)
                                      : ExecuteBatchDivergent(n);
-}
-
-// ---------------------------------------------------------------------------
-// Compiled-module execution (ExecEngine::kCompiled; see glsl/jit.h)
-// ---------------------------------------------------------------------------
-
-std::uint32_t VmExec::RunBatchJit(int n) {
-  if (!jit_tbl_ready_) {
-    // Resolve the module's operand words to cell base pointers — the same
-    // space dispatch as LaneViews, snapshotted once per plane (re)build:
-    // none of the backing vectors resize during batched execution, and the
-    // shared Values keep their cell storage on same-layout copy-assign.
-    // The generated code addresses a plane operand's cell k of lane l as
-    // base[k * kVmLanes + l] and a shared one's as base[k].
-    const LaneViews views = Views();
-    const auto& table_ops = jit_->table_ops();
-    jit_tbl_.clear();
-    jit_tbl_.reserve(table_ops.size());
-    for (const std::uint32_t operand : table_ops) {
-      jit_tbl_.push_back(const_cast<Cell*>(views.Read(operand).base));
-    }
-    jit_tbl_ready_ = true;
-  }
-
-  loop_steps_ = 0;
-  jit_batch_n_ = n;
-  jit::JitEnv env;
-  env.host = this;
-  env.tbl = jit_tbl_.data();
-  env.n = n;
-  env.ri = alu_.round_identity() ? 1 : 0;
-  env.exec_op = &VmExec::JitExecOp;
-  env.guard = &VmExec::JitGuard;
-  env.depth_trap = &VmExec::JitDepthTrap;
-  env.trap = &VmExec::JitTrap;
-  env.count_alu = &VmExec::JitCountAlu;
-  const int rc = jit_->entry()(&env);
-  const std::uint32_t full =
-      n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
-  if (rc == 1) return full;
-  if (rc == 0) return 0;
-  throw ShaderRuntimeError(
-      "internal error: compiled shader returned an unexpected status");
-}
-
-// Replays one punted instruction through the batch interpreter — identical
-// by construction, since it is the code path the pure interpreter runs.
-void VmExec::JitExecOp(void* host, int pc) {
-  auto* self = static_cast<VmExec*>(host);
-  self->ExecBatchOp(self->prog_->code[static_cast<std::size_t>(pc)],
-                    LowLanes(self->jit_batch_n_));
-}
-
-// kLoopGuard, verbatim from ExecuteBatchUniform: uniform control flow traps
-// every lane on the same step, so the attributed lane is always 0.
-void VmExec::JitGuard(void* host) {
-  auto* self = static_cast<VmExec*>(host);
-  if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-    throw ShaderRuntimeError(kInjectedTrapMsg, /*trap_lane=*/0);
-  }
-  if (++self->loop_steps_ > self->loop_budget_) {
-    throw ShaderRuntimeError(kLoopBudgetMsg, /*trap_lane=*/0);
-  }
-}
-
-void VmExec::JitDepthTrap(void* host) {
-  (void)host;
-  throw ShaderRuntimeError(kCallDepthMsg, /*trap_lane=*/0);
-}
-
-void VmExec::JitTrap(void* host, int msg_index) {
-  auto* self = static_cast<VmExec*>(host);
-  throw ShaderRuntimeError(
-      self->prog_->messages[static_cast<std::size_t>(msg_index)],
-      /*trap_lane=*/0);
-}
-
-void VmExec::JitCountAlu(void* host, unsigned long long ops) {
-  static_cast<VmExec*>(host)->alu_.CountAlu(ops);
 }
 
 void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask) {

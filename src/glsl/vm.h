@@ -19,7 +19,6 @@
 #include "glsl/engine.h"
 #include "glsl/evalcore.h"
 #include "glsl/ir.h"
-#include "glsl/jit.h"
 
 namespace mgpu::glsl {
 
@@ -134,21 +133,6 @@ class VmExec final : public ShaderEngine {
   // worker clones), so callers can tell which path actually ran.
   [[nodiscard]] std::uint64_t simd_batches() const { return simd_batches_; }
 
-  // Attaches (or detaches, with nullptr) a compiled module for this
-  // executor's program: uniform-control-flow RunBatch calls then enter the
-  // module's native code instead of the interpreter loop, with punted
-  // instructions calling back into ExecBatchOp (see jit.h for why results,
-  // op counts and traps are bit-identical). The module must have been built
-  // from this executor's VmProgram. Worker clones do NOT inherit the
-  // module — the shade cache stamps each slot explicitly, keeping borrowed
-  // engines (the link-time fvm serial slots reuse) untouched for the
-  // interpreter engines.
-  void SetJit(std::shared_ptr<const jit::Module> module) {
-    jit_ = std::move(module);
-    jit_tbl_ready_ = false;
-  }
-  [[nodiscard]] bool has_jit() const { return jit_ != nullptr; }
-
  private:
   bool Execute(std::uint32_t pc);
 
@@ -157,15 +141,6 @@ class VmExec final : public ShaderEngine {
   [[nodiscard]] LaneViews Views();
   std::uint32_t ExecuteBatchUniform(int n);
   std::uint32_t ExecuteBatchDivergent(int n);
-  // Runs the batch through the attached compiled module (jit_ non-null,
-  // uniform control flow). The Jit* statics are the callbacks the generated
-  // code reaches back through; host is the VmExec.
-  std::uint32_t RunBatchJit(int n);
-  static void JitExecOp(void* host, int pc);
-  static void JitGuard(void* host);
-  static void JitDepthTrap(void* host);
-  static void JitTrap(void* host, int msg_index);
-  static void JitCountAlu(void* host, unsigned long long ops);
   // Executes one non-control-flow instruction for the lanes of `mask`
   // (every lane below the batch size for the lockstep executor, a lane
   // group for the divergent one) as one plane kernel call.
@@ -228,14 +203,6 @@ class VmExec final : public ShaderEngine {
   std::array<int, kVmLanes> lane_sp_{};
   std::array<std::uint64_t, kVmLanes> lane_steps_{};
   std::vector<std::uint32_t> lane_ret_stack_;
-
-  // --- compiled-engine state (see SetJit) ---
-  // jit_tbl_ caches the operand table resolved against the current lane
-  // planes; invalidated whenever the planes or the module change.
-  std::shared_ptr<const jit::Module> jit_;
-  std::vector<void*> jit_tbl_;
-  bool jit_tbl_ready_ = false;
-  int jit_batch_n_ = 0;
 };
 
 }  // namespace mgpu::glsl

@@ -71,9 +71,8 @@ const char* EngineName(ExecEngine e) {
     case ExecEngine::kBatchedVm: return "batched";
     case ExecEngine::kBytecodeVm: return "scalar-vm";
     case ExecEngine::kTreeWalk: return "tree";
-    case ExecEngine::kCompiled: return "compiled";
+    default: return "?";
   }
-  return "?";
 }
 
 struct Observed {
@@ -113,9 +112,8 @@ Observed RunScene(Context& ctx) {
 // The tentpole invariant: recorded + asynchronously executed scenes are
 // byte-identical to immediate mode on every engine and worker count.
 TEST(CmdStream, AsyncMatchesImmediateAcrossEnginesAndThreads) {
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (const ExecEngine engine : engines) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +

@@ -8,7 +8,7 @@
 // Usage: gles2_fault_test [--fault_iters=N] [gtest flags]
 // The sweep test runs N seeded scenarios (default 60; CI's ASan job raises
 // it). Seeds are deterministic (seed base + index), so any failure line
-// reproduces standalone.
+// reproduces standalone. Any other argument is an error.
 
 #include <array>
 #include <cstdint>
@@ -151,9 +151,8 @@ const char* EngineName(ExecEngine e) {
     case ExecEngine::kBatchedVm: return "batched";
     case ExecEngine::kBytecodeVm: return "scalar-vm";
     case ExecEngine::kTreeWalk: return "tree";
-    case ExecEngine::kCompiled: return "compiled";
+    default: return "?";
   }
-  return "?";
 }
 
 // A shader trap must abort transactionally on every engine / worker count /
@@ -162,9 +161,8 @@ const char* EngineName(ExecEngine e) {
 // engine-identical already).
 TEST(FaultInjection, TrapAbortRestoresPreDrawStateEverywhere) {
   std::vector<std::uint8_t> reference_fb;
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (const ExecEngine engine : engines) {
     for (const int threads : {1, 4}) {
       for (const int width : {1, 17, 32}) {
@@ -232,9 +230,8 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
     total = ctx.alu().counts().alu - before;
     ASSERT_GT(total, 0u);
   }
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (const ExecEngine engine : engines) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
@@ -341,9 +338,8 @@ AbortOutcome RunFailingBandDraw(ExecEngine engine, int threads,
 
 void ExpectAbortParity(const char* fs, std::uint64_t budget,
                        GLenum want_error, const char* want_msg) {
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (const ExecEngine engine : engines) {
     const AbortOutcome serial = RunFailingBandDraw(engine, 1, fs, budget);
     EXPECT_EQ(serial.gl_error, want_error);
@@ -412,9 +408,8 @@ struct SweepSpec {
 };
 
 void RunFaultSweep(const SweepSpec& spec) {
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (int iter = 0; iter < g_fault_iters; ++iter) {
     std::mt19937_64 rng(spec.seed_base + static_cast<std::uint64_t>(iter));
     const Site site = spec.sites[rng() % spec.sites.size()];
@@ -525,9 +520,8 @@ TEST(FaultInjection, InjectedFaultSweepCoversBandSplitDraws) {
 // counts; async is forced on so the sweep also runs under CI's MGPU_ASYNC=0
 // leg.
 TEST(FaultInjection, CmdSubmitDropLatchesInnocentResetAndRecovers) {
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (const ExecEngine engine : engines) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
@@ -596,6 +590,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--fault_iters=", 14) == 0) {
       mgpu::gles2::g_fault_iters = std::atoi(argv[i] + 14);
+    } else {
+      std::fprintf(stderr, "gles2_fault_test: unknown argument '%s'\n",
+                   argv[i]);
+      return 2;
     }
   }
   std::printf("fault-injection sweep: %d seeded scenarios\n",

@@ -1,6 +1,7 @@
 // Framebuffer objects and render-to-texture: the substrate for the paper's
 // challenge 7 (the only way to read results back is via the framebuffer) and
 // for multi-pass kernels (reduction, ping-pong).
+#include <climits>
 #include <vector>
 
 #include "gles2/context.h"
@@ -214,6 +215,101 @@ TEST(FboTest, MismatchedDepthSizeIncomplete) {
                               GL_RENDERBUFFER, rb);
   EXPECT_NE(ctx.CheckFramebufferStatus(GL_FRAMEBUFFER),
             GL_FRAMEBUFFER_COMPLETE);
+}
+
+// Sizes below 0 or above max_texture_size raise GL_INVALID_VALUE and leave
+// the renderbuffer's storage alone; the error sequence is the same inline
+// and through the command stream.
+TEST(FboTest, RenderbufferStorageRejectsBadSizes) {
+  std::vector<GLenum> sequences[2];
+  for (const int async : {0, 1}) {
+    SCOPED_TRACE(async);
+    ContextConfig cfg = Cfg();
+    cfg.async_submit = async;
+    cfg.max_texture_size = 64;
+    Context ctx(cfg);
+    EXPECT_EQ(ctx.async_submit_enabled(), async == 1);
+    GLuint rb;
+    ctx.GenRenderbuffers(1, &rb);
+    ctx.BindRenderbuffer(GL_RENDERBUFFER, rb);
+    std::vector<GLenum>& errors = sequences[async];
+    const auto storage = [&](GLenum format, GLsizei w, GLsizei h) {
+      ctx.RenderbufferStorage(GL_RENDERBUFFER, format, w, h);
+      errors.push_back(ctx.GetError());
+    };
+    storage(GL_RGBA4, 4, 4);
+    storage(GL_RGB565, 64, 64);
+    storage(GL_RGBA4, -1, 4);
+    storage(GL_RGBA4, 4, -1);
+    storage(GL_RGBA4, 65, 4);
+    storage(GL_DEPTH_COMPONENT16, 4, 65);
+    storage(GL_RGB565, INT_MAX, INT_MAX);
+    storage(GL_DEPTH_COMPONENT16, INT_MIN, 2);
+    EXPECT_EQ(errors,
+              (std::vector<GLenum>{GL_NO_ERROR, GL_NO_ERROR,
+                                   GL_INVALID_VALUE, GL_INVALID_VALUE,
+                                   GL_INVALID_VALUE, GL_INVALID_VALUE,
+                                   GL_INVALID_VALUE, GL_INVALID_VALUE}));
+    // The rejected calls left the 64x64 colour storage in place.
+    GLuint fbo;
+    ctx.GenFramebuffers(1, &fbo);
+    ctx.BindFramebuffer(GL_FRAMEBUFFER, fbo);
+    ctx.FramebufferRenderbuffer(GL_FRAMEBUFFER, GL_COLOR_ATTACHMENT0,
+                                GL_RENDERBUFFER, rb);
+    EXPECT_EQ(ctx.CheckFramebufferStatus(GL_FRAMEBUFFER),
+              GL_FRAMEBUFFER_COMPLETE);
+    ctx.ClearColor(1.0f, 0.0f, 0.0f, 1.0f);
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    std::vector<std::uint8_t> px(64 * 64 * 4);
+    ctx.ReadPixels(0, 0, 64, 64, GL_RGBA, GL_UNSIGNED_BYTE, px.data());
+    EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+    EXPECT_EQ(px[(64 * 64 - 1) * 4], 255);
+  }
+  EXPECT_EQ(sequences[0], sequences[1]);
+}
+
+// A scissor box whose x + width or y + height passes INT_MAX reaches the
+// far edge of the target, for clears and for draws, inline and recorded.
+TEST(FboTest, ScissorEdgesPastIntMaxReachTheTargetEdge) {
+  constexpr int kSize = 16;
+  constexpr char kFs[] = R"(
+precision mediump float;
+void main() { gl_FragColor = vec4(0.0, 0.0, 1.0, 1.0); }
+)";
+  std::vector<std::uint8_t> results[2];
+  for (const int async : {0, 1}) {
+    SCOPED_TRACE(async);
+    ContextConfig cfg = Cfg(kSize, kSize);
+    cfg.async_submit = async;
+    Context ctx(cfg);
+    const GLuint prog =
+        BuildProgramOrDie(ctx, testutil::kPassthroughVs, kFs);
+    ctx.ClearColor(1.0f, 0.0f, 0.0f, 1.0f);
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    ctx.Enable(GL_SCISSOR_TEST);
+    // Left half: cleared green from x = 2, y = 3 to the far edges.
+    ctx.Scissor(2, 3, INT_MAX, INT_MAX);
+    ctx.ClearColor(0.0f, 1.0f, 0.0f, 1.0f);
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    // Right part: drawn blue from x = 9 on.
+    ctx.Scissor(9, 0, INT_MAX, INT_MAX);
+    DrawFullscreenQuad(ctx, prog);
+    EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+    const std::vector<std::uint8_t> px =
+        testutil::ReadRgba(ctx, kSize, kSize);
+    for (int y = 0; y < kSize; ++y) {
+      for (int x = 0; x < kSize; ++x) {
+        const std::size_t o = static_cast<std::size_t>(y * kSize + x) * 4;
+        const int want = x >= 9 ? 2 : (x >= 2 && y >= 3 ? 1 : 0);
+        for (int c = 0; c < 3; ++c) {
+          EXPECT_EQ(px[o + static_cast<std::size_t>(c)], c == want ? 255 : 0)
+              << "pixel " << x << "," << y << " channel " << c;
+        }
+      }
+    }
+    results[async] = px;
+  }
+  EXPECT_EQ(results[0], results[1]);
 }
 
 }  // namespace

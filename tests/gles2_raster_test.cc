@@ -5,9 +5,12 @@
 #include "gles2/raster.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
+#include "gles2/context.h"
+#include "gles2_test_util.h"
 #include "gtest/gtest.h"
 
 namespace mgpu::gles2 {
@@ -232,6 +235,129 @@ TEST(RasterTest, ViewportOffsetShiftsOutput) {
     EXPECT_GE(pix % 8, 4);
     EXPECT_GE(pix / 8, 4);
     EXPECT_EQ(count, 1);
+  }
+}
+
+// Positions a vertex attribute can carry that leave int range once mapped
+// to window coordinates.
+const std::vector<float>& BadCoords() {
+  static const std::vector<float> v = {
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(), 3e9f, -3e9f};
+  return v;
+}
+
+// A primitive with a NaN, infinite or out-of-range window coordinate is
+// culled whole, by the rasterizer and by the binner's bounds alike, before
+// any coordinate is converted to int.
+TEST(RasterTest, NonFiniteAndHugeCoordinatesCullThePrimitive) {
+  const RasterState s = State(8, 8);
+  int frags = 0;
+  const FragmentSink sink = [&](int, int, float, const float*, bool, float,
+                                float) { ++frags; };
+  PixelRect r;
+  for (const float bad : BadCoords()) {
+    SCOPED_TRACE(bad);
+    for (int axis = 0; axis < 2; ++axis) {
+      RasterVertex v = V(0.5f, 0.5f);
+      v.clip[static_cast<std::size_t>(axis)] = bad;
+      RasterizeTriangle(V(-1, -1), V(1, -1), v, 0, s, sink);
+      EXPECT_FALSE(TriangleBounds(V(-1, -1), V(1, -1), v, s, &r));
+      // Near-clipped: the clipped polygon carries the bad vertex along.
+      RasterVertex behind = V(0, 1);
+      behind.clip = {0.0f, 1.0f, 0.0f, -1.0f};
+      RasterizeTriangle(v, V(1, -1), behind, 0, s, sink);
+      EXPECT_FALSE(TriangleBounds(v, V(1, -1), behind, s, &r));
+      RasterizePoint(v, 0, s, sink);
+      EXPECT_FALSE(PointBounds(v, s, &r));
+      RasterizeLine(V(-1, -1), v, 0, s, sink);
+      RasterizeLine(v, V(-1, -1), 0, s, sink);
+      EXPECT_FALSE(LineBounds(V(-1, -1), v, s, &r));
+      int tiles = 0;
+      LineTouchedTiles(v, V(-1, -1), s, 4,
+                       [&](int, int) { ++tiles; });
+      EXPECT_EQ(tiles, 0);
+    }
+  }
+  RasterVertex huge_point = V(0, 0);
+  huge_point.point_size = std::numeric_limits<float>::infinity();
+  RasterizePoint(huge_point, 0, s, sink);
+  EXPECT_FALSE(PointBounds(huge_point, s, &r));
+  EXPECT_EQ(frags, 0);
+
+  // Finite primitives, even ones far outside the target, still draw.
+  RasterizeTriangle(V(-1, -1), V(1e6f, -1), V(-1, 1e6f), 0, s, sink);
+  EXPECT_EQ(frags, 64);
+}
+
+// The same through a whole draw on the serial and the threaded pipeline:
+// triangles, points and lines holding such positions add nothing, raise no
+// GL error, and leave the finite primitives of the same draw unchanged.
+TEST(RasterTest, DrawsSkipNonFiniteAndHugePrimitives) {
+  constexpr int kSize = 96;  // more than one 64x64 tile
+  constexpr char kVs[] = R"(
+attribute vec4 a_pos;
+void main() {
+  gl_Position = a_pos;
+  gl_PointSize = 5.0;
+}
+)";
+  constexpr char kFs[] = R"(
+precision mediump float;
+void main() { gl_FragColor = vec4(0.2, 0.6, 0.9, 1.0); }
+)";
+  // One finite triangle, point and line: the reference scene.
+  const std::vector<float> tri = {-0.9f, -0.9f, 0, 1, 0.8f, -0.7f, 0, 1,
+                                  -0.6f, 0.9f, 0, 1};
+  const std::vector<float> point = {0.5f, 0.5f, 0, 1};
+  const std::vector<float> line = {-1.0f, 0.7f, 0, 1, 0.9f, -0.2f, 0, 1};
+  // The same with bad copies first: each bad value in x, then in y.
+  std::vector<float> bad_tris, bad_points, bad_lines;
+  for (const float bad : BadCoords()) {
+    for (int axis = 0; axis < 2; ++axis) {
+      std::vector<float> t = tri;
+      t[8 + static_cast<std::size_t>(axis)] = bad;
+      bad_tris.insert(bad_tris.end(), t.begin(), t.end());
+      std::vector<float> p = point;
+      p[static_cast<std::size_t>(axis)] = bad;
+      bad_points.insert(bad_points.end(), p.begin(), p.end());
+      std::vector<float> l = line;
+      l[4 + static_cast<std::size_t>(axis)] = bad;
+      bad_lines.insert(bad_lines.end(), l.begin(), l.end());
+    }
+  }
+  const auto with = [](std::vector<float> a, const std::vector<float>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  const auto render = [&](int threads, bool bad) {
+    ContextConfig cfg;
+    cfg.width = kSize;
+    cfg.height = kSize;
+    cfg.shader_threads = threads;
+    Context ctx(cfg);
+    const GLuint prog = testutil::BuildProgramOrDie(ctx, kVs, kFs);
+    ctx.UseProgram(prog);
+    const GLint loc = ctx.GetAttribLocation(prog, "a_pos");
+    EXPECT_GE(loc, 0);
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    const auto draw = [&](GLenum mode, const std::vector<float>& verts) {
+      ctx.VertexAttribPointer(static_cast<GLuint>(loc), 4, GL_FLOAT,
+                              GL_FALSE, 0, verts.data());
+      ctx.DrawArrays(mode, 0, static_cast<GLsizei>(verts.size() / 4));
+      EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+    };
+    draw(GL_TRIANGLES, bad ? with(bad_tris, tri) : tri);
+    draw(GL_POINTS, bad ? with(bad_points, point) : point);
+    draw(GL_LINES, bad ? with(bad_lines, line) : line);
+    return testutil::ReadRgba(ctx, kSize, kSize);
+  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const std::vector<std::uint8_t> want = render(threads, false);
+    EXPECT_EQ(render(threads, true), want);
   }
 }
 

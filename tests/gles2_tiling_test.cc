@@ -435,11 +435,6 @@ void ExpectEngineAgreement(const Scenario& sc, bool vc4_alu) {
       {ExecEngine::kBatchedVm, 3, "batched threaded"},
       {ExecEngine::kBytecodeVm, 3, "scalar threaded"},
       {ExecEngine::kTreeWalk, 1, "tree-walk oracle"},
-      // The compiled engine transparently falls back to the batched VM for
-      // divergent programs or when no host compiler exists, so these two
-      // configs are meaningful on every machine.
-      {ExecEngine::kCompiled, 1, "compiled serial"},
-      {ExecEngine::kCompiled, 3, "compiled threaded"},
   };
   for (const Config& c : configs) {
     const RunResult got =
@@ -551,13 +546,9 @@ void main() {
     };
     const RunResult batched = run(ExecEngine::kBatchedVm);
     const RunResult scalar = run(ExecEngine::kBytecodeVm);
-    const RunResult compiled = run(ExecEngine::kCompiled);
     EXPECT_EQ(batched.px, scalar.px);
     EXPECT_EQ(batched.counts.alu, scalar.counts.alu);
     EXPECT_EQ(batched.counts.sfu_trans, scalar.counts.sfu_trans);
-    EXPECT_EQ(compiled.px, scalar.px);
-    EXPECT_EQ(compiled.counts.alu, scalar.counts.alu);
-    EXPECT_EQ(compiled.counts.sfu_trans, scalar.counts.sfu_trans);
   }
 }
 
@@ -867,8 +858,6 @@ void ExpectBandScenarioMatchesSerial(const BandScenario& sc, bool vc4_alu) {
       {ExecEngine::kTreeWalk, "tree"},
       {ExecEngine::kBytecodeVm, "scalar-vm"},
       {ExecEngine::kBatchedVm, "batched"},
-      // Falls back to the batched VM without a host compiler.
-      {ExecEngine::kCompiled, "compiled"},
   };
   for (const EngineCase& e : engines) {
     SCOPED_TRACE(std::string(sc.name) + " " + e.name +
@@ -916,8 +905,7 @@ TEST(BandSplitDifferentialTest, EnginesAgreeUnderBands) {
   const BandScenario& sc = kBandScenarios[0];
   const BandRun ref = RunBandScenario(sc, ExecEngine::kBytecodeVm, 1, true);
   for (const ExecEngine engine :
-       {ExecEngine::kBytecodeVm, ExecEngine::kBatchedVm,
-        ExecEngine::kCompiled}) {
+       {ExecEngine::kBytecodeVm, ExecEngine::kBatchedVm}) {
     const BandRun got = RunBandScenario(sc, engine, 4, true);
     EXPECT_GT(got.splits, 0u);
     EXPECT_EQ(got.px, ref.px);

@@ -12,20 +12,11 @@
 // The same generator also emits VERTEX-stage programs (attribute input,
 // gl_Position output, no discard) for the identical engine sweep, and a
 // whole-draw corpus: seeded (vertex shader, fragment shader, attribute
-// buffer) triples drawn through a real gles2::Context under all four
+// buffer) triples drawn through a real gles2::Context under all three
 // engines × vertex-batch on/off × both ALU profiles, asserting
 // bit-identical framebuffer bytes, op counts, and draw-abort diagnostics
 // (trap message, GL error, reset status). That covers attribute decode for
 // every GL type, varying interpolation and the TMU cache model end-to-end.
-//
-// A fourth engine rides the same oracle: for the first --jit_iters seeds
-// (default 40; compiling every program would dominate the harness), the
-// per-link C++ transpiler (glsl/jit.h) builds a native module for each
-// eligible program — uniform control flow, host compiler present — and the
-// whole batch-tail comparison runs again with the module attached. No new
-// oracle code: the compiled engine must agree with the same scalar
-// references, including op counts and (in the trap sweep) the exact trap
-// lane and message.
 //
 // This is the lockdown for the plane kernels: the batched VM runs each
 // instruction as one kernel over lane-major register planes, at the SIMD
@@ -35,9 +26,10 @@
 // Every tail 1..kVmLanes runs, and divergent programs drive the kernels
 // under sparse lane masks.
 //
-// Usage: glsl_vm_fuzz_test [--fuzz_iters=N] [gtest flags]
+// Usage: glsl_vm_fuzz_test [--fuzz_iters=N] [--draw_iters=M] [gtest flags]
 //   N defaults to 200; CI passes 200 on the build matrix and 50 under
-//   TSan/ASan (see CMakeLists.txt / MGPU_FUZZ_ITERS).
+//   TSan/ASan (see CMakeLists.txt / MGPU_FUZZ_ITERS). M defaults to
+//   max(8, N / 8). Any other argument is an error.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -64,11 +56,6 @@
 
 namespace {
 int g_fuzz_iters = 200;
-// How many leading seeds also run through the compiled (transpiled) engine.
-// Each distinct program costs one host-toolchain invocation on its first
-// ever run (the .so is content-hash cached after that), so the default
-// keeps harness latency bounded; the deep-fuzz CI job raises it.
-int g_jit_iters = 40;
 // Whole-draw differential iterations (each seed links and draws through
 // ~5 full contexts, so the budget is a fraction of --fuzz_iters). -1 =
 // derive from g_fuzz_iters in main(); --draw_iters overrides.
@@ -882,12 +869,12 @@ void SetUniforms(Engine& e) {
   });
 }
 
-// Runs one generated program through all the engines (the compiled engine
-// too when `with_jit` and the program is eligible); any mismatch is a test
-// failure tagged with the seed. Vertex-stage programs run the identical
-// sweep with gl_Position as the compared output (no lane ever discards).
-void RunFuzzCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
-                 Stage stage, bool tiny_literals) {
+// Runs one generated program through all the engines; any mismatch is a
+// test failure tagged with the seed. Vertex-stage programs run the
+// identical sweep with gl_Position as the compared output (no lane ever
+// discards).
+void RunFuzzCase(std::uint64_t seed, bool vc4_alu, Stage stage,
+                 bool tiny_literals) {
   GlslFuzzer gen(seed, stage, /*whole_draw=*/false, tiny_literals);
   const std::string src = gen.Generate();
   SCOPED_TRACE(StrFormat("seed=%llu alu=%s stage=%s",
@@ -973,10 +960,8 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
            << "\nsource:\n" << src;
   }
 
-  // Batch-capable engines at every tail size, against the scalar per-lane
-  // references. Runs once for the batched interpreter and (within the jit
-  // budget, for eligible programs) once more with the per-link compiled
-  // module attached — same oracle, zero new comparison code.
+  // The batched engine at every tail size, against the scalar per-lane
+  // references.
   auto check_tails = [&](VmExec& eng, AluModel& alu_e, const char* what) {
     for (int n = 1; n <= kVmLanes; ++n) {
       SCOPED_TRACE(StrFormat("%s tail=%d", what, n));
@@ -1015,25 +1000,13 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
     }
   };
   check_tails(batch, alu_b, "batch vs vm");
-  if (with_jit) {
-    if (std::shared_ptr<const jit::Module> mod = jit::CompileProgram(*prog)) {
-      ExactAlu exact_j;
-      vc4::Vc4Alu vc4_j(profile);
-      AluModel& alu_j = vc4_alu ? static_cast<AluModel&>(vc4_j) : exact_j;
-      VmExec jitted(prog, alu_j);
-      SetUniforms(jitted);
-      jitted.SetJit(std::move(mod));
-      check_tails(jitted, alu_j, "compiled vs vm");
-    }
-  }
 }
 
 void RunFuzzSweep(bool vc4_alu, Stage stage, std::uint64_t seed_base,
                   bool tiny_literals = false) {
   for (int i = 0; i < g_fuzz_iters; ++i) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
-    RunFuzzCase(seed, vc4_alu, /*with_jit=*/i < g_jit_iters, stage,
-                tiny_literals);
+    RunFuzzCase(seed, vc4_alu, stage, tiny_literals);
     if (::testing::Test::HasFailure()) {
       // Stop at the first failing seed and log everything needed to
       // reproduce it: the seed drives both the program generator and the
@@ -1075,7 +1048,7 @@ TEST(VmFuzzDifferentialTest, SeededProgramsVc4AluTinyLiterals) {
                /*tiny_literals=*/true);
 }
 
-// The vertex corpus through the same four-engine, every-tail sweep: this is
+// The vertex corpus through the same three-engine, every-tail sweep: this is
 // the VM-level half of the vertex-batching lockdown (the whole-draw corpus
 // below covers the gles2 gather/scatter plumbing around it).
 TEST(VmFuzzDifferentialTest, SeededVertexProgramsExactAlu) {
@@ -1095,10 +1068,8 @@ TEST(VmFuzzDifferentialTest, SeededVertexProgramsVc4Alu) {
 TEST(VmFuzzDifferentialTest, NanRuleRegressionSeeds) {
   for (const Stage stage : {Stage::kVertex, Stage::kFragment}) {
     SCOPED_TRACE(stage == Stage::kVertex ? "vertex" : "fragment");
-    RunFuzzCase(20262098, /*vc4_alu=*/false, /*with_jit=*/true, stage,
-                /*tiny_literals=*/false);
-    RunFuzzCase(20261985, /*vc4_alu=*/true, /*with_jit=*/true, stage,
-                /*tiny_literals=*/false);
+    RunFuzzCase(20262098, /*vc4_alu=*/false, stage, /*tiny_literals=*/false);
+    RunFuzzCase(20261985, /*vc4_alu=*/true, stage, /*tiny_literals=*/false);
   }
 }
 
@@ -1198,8 +1169,8 @@ struct TrapLaneRef {
 // trap parity plus min-trapping-lane attribution at every batch tail.
 // Increments *trap_lanes / *clean_lanes so the sweep can assert the seeded
 // corpus actually produced both outcomes.
-void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
-                       int* trap_lanes, int* clean_lanes) {
+void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, int* trap_lanes,
+                       int* clean_lanes) {
   const TrapProgram tp = GenTrapProgram(seed);
   SCOPED_TRACE(StrFormat("trap seed=%llu alu=%s budget=%llu",
                          static_cast<unsigned long long>(seed),
@@ -1300,9 +1271,7 @@ void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
   // Batch-capable engines at every tail: must throw iff some lane < n
   // trapped scalar-side, attributing the min trapping lane and its exact
   // message; trap-free tails must stay byte-identical to the scalar
-  // references. As in the clean sweep, the compiled engine re-runs the
-  // whole check when available — its trap callbacks (loop guard, call
-  // depth, kTrap) must reproduce the interpreter's messages exactly.
+  // references.
   auto check_tails = [&](VmExec& eng, AluModel& alu_e, const char* what) {
     for (int n = 1; n <= kVmLanes; ++n) {
       SCOPED_TRACE(StrFormat("%s tail=%d", what, n));
@@ -1358,18 +1327,6 @@ void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
     }
   };
   check_tails(batch, alu_b, "batch vs vm");
-  if (with_jit) {
-    if (std::shared_ptr<const jit::Module> mod = jit::CompileProgram(*prog)) {
-      ExactAlu exact_j;
-      vc4::Vc4Alu vc4_j(profile);
-      AluModel& alu_j = vc4_alu ? static_cast<AluModel&>(vc4_j) : exact_j;
-      VmExec jitted(prog, alu_j);
-      jitted.SetLoopBudget(tp.budget);
-      SetUniforms(jitted);
-      jitted.SetJit(std::move(mod));
-      check_tails(jitted, alu_j, "compiled vs vm");
-    }
-  }
 }
 
 void RunTrapParitySweep(bool vc4_alu) {
@@ -1378,8 +1335,7 @@ void RunTrapParitySweep(bool vc4_alu) {
   int clean_lanes = 0;
   for (int i = 0; i < g_fuzz_iters; ++i) {
     const std::uint64_t seed = kTrapSeedBase + static_cast<std::uint64_t>(i);
-    RunTrapParityCase(seed, vc4_alu, /*with_jit=*/i < g_jit_iters,
-                      &trap_lanes, &clean_lanes);
+    RunTrapParityCase(seed, vc4_alu, &trap_lanes, &clean_lanes);
     if (::testing::Test::HasFailure()) {
       std::fprintf(stderr,
                    "[trap-parity] FAILURE seed=%llu (%s alu, budget=%llu, "
@@ -1414,7 +1370,7 @@ TEST(VmTrapParityTest, SeededTrapProgramsVc4Alu) {
 }  // namespace mgpu::glsl
 
 // ---------------------------------------------------------------------------
-// Whole-draw four-engine differentials
+// Whole-draw engine differentials
 // ---------------------------------------------------------------------------
 //
 // The VM-level sweeps above prove engine agreement for one stage in
@@ -1424,8 +1380,8 @@ TEST(VmTrapParityTest, SeededTrapProgramsVc4Alu) {
 // not, strided and tight, buffer-object and client-pointer), varying
 // interpolation, point sprites, the depth test and the TMU cache model —
 // and the framebuffer bytes, ALU/SFU/TMU totals and error state must be
-// byte-identical across kTreeWalk / kBytecodeVm / kBatchedVm / kCompiled,
-// with vertex batching on and off and at more than one fragment worker
+// byte-identical across kTreeWalk / kBytecodeVm / kBatchedVm, with vertex
+// batching on and off and at more than one fragment worker
 // count. The reference leg is the bytecode VM with the scalar vertex loop,
 // so every other configuration is measured against the per-vertex
 // per-fragment reference semantics.
@@ -1634,13 +1590,11 @@ struct EngineLeg {
   const char* what;
 };
 
-// Every non-reference configuration; the kCompiled leg is skipped outside
-// the jit budget (it invokes the host toolchain for both stages).
+// Every non-reference configuration.
 constexpr EngineLeg kDrawLegs[] = {
     {ExecEngine::kTreeWalk, 0, "tree"},
     {ExecEngine::kBatchedVm, 0, "batched+scalar-vertex"},
     {ExecEngine::kBatchedVm, 1, "batched"},
-    {ExecEngine::kCompiled, 1, "compiled"},
 };
 
 void CompareOutcome(const DrawOutcome& got, const DrawOutcome& ref,
@@ -1670,8 +1624,7 @@ bool HasCoverage(const std::vector<std::uint8_t>& fb) {
   return false;
 }
 
-void RunWholeDrawCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
-                      int* rasterized) {
+void RunWholeDrawCase(std::uint64_t seed, bool vc4_alu, int* rasterized) {
   const DrawScene sc = GenDrawScene(seed);
   SCOPED_TRACE(StrFormat(
       "draw seed=%llu alu=%s tris=%d points=%d threads=%d mix=0x%x%s%s%s",
@@ -1685,7 +1638,6 @@ void RunWholeDrawCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
   EXPECT_TRUE(ref.draw_error.empty()) << ref.draw_error;
   *rasterized += HasCoverage(ref.fb);
   for (const EngineLeg& leg : kDrawLegs) {
-    if (leg.engine == ExecEngine::kCompiled && !with_jit) continue;
     const DrawOutcome got =
         RunWholeDraw(sc, leg.engine, vc4_alu, leg.vertex_batch, 0);
     CompareOutcome(got, ref, leg.what);
@@ -1697,8 +1649,7 @@ void RunWholeDrawSweep(bool vc4_alu) {
   int rasterized = 0;
   for (int i = 0; i < g_draw_iters; ++i) {
     const std::uint64_t seed = kDrawSeedBase + static_cast<std::uint64_t>(i);
-    RunWholeDrawCase(seed, vc4_alu, /*with_jit=*/i < g_jit_iters,
-                     &rasterized);
+    RunWholeDrawCase(seed, vc4_alu, &rasterized);
     if (::testing::Test::HasFailure()) {
       const DrawScene sc = GenDrawScene(seed);
       std::fprintf(stderr,
@@ -1715,11 +1666,11 @@ void RunWholeDrawSweep(bool vc4_alu) {
   }
 }
 
-TEST(WholeDrawFuzzTest, FourEngineDifferentialExactAlu) {
+TEST(WholeDrawFuzzTest, EngineDifferentialExactAlu) {
   RunWholeDrawSweep(/*vc4_alu=*/false);
 }
 
-TEST(WholeDrawFuzzTest, FourEngineDifferentialVc4Alu) {
+TEST(WholeDrawFuzzTest, EngineDifferentialVc4Alu) {
   RunWholeDrawSweep(/*vc4_alu=*/true);
 }
 
@@ -1729,8 +1680,8 @@ TEST(WholeDrawFuzzTest, FourEngineDifferentialVc4Alu) {
 // GL error, reset status and message — the batched path reports the FIRST
 // trapping vertex's message, same as the scalar loop — and a clean seed
 // must render identically, across every engine leg.
-void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
-                          int* aborted, int* completed) {
+void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, int* aborted,
+                          int* completed) {
   Rng rng(seed ^ 0x7e57ab1eull);
   DrawScene sc;
   sc.tri_verts = 3 * static_cast<int>(rng.NextInt(1, 25));
@@ -1740,10 +1691,9 @@ void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
   const bool budget_shape = rng.NextInt(0, 99) < 45;
   const float thresh = rng.NextFloat(0.2f, 1.6f);
   if (budget_shape) {
-    // Watchdog shape: uniform control flow (so the kCompiled leg really
-    // compiles the vertex stage and trips inside RunBatchJit's checkpoint)
-    // with an ALU total that scales with the vertex count; the budget
-    // lands near it so some seeds trip and some complete.
+    // Watchdog shape: uniform control flow with an ALU total that scales
+    // with the vertex count; the budget lands near it so some seeds trip
+    // and some complete.
     sc.vs =
         "attribute vec4 a_in;\n"
         "varying vec4 v_in;\n"
@@ -1756,8 +1706,7 @@ void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
         "}\n";
     budget = static_cast<std::uint64_t>(rng.NextInt(200, 40000));
   } else {
-    // Divergent trap shape: vs_jit declines (non-uniform control flow), so
-    // the kCompiled leg exercises the batched-interpreter fallback.
+    // Divergent trap shape: a lane-varying call to an undefined function.
     sc.vs = StrFormat(
         "attribute vec4 a_in;\n"
         "varying vec4 v_in;\n"
@@ -1786,7 +1735,6 @@ void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
       RunWholeDraw(sc, ExecEngine::kBytecodeVm, vc4_alu, 0, budget);
   ++*(ref.draw_error.empty() ? completed : aborted);
   for (const EngineLeg& leg : kDrawLegs) {
-    if (leg.engine == ExecEngine::kCompiled && !with_jit) continue;
     const DrawOutcome got =
         RunWholeDraw(sc, leg.engine, vc4_alu, leg.vertex_batch, budget);
     CompareOutcome(got, ref, leg.what);
@@ -1800,8 +1748,7 @@ void RunWholeDrawTrapSweep(bool vc4_alu) {
   for (int i = 0; i < g_draw_iters; ++i) {
     const std::uint64_t seed =
         kTrapDrawSeedBase + static_cast<std::uint64_t>(i);
-    RunWholeDrawTrapCase(seed, vc4_alu, /*with_jit=*/i < g_jit_iters,
-                         &aborted, &completed);
+    RunWholeDrawTrapCase(seed, vc4_alu, &aborted, &completed);
     if (::testing::Test::HasFailure()) {
       FAIL() << "whole-draw trap parity failed at seed " << seed
              << " (iteration " << i << " of " << g_draw_iters << ")";
@@ -1827,16 +1774,20 @@ TEST(WholeDrawFuzzTest, VertexTrapAndWatchdogParityVc4Alu) {
 }  // namespace mgpu::gles2
 
 // Custom main: gtest_main cannot parse --fuzz_iters. InitGoogleTest strips
-// gtest's own flags first, leaving ours.
+// gtest's own flags first, leaving ours; anything else left is an error, so
+// a misspelt budget flag fails the run instead of falling back to the
+// default budget.
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--fuzz_iters=", 13) == 0) {
       g_fuzz_iters = std::atoi(argv[i] + 13);
-    } else if (std::strncmp(argv[i], "--jit_iters=", 12) == 0) {
-      g_jit_iters = std::atoi(argv[i] + 12);
     } else if (std::strncmp(argv[i], "--draw_iters=", 13) == 0) {
       g_draw_iters = std::atoi(argv[i] + 13);
+    } else {
+      std::fprintf(stderr, "glsl_vm_fuzz_test: unknown argument '%s'\n",
+                   argv[i]);
+      return 2;
     }
   }
   if (g_draw_iters < 0) {
@@ -1846,8 +1797,8 @@ int main(int argc, char** argv) {
     g_draw_iters = std::max(8, g_fuzz_iters / 8);
   }
   std::printf(
-      "fuzz harness: %d seeded programs per stage and ALU model, first %d "
-      "also through the compiled engine, %d whole-draw scenes\n",
-      g_fuzz_iters, g_jit_iters, g_draw_iters);
+      "fuzz harness: %d seeded programs per stage and ALU model, %d "
+      "whole-draw scenes\n",
+      g_fuzz_iters, g_draw_iters);
   return RUN_ALL_TESTS();
 }

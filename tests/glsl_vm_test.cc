@@ -23,7 +23,6 @@
 #include "glsl/compile.h"
 #include "glsl/interp.h"
 #include "glsl/ir.h"
-#include "glsl/jit.h"
 #include "glsl/regalloc.h"
 #include "glsl/vm.h"
 #include "vc4/alu.h"
@@ -514,8 +513,8 @@ TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
 }
 
 // Integer negation wraps: -INT_MIN is INT_MIN on every engine (the tree
-// walker, the scalar VM, the batched VM and, where a host compiler exists,
-// the compiled module) instead of overflowing a signed int.
+// walker, the scalar VM and the batched VM) instead of overflowing a signed
+// int.
 TEST(VmDifferentialTest, IntMinNegationWrapsOnEveryEngine) {
   constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
   auto shader = testutil::MustCompile(R"(
@@ -562,18 +561,6 @@ void main() {
   ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
   for (int l = 0; l < kVmLanes; ++l) {
     expect_color(batch.LaneGlobalAt(color, l), "batched vm");
-  }
-
-  if (!jit::Available()) return;
-  const std::shared_ptr<const jit::Module> mod = jit::CompileProgram(*prog);
-  ASSERT_NE(mod, nullptr);
-  ExactAlu alu_jit;
-  VmExec jitted(prog, alu_jit);
-  jitted.SetJit(mod);
-  set_uniforms(jitted);
-  ASSERT_EQ(jitted.RunBatch(kVmLanes), ~0u);
-  for (int l = 0; l < kVmLanes; ++l) {
-    expect_color(jitted.LaneGlobalAt(color, l), "compiled");
   }
 }
 
@@ -651,18 +638,6 @@ void main() {
   ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
   for (int l = 0; l < kVmLanes; ++l) {
     expect_color(batch.LaneGlobalAt(color, l), "batched vm");
-  }
-
-  if (!jit::Available()) return;
-  const std::shared_ptr<const jit::Module> mod = jit::CompileProgram(*prog);
-  ASSERT_NE(mod, nullptr);
-  ExactAlu alu_jit;
-  VmExec jitted(prog, alu_jit);
-  jitted.SetJit(mod);
-  set_uniforms(jitted);
-  ASSERT_EQ(jitted.RunBatch(kVmLanes), ~0u);
-  for (int l = 0; l < kVmLanes; ++l) {
-    expect_color(jitted.LaneGlobalAt(color, l), "compiled");
   }
 }
 
