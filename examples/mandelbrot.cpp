@@ -60,7 +60,7 @@ float gp_kernel(vec2 gp_pos) {
   return 0;
 }
 
-// Kernel dispatch failures (a shader trap, the MGPU_DRAW_BUDGET watchdog,
+// Kernel dispatch failures (a shader trap, the draw_budget watchdog,
 // or a pipeline resource fault) surface as exceptions carrying the GL error
 // and the robustness blame; report them and exit nonzero instead of
 // crashing (see README "Robustness model").

@@ -297,7 +297,6 @@ Stats CommandQueue::stats() const {
 }
 
 void CommandQueue::ResyncShadow() {
-  ff_ = FfShadow{};  // all-unknown: nothing elides until re-proven
   const std::size_t n = std::min(attribs_.size(), owner_->attribs_.size());
   for (std::size_t i = 0; i < n; ++i) {
     const auto& a = owner_->attribs_[i];
@@ -306,211 +305,6 @@ void CommandQueue::ResyncShadow() {
   }
   array_buffer_ = owner_->array_buffer_;
   element_array_buffer_ = owner_->element_array_buffer_;
-}
-
-// --- fixed-function setters (dirty diffing) ------------------------------
-
-void CommandQueue::SetCap(GLenum cap, bool on) {
-  bool* state = nullptr;
-  bool* known = nullptr;
-  switch (cap) {
-    case GL_SCISSOR_TEST:
-      state = &ff_.scissor_test;
-      known = &ff_.scissor_test_known;
-      break;
-    case GL_DEPTH_TEST:
-      state = &ff_.depth_test;
-      known = &ff_.depth_test_known;
-      break;
-    case GL_BLEND:
-      state = &ff_.blend;
-      known = &ff_.blend_known;
-      break;
-    case GL_CULL_FACE:
-      state = &ff_.cull;
-      known = &ff_.cull_known;
-      break;
-    case GL_DITHER:
-      // Accepted but stateless in this implementation: provably a no-op.
-      if (CanElide()) {
-        ++stats_.elided;
-        return;
-      }
-      break;
-    default:
-      // Invalid cap: record so GL_INVALID_ENUM surfaces at execution, in
-      // order with the surrounding commands.
-      break;
-  }
-  if (state != nullptr) {
-    if (CanElide() && *known && *state == on) {
-      ++stats_.elided;
-      return;
-    }
-    *state = on;
-    *known = true;
-  }
-  if (on) {
-    Push([cap](Context& c) { c.Enable(cap); });
-  } else {
-    Push([cap](Context& c) { c.Disable(cap); });
-  }
-}
-
-void CommandQueue::Enable(GLenum cap) { SetCap(cap, true); }
-void CommandQueue::Disable(GLenum cap) { SetCap(cap, false); }
-
-void CommandQueue::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
-  const bool valid = w >= 0 && h >= 0;
-  if (valid) {
-    if (CanElide() && ff_.vp_known && ff_.vp[0] == x && ff_.vp[1] == y &&
-        ff_.vp[2] == w && ff_.vp[3] == h) {
-      ++stats_.elided;
-      return;
-    }
-    ff_.vp[0] = x;
-    ff_.vp[1] = y;
-    ff_.vp[2] = w;
-    ff_.vp[3] = h;
-    ff_.vp_known = true;
-  }
-  Push([x, y, w, h](Context& c) { c.Viewport(x, y, w, h); });
-}
-
-void CommandQueue::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
-  const bool valid = w >= 0 && h >= 0;
-  if (valid) {
-    if (CanElide() && ff_.sc_known && ff_.sc[0] == x && ff_.sc[1] == y &&
-        ff_.sc[2] == w && ff_.sc[3] == h) {
-      ++stats_.elided;
-      return;
-    }
-    ff_.sc[0] = x;
-    ff_.sc[1] = y;
-    ff_.sc[2] = w;
-    ff_.sc[3] = h;
-    ff_.sc_known = true;
-  }
-  Push([x, y, w, h](Context& c) { c.Scissor(x, y, w, h); });
-}
-
-void CommandQueue::ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
-  // Raw-argument comparison (identical raw args clamp identically); NaN
-  // never compares equal, so NaN args conservatively re-record.
-  if (CanElide() && ff_.clear_known && ff_.clear[0] == r &&
-      ff_.clear[1] == g && ff_.clear[2] == b && ff_.clear[3] == a) {
-    ++stats_.elided;
-    return;
-  }
-  ff_.clear[0] = r;
-  ff_.clear[1] = g;
-  ff_.clear[2] = b;
-  ff_.clear[3] = a;
-  ff_.clear_known = true;
-  Push([r, g, b, a](Context& c) { c.ClearColor(r, g, b, a); });
-}
-
-void CommandQueue::BlendFunc(GLenum src, GLenum dst) {
-  // The context accepts any factor pair (unknown factors behave like the
-  // defaults at blend time), so every call is a valid state change.
-  if (CanElide() && ff_.blend_func_known && ff_.blend_src == src &&
-      ff_.blend_dst == dst) {
-    ++stats_.elided;
-    return;
-  }
-  ff_.blend_src = src;
-  ff_.blend_dst = dst;
-  ff_.blend_func_known = true;
-  Push([src, dst](Context& c) { c.BlendFunc(src, dst); });
-}
-
-void CommandQueue::DepthFunc(GLenum func) {
-  const bool valid = func >= GL_NEVER && func <= GL_ALWAYS;
-  if (valid) {
-    if (CanElide() && ff_.depth_func_known && ff_.depth_func == func) {
-      ++stats_.elided;
-      return;
-    }
-    ff_.depth_func = func;
-    ff_.depth_func_known = true;
-  }
-  Push([func](Context& c) { c.DepthFunc(func); });
-}
-
-void CommandQueue::DepthMask(GLboolean flag) {
-  if (CanElide() && ff_.depth_mask_known && ff_.depth_mask == flag) {
-    ++stats_.elided;
-    return;
-  }
-  ff_.depth_mask = flag;
-  ff_.depth_mask_known = true;
-  Push([flag](Context& c) { c.DepthMask(flag); });
-}
-
-void CommandQueue::ColorMask(GLboolean r, GLboolean g, GLboolean b,
-                             GLboolean a) {
-  if (CanElide() && ff_.color_mask_known && ff_.color_mask[0] == r &&
-      ff_.color_mask[1] == g && ff_.color_mask[2] == b &&
-      ff_.color_mask[3] == a) {
-    ++stats_.elided;
-    return;
-  }
-  ff_.color_mask[0] = r;
-  ff_.color_mask[1] = g;
-  ff_.color_mask[2] = b;
-  ff_.color_mask[3] = a;
-  ff_.color_mask_known = true;
-  Push([r, g, b, a](Context& c) { c.ColorMask(r, g, b, a); });
-}
-
-void CommandQueue::CullFace(GLenum mode) {
-  const bool valid =
-      mode == GL_FRONT || mode == GL_BACK || mode == GL_FRONT_AND_BACK;
-  if (valid) {
-    if (CanElide() && ff_.cull_face_known && ff_.cull_face == mode) {
-      ++stats_.elided;
-      return;
-    }
-    ff_.cull_face = mode;
-    ff_.cull_face_known = true;
-  }
-  Push([mode](Context& c) { c.CullFace(mode); });
-}
-
-void CommandQueue::FrontFace(GLenum dir) {
-  const bool valid = dir == GL_CW || dir == GL_CCW;
-  if (valid) {
-    if (CanElide() && ff_.front_face_known && ff_.front_face == dir) {
-      ++stats_.elided;
-      return;
-    }
-    ff_.front_face = dir;
-    ff_.front_face_known = true;
-  }
-  Push([dir](Context& c) { c.FrontFace(dir); });
-}
-
-void CommandQueue::PixelStorei(GLenum pname, GLint value) {
-  const bool value_ok =
-      value == 1 || value == 2 || value == 4 || value == 8;
-  GLint* slot = nullptr;
-  bool* known = nullptr;
-  if (pname == GL_UNPACK_ALIGNMENT) {
-    slot = &ff_.unpack;
-    known = &ff_.unpack_known;
-  } else if (pname == GL_PACK_ALIGNMENT) {
-    slot = &ff_.pack;
-    known = &ff_.pack_known;
-  }
-  if (value_ok && slot != nullptr) {
-    if (CanElide() && *known && *slot == value) {
-      ++stats_.elided;
-      return;
-    }
-    *slot = value;
-    *known = true;
-  }
-  Push([pname, value](Context& c) { c.PixelStorei(pname, value); });
 }
 
 // --- attribute / buffer shadow mirrors -----------------------------------
@@ -616,7 +410,7 @@ bool CommandQueue::SnapshotClientAttribs(
 }
 
 bool CommandQueue::DrawArrays(GLenum mode, GLint first, GLsizei count) {
-  if (!CanElide()) return false;  // stale shadow: sync, repair, run inline
+  if (!ShadowTrusted()) return false;  // stale shadow: sync, repair, run inline
   // Argument errors (first<0, count<0) and empty draws never read vertex
   // memory, and neither does a draw with no enabled client arrays (VBO
   // contents travel inside the recorded stream) — record those plain.
@@ -642,7 +436,7 @@ bool CommandQueue::DrawArrays(GLenum mode, GLint first, GLsizei count) {
 
 bool CommandQueue::DrawElements(GLenum mode, GLsizei count, GLenum type,
                                 const void* indices) {
-  if (!CanElide()) return false;
+  if (!ShadowTrusted()) return false;
   // Argument errors surface at execution without touching index memory.
   if (count <= 0 ||
       (type != GL_UNSIGNED_BYTE && type != GL_UNSIGNED_SHORT)) {

@@ -31,7 +31,7 @@ namespace {
 // Watchdog trip message: the budget is a per-draw total, so one string
 // serves the vertex and fragment stages.
 constexpr const char kBudgetMsg[] =
-    "draw exceeded the per-draw ALU-op watchdog budget (MGPU_DRAW_BUDGET)";
+    "draw exceeded the per-draw ALU-op watchdog budget";
 
 // Row-band split gate (Context::PlanRowBands): a draw with fewer non-empty
 // tiles than workers splits them into row bands only when its estimated
@@ -73,6 +73,26 @@ bool ResolveOnByDefault(int knob, const char* env) {
   return value == nullptr || std::strtol(value, nullptr, 10) != 0;
 }
 
+// Once `cache` holds more than `capacity` entries, erases the
+// least-recently-drawn one other than `keep` (the entry just touched).
+// True when it evicted.
+template <class Map>
+bool EvictLru(Map& cache, const typename Map::mapped_type& keep,
+              std::size_t capacity) {
+  if (cache.size() <= capacity) return false;
+  auto victim = cache.end();
+  for (auto it = cache.begin(); it != cache.end(); ++it) {
+    if (&it->second == &keep) continue;
+    if (victim == cache.end() ||
+        it->second.last_use < victim->second.last_use) {
+      victim = it;
+    }
+  }
+  if (victim == cache.end()) return false;
+  cache.erase(victim);
+  return true;
+}
+
 // kCompiled is a retired alias of kBatchedVm (see ExecEngine).
 ExecEngine Canonical(ExecEngine engine) {
   return engine == ExecEngine::kCompiled ? ExecEngine::kBatchedVm : engine;
@@ -99,21 +119,7 @@ ShadeStateCache::Entry* ShadeStateCache::Find(GLuint program, int threads) {
 ShadeStateCache::Entry& ShadeStateCache::Insert(GLuint program, int threads) {
   Entry& e = entries_[{program, threads}];
   e.last_use = ++use_tick_;
-  if (entries_.size() > capacity_) {
-    // Evict the least-recently-drawn entry (never the one just touched).
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (&it->second == &e) continue;
-      if (victim == entries_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (victim != entries_.end()) {
-      entries_.erase(victim);
-      ++evictions_;
-    }
-  }
+  if (EvictLru(entries_, e, capacity_)) ++evictions_;
   return e;
 }
 
@@ -127,20 +133,9 @@ ShadeStateCache::VertexState* ShadeStateCache::FindVertex(GLuint program) {
 ShadeStateCache::VertexState& ShadeStateCache::InsertVertex(GLuint program) {
   VertexState& e = vertex_entries_[program];
   e.last_use = ++use_tick_;
-  if (vertex_entries_.size() > capacity_) {
-    auto victim = vertex_entries_.end();
-    for (auto it = vertex_entries_.begin(); it != vertex_entries_.end();
-         ++it) {
-      if (&it->second == &e) continue;
-      if (victim == vertex_entries_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    // Not tallied in evictions_: that counter tracks worker-entry
-    // behaviour for the cache tests.
-    if (victim != vertex_entries_.end()) vertex_entries_.erase(victim);
-  }
+  // Not tallied in evictions_: that counter tracks worker-entry behaviour
+  // for the cache tests.
+  EvictLru(vertex_entries_, e, capacity_);
   return e;
 }
 
@@ -162,9 +157,6 @@ Context::Context(const ContextConfig& config, glsl::AluModel* alu)
   shade_cache_.SetCapacity(
       static_cast<std::size_t>(std::max(config_.shade_cache_capacity, 1)));
   draw_budget_ = config_.draw_budget;
-  if (const char* env = std::getenv("MGPU_DRAW_BUDGET")) {
-    draw_budget_ = std::strtoull(env, nullptr, 10);
-  }
   attribs_.resize(static_cast<std::size_t>(config_.limits.max_vertex_attribs));
   fb_color_.assign(
       static_cast<std::size_t>(config_.width) * config_.height * 4, 0);
@@ -317,7 +309,7 @@ GLenum Context::GetGraphicsResetStatus() {
 
 void Context::Enable(GLenum cap) {
   if (Recording()) {
-    record_->Enable(cap);
+    record_->Push([cap](Context& c) { c.Enable(cap); });
     return;
   }
   switch (cap) {
@@ -332,7 +324,7 @@ void Context::Enable(GLenum cap) {
 
 void Context::Disable(GLenum cap) {
   if (Recording()) {
-    record_->Disable(cap);
+    record_->Push([cap](Context& c) { c.Disable(cap); });
     return;
   }
   switch (cap) {
@@ -347,7 +339,7 @@ void Context::Disable(GLenum cap) {
 
 void Context::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
   if (Recording()) {
-    record_->Viewport(x, y, w, h);
+    record_->Push([x, y, w, h](Context& c) { c.Viewport(x, y, w, h); });
     return;
   }
   if (w < 0 || h < 0) {
@@ -359,7 +351,7 @@ void Context::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
 
 void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
   if (Recording()) {
-    record_->Scissor(x, y, w, h);
+    record_->Push([x, y, w, h](Context& c) { c.Scissor(x, y, w, h); });
     return;
   }
   if (w < 0 || h < 0) {
@@ -371,7 +363,7 @@ void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
 
 void Context::ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
   if (Recording()) {
-    record_->ClearColor(r, g, b, a);
+    record_->Push([r, g, b, a](Context& c) { c.ClearColor(r, g, b, a); });
     return;
   }
   clear_color_ ={std::clamp(r, 0.0f, 1.0f), std::clamp(g, 0.0f, 1.0f),
@@ -380,7 +372,7 @@ void Context::ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
 
 void Context::BlendFunc(GLenum src, GLenum dst) {
   if (Recording()) {
-    record_->BlendFunc(src, dst);
+    record_->Push([src, dst](Context& c) { c.BlendFunc(src, dst); });
     return;
   }
   blend_src_ = src;
@@ -389,7 +381,7 @@ void Context::BlendFunc(GLenum src, GLenum dst) {
 
 void Context::DepthFunc(GLenum func) {
   if (Recording()) {
-    record_->DepthFunc(func);
+    record_->Push([func](Context& c) { c.DepthFunc(func); });
     return;
   }
   if (func < GL_NEVER || func > GL_ALWAYS) {
@@ -401,7 +393,7 @@ void Context::DepthFunc(GLenum func) {
 
 void Context::DepthMask(GLboolean flag) {
   if (Recording()) {
-    record_->DepthMask(flag);
+    record_->Push([flag](Context& c) { c.DepthMask(flag); });
     return;
   }
   depth_write_ = flag != GL_FALSE;
@@ -409,7 +401,7 @@ void Context::DepthMask(GLboolean flag) {
 
 void Context::ColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a) {
   if (Recording()) {
-    record_->ColorMask(r, g, b, a);
+    record_->Push([r, g, b, a](Context& c) { c.ColorMask(r, g, b, a); });
     return;
   }
   color_mask_ = {r != GL_FALSE, g != GL_FALSE, b != GL_FALSE, a != GL_FALSE};
@@ -417,7 +409,7 @@ void Context::ColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a) {
 
 void Context::CullFace(GLenum mode) {
   if (Recording()) {
-    record_->CullFace(mode);
+    record_->Push([mode](Context& c) { c.CullFace(mode); });
     return;
   }
   if (mode != GL_FRONT && mode != GL_BACK && mode != GL_FRONT_AND_BACK) {
@@ -429,7 +421,7 @@ void Context::CullFace(GLenum mode) {
 
 void Context::FrontFace(GLenum dir) {
   if (Recording()) {
-    record_->FrontFace(dir);
+    record_->Push([dir](Context& c) { c.FrontFace(dir); });
     return;
   }
   if (dir != GL_CW && dir != GL_CCW) {
@@ -441,7 +433,7 @@ void Context::FrontFace(GLenum dir) {
 
 void Context::PixelStorei(GLenum pname, GLint value) {
   if (Recording()) {
-    record_->PixelStorei(pname, value);
+    record_->Push([pname, value](Context& c) { c.PixelStorei(pname, value); });
     return;
   }
   if (value != 1 && value != 2 && value != 4 && value != 8) {

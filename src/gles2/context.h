@@ -31,7 +31,7 @@ class ThreadPool;
 namespace mgpu::gles2 {
 
 // Command-stream types (src/gles2/cmdstream.h): the per-context recording
-// queue, its record/elide tallies, and a draw's client-array snapshot.
+// queue, its record/submit tallies, and a draw's client-array snapshot.
 namespace cmd {
 class CommandQueue;
 struct Stats;
@@ -117,11 +117,11 @@ struct ContextConfig {
   int vertex_batch = -1;
   // VC4-style command stream: -1 = auto (the MGPU_ASYNC env override if
   // set — 0 disables — else on), 0 = immediate mode (every call executes
-  // inline, the oracle), 1 = force on. When on, state changes and draws are
-  // recorded into a replayable CommandList (src/gles2/cmdstream.h) with
-  // dirty-state diffing, submitted to a process-wide consumer thread that
-  // executes lists from all contexts in fair FIFO arrival order — the way
-  // real VC4 is driven by control lists rather than immediate-mode calls.
+  // inline, the oracle), 1 = force on. When on, every state change and draw
+  // is recorded into a replayable CommandList (src/gles2/cmdstream.h) and
+  // submitted to a process-wide device, whose consumer thread for this
+  // context executes its lists in FIFO order — the way real VC4 is driven
+  // by control lists rather than immediate-mode calls.
   // Flush() submits the open list, Finish() joins, and every value-
   // returning call (GetError, ReadPixels, GetGraphicsResetStatus, Gen*,
   // Get*, ...) is an implicit sync point, so recorded execution is
@@ -138,10 +138,11 @@ struct ContextConfig {
   // AluModel::CountAlu accounting): a watchdog in the spirit of a kernel
   // GPU-hang timeout. 0 (default) disables it; a draw that exceeds the
   // budget is aborted transactionally (framebuffer, depth and counters as
-  // if never issued) with GL_OUT_OF_MEMORY and a guilty reset status. The
-  // MGPU_DRAW_BUDGET environment variable overrides this at construction.
-  // The trip decision is deterministic across engines and worker counts
-  // because the completed draw's op total is engine- and thread-invariant.
+  // if never issued) with GL_OUT_OF_MEMORY and a guilty reset status. This
+  // and Context::SetDrawBudget are the budget's only inputs (compute users
+  // reach the latter through compute::Device::gl()). The trip decision is
+  // deterministic across engines and worker counts because the completed
+  // draw's op total is engine- and thread-invariant.
   std::uint64_t draw_budget = 0;
   std::string renderer_name = "mgpu software GLES2 (VideoCore IV model)";
 };
@@ -583,8 +584,9 @@ class Context {
   // usable — subsequent draws behave as if the aborted one was never
   // issued, which is what the fault-injection tests assert.
   GLenum GetGraphicsResetStatus();
-  // The resolved per-draw watchdog budget (config / MGPU_DRAW_BUDGET; 0 =
-  // off). Settable at any time; applies to subsequent draws.
+  // The per-draw watchdog budget (ContextConfig::draw_budget until
+  // SetDrawBudget changes it; 0 = off). Settable at any time; applies to
+  // subsequent draws.
   [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
   void SetDrawBudget(std::uint64_t ops);
   // Whether batched-engine draws run the lane-batched vertex stage
@@ -599,7 +601,7 @@ class Context {
   [[nodiscard]] bool async_submit_enabled() const {
     return record_ != nullptr;
   }
-  // Record / elide / submit tallies of the command stream (all zero in
+  // Record / submit tallies of the command stream (all zero in
   // immediate mode); see cmd::Stats in cmdstream.h. Sync point: the
   // executed-list count is final when it returns.
   [[nodiscard]] cmd::Stats command_stream_stats();

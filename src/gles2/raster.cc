@@ -345,18 +345,58 @@ namespace {
 // fn(t, px, py) for each deduplicated step, pre-target-clip; fn returning
 // false stops the walk (used to bail once a monotone walk has passed its
 // clip rect for good).
+//
+// The walk starts at the first step whose pixel has reached the target
+// [0, target_w) x [0, target_h) on both axes, not at step 0: an endpoint
+// up to 2^29 px off target would otherwise cost one step per pixel before
+// anything could be emitted. Each axis's pixel is a monotone function of
+// the step (the floor of rounded a + (i / steps) * d), so a binary search
+// over the expression the walk itself evaluates finds that step exactly.
+// The skipped steps are all off target and emit nothing. The first walked
+// step is either on target, so it differs from its off-target predecessor
+// and a full walk would not have deduplicated it, or past the target's far
+// side on some axis, where a full walk would already have bailed. The
+// start depends on the target only, not on a caller's clip rect, so every
+// tile's run of a line walks the same steps.
 template <typename Fn>
-void WalkLine(const DeviceVertex& a, const DeviceVertex& b, Fn&& fn) {
+void WalkLine(const DeviceVertex& a, const DeviceVertex& b,
+              const RasterState& state, Fn&& fn) {
   const double dx = b.x - a.x;
   const double dy = b.y - a.y;
   const int steps =
       std::max(1, static_cast<int>(std::ceil(std::max(std::fabs(dx),
                                                       std::fabs(dy)))));
+  const auto param = [steps](int i) { return static_cast<double>(i) / steps; };
+  const auto pixel = [](double p, double d, double t) {
+    return static_cast<int>(std::floor(p + t * d));
+  };
+  // First step at which one axis's pixel enters [0, extent) when its start
+  // lies before the range in the walk's direction; 0 when it starts inside
+  // or moves away, steps + 1 when it never enters.
+  const auto enter = [&](double p, double d, int extent) {
+    const int start = pixel(p, d, 0.0);
+    const bool rising = d > 0.0 && start < 0;
+    const bool falling = d < 0.0 && start >= extent;
+    if (!rising && !falling) return 0;
+    int lo = 1, hi = steps + 1;  // step lo-1 is out; the answer is in [lo, hi]
+    while (lo < hi) {
+      const int mid = lo + (hi - lo) / 2;
+      const int px = pixel(p, d, param(mid));
+      if (rising ? px >= 0 : px < extent) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  };
+  const int first = std::max(enter(a.x, dx, state.target_w),
+                             enter(a.y, dy, state.target_h));
   int last_x = INT_MIN, last_y = INT_MIN;
-  for (int i = 0; i <= steps; ++i) {
-    const double t = static_cast<double>(i) / steps;
-    const int px = static_cast<int>(std::floor(a.x + t * dx));
-    const int py = static_cast<int>(std::floor(a.y + t * dy));
+  for (int i = first; i <= steps; ++i) {
+    const double t = param(i);
+    const int px = pixel(a.x, dx, t);
+    const int py = pixel(a.y, dy, t);
     if (px == last_x && py == last_y) continue;
     last_x = px;
     last_y = py;
@@ -383,7 +423,7 @@ void RasterizeLineT(const RasterVertex& v0, const RasterVertex& v1,
   // skips steps that emit nothing, so the emitted sequence is unchanged.
   const bool x_inc = b.x >= a.x;
   const bool y_inc = b.y >= a.y;
-  WalkLine(a, b, [&](double t, int px, int py) {
+  WalkLine(a, b, state, [&](double t, int px, int py) {
     if ((x_inc ? px >= state.clip_x1 : px < state.clip_x0) ||
         (y_inc ? py >= state.clip_y1 : py < state.clip_y0)) {
       return false;
@@ -391,7 +431,7 @@ void RasterizeLineT(const RasterVertex& v0, const RasterVertex& v1,
     if (px < 0 || py < 0 || px >= state.target_w || py >= state.target_h) {
       return true;
     }
-    // WalkLine's step dedup sees every step regardless of the clip rect, so
+    // WalkLine's start and step dedup do not depend on the clip rect, so
     // per-tile runs of the same line visit identical (px, py) prefixes; the
     // rect only filters emission.
     if (px < state.clip_x0 || py < state.clip_y0 || px >= state.clip_x1 ||
@@ -538,7 +578,7 @@ void LineTouchedTiles(const RasterVertex& v0, const RasterVertex& v1,
   const bool x_inc = b.x >= a.x;
   const bool y_inc = b.y >= a.y;
   int last_tx = INT_MIN, last_ty = INT_MIN;
-  WalkLine(a, b, [&](double, int px, int py) {
+  WalkLine(a, b, state, [&](double, int px, int py) {
     // Monotone walk: once past the target's far side on either axis the
     // line never comes back in.
     if ((x_inc ? px >= state.target_w : px < 0) ||

@@ -82,18 +82,18 @@ struct Observed {
 };
 
 // A state-churning scene: clear, gradient quad, uniform change, scissored
-// second quad, plus redundant setter calls the recorder may elide.
+// second quad, plus repeated setter calls (each recorded and replayed).
 Observed RunScene(Context& ctx) {
   const GLuint p = BuildProgramOrDie(ctx, kPassthroughVs, kGradientFs);
   ctx.UseProgram(p);
   const GLint tint = ctx.GetUniformLocation(p, "u_tint");
   ctx.ClearColor(0.1f, 0.2f, 0.3f, 1.0f);
-  ctx.ClearColor(0.1f, 0.2f, 0.3f, 1.0f);  // redundant: elidable
+  ctx.ClearColor(0.1f, 0.2f, 0.3f, 1.0f);  // repeated
   ctx.Clear(GL_COLOR_BUFFER_BIT);
   ctx.Uniform4f(tint, 1.0f, 0.5f, 0.25f, 1.0f);
   DrawFullscreenQuad(ctx, p);
   ctx.Enable(GL_SCISSOR_TEST);
-  ctx.Enable(GL_SCISSOR_TEST);  // redundant: elidable
+  ctx.Enable(GL_SCISSOR_TEST);  // repeated
   ctx.Scissor(8, 8, 48, 48);
   ctx.Uniform4f(tint, 0.25f, 1.0f, 0.5f, 1.0f);
   DrawFullscreenQuad(ctx, p);
@@ -167,34 +167,40 @@ TEST(CmdStream, KnobResolution) {
   ::unsetenv("MGPU_ASYNC");
 }
 
-// Dirty-state diffing: provably redundant setters are elided; redundant but
-// *invalid* calls are recorded anyway so their GL errors surface at
-// execution, in call order.
-TEST(CmdStream, DirtyDiffingElidesOnlyProvableNoOps) {
+// The recording contract: every setter call is one recorded command, a
+// repeated identical call included, and nothing is elided. Invalid calls
+// record like valid ones, so their GL errors surface at execution in call
+// order.
+TEST(CmdStream, EverySetterCallRecordsOnce) {
   Context ctx(MakeConfig(/*async=*/1));
   ctx.Finish();
-  const cmd::Stats before = ctx.command_stream_stats();
+  const cmd::Stats s0 = ctx.command_stream_stats();
 
-  ctx.Viewport(0, 0, kW, kH);  // matches ctor state, but shadow is unknown:
-                               // recorded
-  ctx.Viewport(0, 0, kW, kH);  // now shadowed: elided
-  ctx.Viewport(0, 0, kW, kH);  // elided
+  ctx.Viewport(0, 0, kW, kH);  // identical to the constructor's state
+  ctx.Viewport(0, 0, kW, kH);
+  ctx.Viewport(0, 0, kW, kH);
   ctx.Enable(GL_DEPTH_TEST);
-  ctx.Enable(GL_DEPTH_TEST);  // elided
+  ctx.Enable(GL_DEPTH_TEST);
   ctx.Disable(GL_DEPTH_TEST);
-  const cmd::Stats after = ctx.command_stream_stats();
-  EXPECT_EQ(after.elided - before.elided, 3u);
+  ctx.ClearColor(0.5f, 0.5f, 0.5f, 1.0f);
+  ctx.ClearColor(0.5f, 0.5f, 0.5f, 1.0f);
+  ctx.PixelStorei(GL_UNPACK_ALIGNMENT, 4);
+  ctx.PixelStorei(GL_UNPACK_ALIGNMENT, 4);
+  const cmd::Stats s1 = ctx.command_stream_stats();
+  EXPECT_EQ(s1.recorded - s0.recorded, 10u);
+  EXPECT_EQ(s1.elided, 0u);
   EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
 
-  // Invalid enum twice: both recorded (never elided), and the first error
-  // is latched by the time the sync point returns.
-  const cmd::Stats s0 = ctx.command_stream_stats();
+  // Two invalid enums, then an invalid value: all three record, and the
+  // first error raised in call order is the one latched.
   ctx.Enable(0xDEAD);
   ctx.Enable(0xDEAD);
+  ctx.Viewport(0, 0, -1, -1);
   EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_INVALID_ENUM));
-  const cmd::Stats s1 = ctx.command_stream_stats();
-  EXPECT_EQ(s1.elided, s0.elided);
-  EXPECT_GE(s1.recorded - s0.recorded, 2u);
+  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+  const cmd::Stats s2 = ctx.command_stream_stats();
+  EXPECT_EQ(s2.recorded - s1.recorded, 3u);
+  EXPECT_EQ(s2.elided, 0u);
 }
 
 TEST(CmdStream, StatsCountSubmissionLifecycle) {

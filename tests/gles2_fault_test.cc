@@ -569,15 +569,26 @@ TEST(FaultInjection, CmdSubmitDropLatchesInnocentResetAndRecovers) {
   }
 }
 
-// MGPU_DRAW_BUDGET wiring: the config knob resolves into draw_budget().
+// The watchdog budget has exactly two inputs: ContextConfig::draw_budget at
+// construction and SetDrawBudget afterwards; a stray MGPU_DRAW_BUDGET in
+// the environment changes neither.
 TEST(FaultInjection, DrawBudgetConfigKnob) {
-  ContextConfig cfg = MakeConfig(ExecEngine::kBatchedVm, 1, 32);
-  cfg.draw_budget = 12345;
-  Context ctx(cfg);
-  // The env var (unset in tests) must not clobber the config value.
-  EXPECT_EQ(ctx.draw_budget(), 12345u);
-  ctx.SetDrawBudget(0);
-  EXPECT_EQ(ctx.draw_budget(), 0u);
+  ::setenv("MGPU_DRAW_BUDGET", "7", 1);
+  {
+    ContextConfig cfg = MakeConfig(ExecEngine::kBatchedVm, 1, 32);
+    cfg.draw_budget = 12345;
+    Context ctx(cfg);
+    EXPECT_EQ(ctx.draw_budget(), 12345u);
+    ctx.SetDrawBudget(0);
+    EXPECT_EQ(ctx.draw_budget(), 0u);
+    ctx.SetDrawBudget(99);
+    EXPECT_EQ(ctx.draw_budget(), 99u);
+  }
+  {
+    Context ctx(MakeConfig(ExecEngine::kBatchedVm, 1, 32));
+    EXPECT_EQ(ctx.draw_budget(), 0u);  // the default: off
+  }
+  ::unsetenv("MGPU_DRAW_BUDGET");
 }
 
 }  // namespace

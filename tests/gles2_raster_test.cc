@@ -4,9 +4,13 @@
 // (j+0.5)/H).
 #include "gles2/raster.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "gles2/context.h"
@@ -358,6 +362,182 @@ void main() { gl_FragColor = vec4(0.2, 0.6, 0.9, 1.0); }
     SCOPED_TRACE(threads);
     const std::vector<std::uint8_t> want = render(threads, false);
     EXPECT_EQ(render(threads, true), want);
+  }
+}
+
+
+// One line fragment: pixel and its interpolated varying (which carries the
+// walk parameter t, so a fragment emitted at another step shows).
+struct LineFrag {
+  int x;
+  int y;
+  float v;
+  bool operator==(const LineFrag& o) const {
+    return x == o.x && y == o.y && v == o.v;
+  }
+};
+
+std::vector<LineFrag> RasterLine(const RasterVertex& a, const RasterVertex& b,
+                                 const RasterState& s) {
+  std::vector<LineFrag> out;
+  RasterizeLine(a, b, 1, s,
+                [&](int x, int y, float, const float* v, bool, float, float) {
+                  out.push_back({x, y, v[0]});
+                });
+  return out;
+}
+
+// Reference walk for a line between V(x0, y0, {0}) and V(x1, y1, {1}): every
+// step from the first endpoint, with the rasterizer's own arithmetic, kept
+// when it lands inside the target and the clip rect.
+std::vector<LineFrag> FullWalkLine(float x0, float y0, float x1, float y1,
+                                   const RasterState& s) {
+  const auto window = [](float c, int origin, int extent) {
+    return origin + (static_cast<double>(c) * 1.0 + 1.0) * 0.5 * extent;
+  };
+  const double ax = window(x0, s.viewport_x, s.viewport_w);
+  const double ay = window(y0, s.viewport_y, s.viewport_h);
+  const double dx = window(x1, s.viewport_x, s.viewport_w) - ax;
+  const double dy = window(y1, s.viewport_y, s.viewport_h) - ay;
+  const int steps = std::max(
+      1, static_cast<int>(std::ceil(std::max(std::fabs(dx), std::fabs(dy)))));
+  const double inv_w = 1.0;
+  const double va = 0.0f;
+  const double vb = 1.0f;
+  std::vector<LineFrag> out;
+  int last_x = INT_MIN, last_y = INT_MIN;
+  for (int i = 0; i <= steps; ++i) {
+    const double t = static_cast<double>(i) / steps;
+    const int px = static_cast<int>(std::floor(ax + t * dx));
+    const int py = static_cast<int>(std::floor(ay + t * dy));
+    if (px == last_x && py == last_y) continue;
+    last_x = px;
+    last_y = py;
+    if (px < 0 || py < 0 || px >= s.target_w || py >= s.target_h ||
+        px < s.clip_x0 || py < s.clip_y0 || px >= s.clip_x1 ||
+        py >= s.clip_y1) {
+      continue;
+    }
+    const double pw = (1.0 - t) * inv_w + t * inv_w;
+    out.push_back({px, py,
+                   static_cast<float>(
+                       ((1.0 - t) * inv_w * va + t * inv_w * vb) / pw)});
+  }
+  return out;
+}
+
+// A line starts its walk at the first step that can reach the target, not
+// at an off-target endpoint. Lines with endpoints up to ~1300 px off a
+// 64x48 target, at every angle and in both directions, emit exactly the
+// fragments, parameters and touched tiles of the full walk, whole-target
+// and per tile.
+TEST(RasterTest, OffTargetLinesMatchTheFullWalk) {
+  constexpr int kTile = 16;
+  const RasterState whole = State(64, 48);
+  std::mt19937 rng(20261022);
+  std::uniform_real_distribution<float> coord(-40.0f, 40.0f);
+  std::uniform_int_distribution<int> pick(0, 3);
+  int nonempty = 0;
+  for (int n = 0; n < 1500; ++n) {
+    // Mix far endpoints with ones inside the target ([-1, 1]).
+    const auto c = [&] {
+      return pick(rng) == 0 ? coord(rng) / 40.0f : coord(rng);
+    };
+    const float x0 = c(), y0 = c(), x1 = c(), y1 = c();
+    SCOPED_TRACE(::testing::Message() << "(" << x0 << ", " << y0 << ") -> ("
+                                      << x1 << ", " << y1 << ")");
+    const RasterVertex a = V(x0, y0, {0.0f});
+    const RasterVertex b = V(x1, y1, {1.0f});
+    const std::vector<LineFrag> want = FullWalkLine(x0, y0, x1, y1, whole);
+    ASSERT_EQ(RasterLine(a, b, whole), want);
+    if (!want.empty()) ++nonempty;
+
+    std::vector<std::pair<int, int>> want_tiles;
+    for (const LineFrag& f : want) {
+      const std::pair<int, int> t{f.x / kTile, f.y / kTile};
+      if (want_tiles.empty() || want_tiles.back() != t) want_tiles.push_back(t);
+    }
+    std::vector<std::pair<int, int>> tiles;
+    LineTouchedTiles(a, b, whole, kTile,
+                     [&](int tx, int ty) { tiles.emplace_back(tx, ty); });
+    ASSERT_EQ(tiles, want_tiles);
+
+    for (const auto& [tx, ty] : want_tiles) {
+      RasterState tile = whole;
+      tile.clip_x0 = tx * kTile;
+      tile.clip_y0 = ty * kTile;
+      tile.clip_x1 = tile.clip_x0 + kTile;
+      tile.clip_y1 = tile.clip_y0 + kTile;
+      ASSERT_EQ(RasterLine(a, b, tile), FullWalkLine(x0, y0, x1, y1, tile));
+    }
+  }
+  EXPECT_GT(nonempty, 200);  // the corpus does reach the target
+}
+
+// An endpoint 3.2e8 px off target (clip x = -1e7 on a 64-px viewport): the
+// walk must not step through the off-target pixels, which takes seconds
+// per line, and still emits the on-target run.
+TEST(RasterTest, FarOffTargetLineDrawsPromptly) {
+  const RasterState s = State(64, 64);
+  const std::vector<LineFrag> got =
+      RasterLine(V(-1e7f, 0.0f, {0.0f}), V(0.0f, 0.0f, {1.0f}), s);
+  ASSERT_EQ(got.size(), 33u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].x, static_cast<int>(i));
+    EXPECT_EQ(got[i].y, 32);
+  }
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end(),
+                             [](const LineFrag& l, const LineFrag& r) {
+                               return l.v < r.v;
+                             }));
+  std::vector<std::pair<int, int>> tiles;
+  LineTouchedTiles(V(0.0f, -1e7f), V(0.0f, 0.0f), s, kTileSize,
+                   [&](int tx, int ty) { tiles.emplace_back(tx, ty); });
+  EXPECT_EQ(tiles, (std::vector<std::pair<int, int>>{{0, 0}}));
+
+  // Through whole draws, serial and on the tile pool: far lines paint the
+  // same pixels as the same segments clipped to the viewport edge. On a
+  // 128-px viewport clip -2^22 maps to 64 - 2^28 px, so every segment spans
+  // a power of two and each walk step lands exactly on a pixel.
+  constexpr int kSize = 128;  // 2x2 tiles of 64x64
+  constexpr char kVs[] = R"(
+attribute vec4 a_pos;
+void main() { gl_Position = a_pos; }
+)";
+  constexpr char kFs[] = R"(
+precision mediump float;
+void main() { gl_FragColor = vec4(0.2, 0.6, 0.9, 1.0); }
+)";
+  const auto render = [&](int threads, const std::vector<float>& lines) {
+    ContextConfig cfg;
+    cfg.width = kSize;
+    cfg.height = kSize;
+    cfg.shader_threads = threads;
+    Context ctx(cfg);
+    const GLuint prog = testutil::BuildProgramOrDie(ctx, kVs, kFs);
+    ctx.UseProgram(prog);
+    const GLint loc = ctx.GetAttribLocation(prog, "a_pos");
+    EXPECT_GE(loc, 0);
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE,
+                            0, lines.data());
+    ctx.DrawArrays(GL_LINES, 0, static_cast<GLsizei>(lines.size() / 2));
+    EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+    return testutil::ReadRgba(ctx, kSize, kSize);
+  };
+  constexpr float kFar = -4194304.0f;  // -2^22
+  const std::vector<float> far = {kFar, 0.25f, 0.0f, 0.25f,   // from the left
+                                  0.5f, -kFar, 0.5f, 0.0f,    // from above
+                                  0.0f, 0.0f, kFar, kFar};    // to lower left
+  const std::vector<float> near = {-1.0f, 0.25f, 0.0f, 0.25f,
+                                   0.5f, 1.0f, 0.5f, 0.0f,
+                                   0.0f, 0.0f, -1.0f, -1.0f};
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const std::vector<std::uint8_t> want = render(threads, near);
+    EXPECT_EQ(std::count(want.begin(), want.end(), 0x33), 65 + 64 + 65);
+    EXPECT_EQ(render(threads, far), want);
   }
 }
 
